@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 algebra validation failure (Jacobi/Leibniz),
-2 input parse error, 3 falsified claim.
+2 input error (unparsable, or out of the command's domain), 3 falsified claim.
 """
 
 from __future__ import annotations
@@ -371,13 +371,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (JacobiError, LeibnizError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except SalamonSyntaxError as exc:
+    except ValueError as exc:
+        # bad input the library rejects: FieldError, SalamonSyntaxError,
+        # SplitError, DegreeError, or a degree/dimension out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -305,10 +305,6 @@ def analyze(alpha: KForm) -> FormAnalysis:
     )
 
 
-def is_stable(alpha: KForm) -> bool:
-    return analyze(alpha).stable
-
-
 def stability_admissible(r: int, n: int) -> bool:
     """Degrees admitting stable forms on R^n."""
     if not 0 <= r <= n:

@@ -1,17 +1,20 @@
-"""Sparse exact linear algebra over Q(sqrt(d)).
+"""Sparse exact linear algebra over Q and Q(sqrt(d)).
 
-Everything is built on Gaussian elimination with exact scalars; the pivot
-within a column is chosen to keep operand bit-sizes small.  Target sizes
-are modest (dimensions up to ~1000), correctness over speed.
+Matrices and vectors hold ``Scalar``s.  Every rank, kernel, solve and span
+runs one Gauss-Jordan elimination, ``_rref``, on sparse rows of field
+elements: raw ``Fraction``s when every entry is rational, so rational
+matrices skip the Q(sqrt(d)) arithmetic, and ``Scalar``s otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalars import Scalar, sc
 
 Vector = List[Scalar]
+Elem = Union[Fraction, Scalar]  # one kind per elimination, never mixed
 
 
 def _zero_vec(n: int) -> Vector:
@@ -99,14 +102,15 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _sparse_rows(self) -> List[Dict[int, Scalar]]:
+    def _sparse_rows(self) -> List[Dict[int, Elem]]:
         rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
-        return rows
+        return _field_rows(rows)
 
-    def rref(self) -> Tuple[List[Dict[int, Scalar]], List[int]]:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+    def rref(self) -> Tuple[List[Dict[int, Elem]], List[int]]:
+        """Reduced row echelon form; returns (rows, pivot column list).
+        Row entries are Fractions if the matrix is rational, else Scalars."""
         return _rref(self._sparse_rows(), self.cols)
 
     def rank(self) -> int:
@@ -120,31 +124,20 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
         for f in free:
-            v = _zero_vec(self.cols)
-            v[f] = Scalar(1)
-            for r, p in enumerate(pivots):
-                x = rows[r].get(f)
-                if x is not None:
-                    v[p] = -x
-            basis.append(v)
+            v = {p: -rows[r][f] for r, p in enumerate(pivots) if f in rows[r]}
+            v[f] = 1
+            basis.append(_dense(v, self.cols))
         return basis
 
     def solve(self, rhs: Sequence[Scalar]) -> Optional[Vector]:
         """One exact solution of m*x = rhs, or None if inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError(f"rhs length {len(rhs)} != rows {self.rows}")
-        rows = self._sparse_rows()
-        for i, x in enumerate(rhs):
-            x = sc(x)
-            if not x.is_zero():
-                rows[i][self.cols] = x
-        red, pivots = _rref(rows, self.cols + 1)
+        aug = self.hstack(Matrix.from_columns([rhs], nrows=self.rows))
+        red, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        x = _zero_vec(self.cols)
-        for r, p in enumerate(pivots):
-            x[p] = red[r].get(self.cols, Scalar(0))
-        return x
+        return _dense({p: red[r].get(self.cols, 0) for r, p in enumerate(pivots)}, self.cols)
 
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
@@ -152,44 +145,61 @@ class Matrix:
         return [self.column(j) for j in piv_cols]
 
 
-def _rref(rows: List[Dict[int, Scalar]], ncols: int) -> Tuple[List[Dict[int, Scalar]], List[int]]:
-    """In-place RREF of sparse rows (dict col -> Scalar). Deterministic:
-    columns are processed left to right; the pivot row is the candidate of
-    least scalar complexity (ties by row order)."""
+def _dense(row: Dict[int, Elem], n: int) -> Vector:
+    """Dense Scalar vector of length n from a sparse row of field elements."""
+    v = _zero_vec(n)
+    for j, x in row.items():
+        v[j] = sc(x)
+    return v
+
+
+def _field_rows(rows: List[Dict[int, Scalar]]) -> List[Dict[int, Elem]]:
+    """The rows on raw Fractions if every entry is rational, else unchanged."""
+    if all(v.b == 0 for r in rows for v in r.values()):
+        return [{j: v.a for j, v in r.items()} for r in rows]
+    return rows
+
+
+def _bits(x: Elem) -> int:
+    """Pivot size: numerator plus denominator bit-lengths (of both parts of a
+    Scalar, so a rational Scalar measures one more than its Fraction)."""
+    if isinstance(x, Fraction):
+        return x.numerator.bit_length() + x.denominator.bit_length()
+    return x.complexity()
+
+
+def _rref(rows: List[Dict[int, Elem]], ncols: int) -> Tuple[List[Dict[int, Elem]], List[int]]:
+    """In-place RREF of sparse rows (dict col -> field element).
+
+    The elements are all Fractions or all Scalars; only ``+ - *``, ``1 / x``,
+    truthiness and ``_bits`` are used.  Columns are processed left to right;
+    the pivot row is the candidate of least ``_bits`` (ties by row order).
+    ``_bits`` of a rational Scalar is its Fraction's plus one, so the pivots
+    do not depend on which kind a rational matrix is eliminated in."""
     pivots: List[int] = []
-    done: List[Dict[int, Scalar]] = []
+    done: List[Dict[int, Elem]] = []
     active = [r for r in rows if r]
     for col in range(ncols):
-        candidates = [(r[col].complexity(), idx) for idx, r in enumerate(active) if col in r]
+        candidates = [(_bits(r[col]), idx) for idx, r in enumerate(active) if col in r]
         if not candidates:
             continue
         _, best = min(candidates)
         piv_row = active.pop(best)
         piv_val = piv_row[col]
         if piv_val != 1:
-            inv = piv_val.inverse()
+            inv = 1 / piv_val
             piv_row = {j: v * inv for j, v in piv_row.items()}
-        # eliminate below
-        for r in active:
+        # eliminate the pivot column from the rows below and above
+        for r in active + done:
             x = r.get(col)
             if x is not None:
                 for j, v in piv_row.items():
-                    nv = r.get(j, Scalar(0)) - x * v
-                    if nv.is_zero():
-                        r.pop(j, None)
-                    else:
+                    nv = r.get(j, 0) - x * v
+                    if nv:
                         r[j] = nv
+                    else:
+                        r.pop(j, None)
         active = [r for r in active if r]
-        # eliminate above
-        for r in done:
-            x = r.get(col)
-            if x is not None:
-                for j, v in piv_row.items():
-                    nv = r.get(j, Scalar(0)) - x * v
-                    if nv.is_zero():
-                        r.pop(j, None)
-                    else:
-                        r[j] = nv
         done.append(piv_row)
         pivots.append(col)
     return done, pivots
@@ -200,19 +210,9 @@ def _rref(rows: List[Dict[int, Scalar]], ncols: int) -> Tuple[List[Dict[int, Sca
 
 def row_space_basis(vectors: Iterable[Sequence[Scalar]], dim: int) -> List[Vector]:
     """Reduced basis of the span of the given coordinate vectors."""
-    rows = []
-    for v in vectors:
-        row = {j: sc(x) for j, x in enumerate(v) if not sc(x).is_zero()}
-        if row:
-            rows.append(row)
-    red, _ = _rref(rows, dim)
-    out = []
-    for r in red:
-        v = _zero_vec(dim)
-        for j, x in r.items():
-            v[j] = x
-        out.append(v)
-    return out
+    rows = [{j: x for j, x in enumerate(map(sc, v)) if x} for v in vectors]
+    red, _ = _rref(_field_rows(rows), dim)
+    return [_dense(r, dim) for r in red]
 
 
 def in_span(basis: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:

@@ -1,15 +1,16 @@
 """Exact field elements a + b*sqrt(d) with rational a, b.
 
-The field tag ``d`` is a square-free non-negative integer; ``d == 1``
-means a plain rational (``b`` is folded into ``a`` on construction).
+The field tag ``d`` is made square-free on construction (square factors move
+into ``b``); ``d == 1`` means a plain rational (``b`` is folded into ``a``).
 All arithmetic is exact, there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -21,6 +22,19 @@ _SQRT_RE = re.compile(
 
 class FieldError(ValueError):
     """Raised when scalars from incompatible quadratic fields are mixed."""
+
+
+@functools.lru_cache(maxsize=32)
+def _square_split(d: int) -> Tuple[int, int]:
+    """(f, s) with d == f*f*s and s square-free, for d >= 1, by trial
+    division; cached because every arithmetic result passes its d here."""
+    f, p = 1, 2
+    while p * p <= d:
+        while d % (p * p) == 0:
+            d //= p * p
+            f *= p
+        p += 1
+    return f, d
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -46,10 +60,12 @@ class Scalar:
         if d == 0:
             # sqrt(0) = 0
             b, d = Fraction(0), 1
+        elif d > 1 and b:
+            f, d = _square_split(d)
+            if f != 1:
+                b *= f
         if d == 1:
             a, b = a + b, Fraction(0)
-        if b == 0:
-            d = d  # keep tag: harmless, but normalise pure rationals to d=1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d if b != 0 else 1)
@@ -143,8 +159,8 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("scalar is zero")
         norm = self.a * self.a - self.b * self.b * self.d
-        # norm = 0 with (a, b) != 0 would mean sqrt(d) rational; d square-free
-        # and > 1 rules that out unless d == 1 (then b == 0 already).
+        # norm = 0 with (a, b) != 0 would mean sqrt(d) rational; d is
+        # square-free, so then d == 1 and b == 0 already.
         return Scalar(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):

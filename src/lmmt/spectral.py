@@ -179,7 +179,7 @@ class SpectralPage:
 def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
     """E1 or E2 page of the ideal's spectral sequence, rows 0..max_q."""
     pa = split.codim
-    if pa > 2:
+    if pa not in (1, 2):
         raise SplitError("quotient dimension must be 1 or 2")
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 import json
 
+import pytest
+
 from lmmt.cli import main
 
 
@@ -38,6 +40,36 @@ def test_parse_error_exit_code(capsys):
 
 def test_jacobi_failure_exit_code(capsys):
     assert main(["betti", "0,12,13+23"]) == 1
+
+
+BAD_INPUT = [
+    (["parse", "0,0,x"], 2),
+    (["betti", "0,12,13+23"], 1),
+    (["verify-34", "0,12,13+23"], 1),
+    (["trivial", "0,0,12", "--degrees", "a"], 2),
+    (["lie-kernel", "builtin:nosuch", "--degree", "2"], 2),
+    (["kunneth", "0,0,12", "0,0,1$2"], 2),
+    (["mm-solve", "0,0,12", "--degree", "0"], 2),
+    (["orbit-check", "0,0,12", "--form", "g2"], 2),
+    (["invariant-cohomology", "0,0,12", "--ideal", "9", "--degree", "1"], 2),
+    (["hs-page", "0,0,12,13", "--ideal", "4"], 2),
+    (["hs-page", "0,0,12", "--ideal", "1,2,3"], 2),
+    (["search34", "--m", "2", "--eig-range", "1:2"], 2),
+    (["stabilizer", "--form", "nosuch"], 2),
+    (["stable", "--form", "{}"], 2),
+    (["nondeg", "--form", "psu3", "--field", "sqrt=x"], 2),
+    (["normal-form", "--form", "g2"], 2),
+    (["construct-nondeg", "2", "5"], 2),
+    (["identities", "g2metric", "--param", "x"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_INPUT)
+def test_bad_input_is_one_error_line(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_trivial(capsys):

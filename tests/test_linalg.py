@@ -1,7 +1,10 @@
 """Exact sparse linear algebra."""
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from lmmt.linalg import Matrix, extend_basis, in_span, row_space_basis
 from lmmt.scalars import Scalar
@@ -96,3 +99,71 @@ def test_quadratic_field_solve():
     a = Matrix.from_rows([[Scalar(0, 1, 2)]])
     x = a.solve([Scalar(2)])
     assert x == [Scalar(0, 1, 2)]
+
+
+# -- differential tests against sympy's DomainMatrix --------------------------
+# The rational and the sqrt(3) strategies drive the two element kinds of the
+# one elimination routine: raw Fractions and Scalars.
+
+QQ_SQRT3 = QQ.algebraic_field(sympy.sqrt(3))
+SQRT3 = QQ_SQRT3.from_sympy(sympy.sqrt(3))
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+over_q = st.builds(Scalar, small_rationals)
+over_q_sqrt3 = st.builds(lambda a, b: Scalar(a, b, 3), small_rationals, small_rationals)
+
+
+@st.composite
+def systems(draw, entries):
+    """(rows, rhs); sometimes a dependent row or a consistent rhs."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(entries)
+        rows.append([x + c * y for x, y in zip(rows[0], rows[1])])
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = Matrix.from_rows(rows).mul_vec(x0)
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+def to_sympy(domain, rows):
+    def elem(x):
+        a, b = (domain.convert(QQ(y.numerator, y.denominator)) for y in (x.a, x.b))
+        return a + b * SQRT3 if x.b else a
+    return DomainMatrix([[elem(x) for x in r] for r in rows], (len(rows), len(rows[0])), domain)
+
+
+def check_against_sympy(domain, rows, rhs):
+    a, ref = Matrix.from_rows(rows), to_sympy(domain, rows)
+    rank = a.rank()
+    assert rank == ref.rank()
+    ker = a.kernel_basis()
+    assert len(ker) == a.cols - rank
+    assert all(isinstance(x, Scalar) for v in ker for x in v)
+    assert all(not y for v in ker for y in a.mul_vec(v))
+    assert ker == [] or Matrix.from_rows(ker).rank() == len(ker)
+    b = to_sympy(domain, [[y] for y in rhs])
+    x = a.solve(rhs)
+    assert (x is not None) == (ref.hstack(b).rank() == ref.rank())
+    if x is not None:
+        assert all(isinstance(y, Scalar) for y in x)
+        assert ref * to_sympy(domain, [[y] for y in x]) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(over_q))
+def test_against_sympy_over_q(system):
+    check_against_sympy(QQ, *system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(over_q_sqrt3))
+def test_against_sympy_over_q_sqrt3(system):
+    rows, rhs = system
+    assume(any(x.b for r in rows for x in r))  # Scalar elimination, not Fractions
+    check_against_sympy(QQ_SQRT3, rows, rhs)

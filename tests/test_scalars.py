@@ -74,3 +74,13 @@ def test_quadratic_field_axioms(a, b, c, d):
 
 def test_complexity_orders_simple_first():
     assert Scalar(1).complexity() < Scalar(Fraction(97, 89)).complexity()
+
+
+def test_radicand_square_factors_pulled_out():
+    assert Scalar(2, -1, 4) == 0  # 2 - sqrt(4)
+    assert Scalar(2, -1, 4).is_zero()
+    assert Scalar(1, 1, 4).inverse() == Scalar(Fraction(1, 3))
+    assert Scalar.parse("sqrt(4)") == 2
+    assert Scalar(0, 1, 8) == Scalar(0, 2, 2)
+    assert Scalar(0, 1, 8) + Scalar(0, 1, 2) == Scalar(0, 3, 2)
+    assert Scalar(1, 1, 12).d == 3
