@@ -238,6 +238,8 @@ def _dispatch(args) -> int:
         return 0 if ok else 3
 
     if cmdname == "cartan-check":
+        if args.samples < 1:
+            raise CliError(f"--samples must be at least 1, got {args.samples}", 2)
         g = _load_algebra(args.algebra, params)
         rng = random.Random(0)
         ok = True
@@ -347,6 +349,8 @@ def _dispatch(args) -> int:
 
     if cmdname == "verify-paper":
         results = run_claims(args.filter)
+        if not results:
+            raise CliError(f"no claim matches --filter {args.filter!r}", 2)
         failed = [r for r in results if not r["ok"]]
         if args.json:
             print(json.dumps({"claims": results, "passed": not failed},

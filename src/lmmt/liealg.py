@@ -108,7 +108,7 @@ class LieAlgebra:
         """L(Q) = sum_{i<j} [X_i, X_j] wedge Q_{^ij}, extended linearly."""
         if p.n != self.n:
             raise ValueError("multivector dimension mismatch")
-        out = KVector.zero(self.n, max(p.degree - 1, 0))
+        acc: Dict[int, Scalar] = {}  # one sum for all pairs, validated once
         for mask, coeff in p.terms.items():
             idx = indices_of(mask)
             s = len(idx)
@@ -121,8 +121,13 @@ class LieAlgebra:
                         continue
                     vec = KVector(self.n, 1, {1 << (k - 1): c for k, c in br.items()})
                     rest_v = KVector(self.n, s - 2, {rest: sc(coeff if sign > 0 else -coeff)})
-                    out = out + vec.wedge(rest_v)
-        return out
+                    for m, c in vec.wedge(rest_v).terms.items():
+                        c = acc[m] + c if m in acc else c
+                        if c.is_zero():
+                            del acc[m]
+                        else:
+                            acc[m] = c
+        return KVector(self.n, max(p.degree - 1, 0), acc)
 
     # -- constructions -----------------------------------------------------
 

@@ -1,9 +1,13 @@
 """Sparse exact linear algebra over Q and Q(sqrt(d)).
 
 Matrices and vectors hold ``Scalar``s.  Every rank, kernel, solve and span
-runs one Gauss-Jordan elimination, ``_rref``, on sparse rows of field
-elements: raw ``Fraction``s when every entry is rational, so rational
-matrices skip the Q(sqrt(d)) arithmetic, and ``Scalar``s otherwise.
+runs one elimination routine, ``_rref``, on sparse rows of field elements:
+raw ``Fraction``s when every entry is rational, so rational matrices skip the
+Q(sqrt(d)) arithmetic, and ``Scalar``s otherwise.  ``_rref`` is a forward pass
+that keeps each waiting row in a bucket keyed by its leading column, so a
+pivot step touches only the rows that hold its column, followed by optional
+back-substitution.  Callers that need only pivots or ranks (``rank``,
+``column_space_basis``, ``in_span``, ``extend_basis``) skip the latter.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ class Matrix:
         return _rref(self._sparse_rows(), self.cols)
 
     def rank(self) -> int:
-        _, pivots = self.rref()
+        _, pivots = _rref(self._sparse_rows(), self.cols, reduce=False)
         return len(pivots)
 
     def kernel_basis(self) -> List[Vector]:
@@ -141,7 +145,7 @@ class Matrix:
 
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
-        _, piv_cols = self.rref()
+        _, piv_cols = _rref(self._sparse_rows(), self.cols, reduce=False)
         return [self.column(j) for j in piv_cols]
 
 
@@ -168,58 +172,93 @@ def _bits(x: Elem) -> int:
     return x.complexity()
 
 
-def _rref(rows: List[Dict[int, Elem]], ncols: int) -> Tuple[List[Dict[int, Elem]], List[int]]:
-    """In-place RREF of sparse rows (dict col -> field element).
+def _rref(
+    rows: List[Dict[int, Elem]], ncols: int, reduce: bool = True
+) -> Tuple[List[Dict[int, Elem]], List[int]]:
+    """In-place echelon form of sparse rows (dict col -> field element);
+    returns (pivot rows, pivot column list), the rows in pivot order with a
+    leading 1.  With ``reduce`` the rows are the unique RREF; without it the
+    back-substitution is skipped, which is all a rank or pivot query needs.
 
     The elements are all Fractions or all Scalars; only ``+ - *``, ``1 / x``,
-    truthiness and ``_bits`` are used.  Columns are processed left to right;
-    the pivot row is the candidate of least ``_bits`` (ties by row order).
+    truthiness and ``_bits`` are used.  The forward pass keeps every waiting
+    row in a bucket keyed by its leading column.  Columns are processed left
+    to right; once those left of ``col`` are cleared, a row holds ``col``
+    exactly when it sits in bucket ``col``, so each pivot step touches only
+    that bucket and re-buckets each updated row by its new leading column.
+    The pivot is the bucket row of least ``_bits`` (ties by bucket position).
     ``_bits`` of a rational Scalar is its Fraction's plus one, so the pivots
     do not depend on which kind a rational matrix is eliminated in."""
+    buckets: Dict[int, List[Dict[int, Elem]]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
     pivots: List[int] = []
     done: List[Dict[int, Elem]] = []
-    active = [r for r in rows if r]
     for col in range(ncols):
-        candidates = [(_bits(r[col]), idx) for idx, r in enumerate(active) if col in r]
-        if not candidates:
+        bucket = buckets.pop(col, None)
+        if bucket is None:
             continue
-        _, best = min(candidates)
-        piv_row = active.pop(best)
+        best = min(range(len(bucket)), key=lambda i: _bits(bucket[i][col]))
+        # by position: equal rows are == as dicts, so list.remove could
+        # take out another object than the chosen one
+        piv_row = bucket.pop(best)
         piv_val = piv_row[col]
         if piv_val != 1:
             inv = 1 / piv_val
             piv_row = {j: v * inv for j, v in piv_row.items()}
-        # eliminate the pivot column from the rows below and above
-        for r in active + done:
-            x = r.get(col)
-            if x is not None:
-                for j, v in piv_row.items():
-                    nv = r.get(j, 0) - x * v
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-        active = [r for r in active if r]
+        tail = [(j, v) for j, v in piv_row.items() if j != col]
+        for r in bucket:
+            _clear_col(r, col, tail)
+            if r:
+                buckets.setdefault(min(r), []).append(r)
         done.append(piv_row)
         pivots.append(col)
+    if reduce:
+        # last pivot first: pivot row k then holds no later pivot column, so
+        # clearing column k from the rows above it restores none of those
+        for k in range(len(done) - 1, 0, -1):
+            col = pivots[k]
+            tail = [(j, v) for j, v in done[k].items() if j != col]
+            for r in done[:k]:
+                if col in r:
+                    _clear_col(r, col, tail)
     return done, pivots
+
+
+def _clear_col(r: Dict[int, Elem], col: int, tail: List[Tuple[int, Elem]]) -> None:
+    """r -= r[col] * pivot row, given the pivot row's entries other than its
+    leading 1 at ``col``; the difference at ``col`` itself is exactly 0."""
+    x = r.pop(col)
+    for j, v in tail:
+        nv = r.get(j, 0) - x * v
+        if nv:
+            r[j] = nv
+        else:
+            r.pop(j, None)
 
 
 # -- subspace utilities ----------------------------------------------------
 
 
+def _vector_rows(vectors: Iterable[Sequence[Scalar]]) -> List[Dict[int, Elem]]:
+    rows = [{j: x for j, x in enumerate(map(sc, v)) if x} for v in vectors]
+    return _field_rows(rows)
+
+
+def _span_rank(vectors: Iterable[Sequence[Scalar]], dim: int) -> int:
+    return len(_rref(_vector_rows(vectors), dim, reduce=False)[1])
+
+
 def row_space_basis(vectors: Iterable[Sequence[Scalar]], dim: int) -> List[Vector]:
     """Reduced basis of the span of the given coordinate vectors."""
-    rows = [{j: x for j, x in enumerate(map(sc, v)) if x} for v in vectors]
-    red, _ = _rref(_field_rows(rows), dim)
+    red, _ = _rref(_vector_rows(vectors), dim)
     return [_dense(r, dim) for r in red]
 
 
 def in_span(basis: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:
     dim = len(v)
-    before = len(row_space_basis(basis, dim))
-    after = len(row_space_basis(list(basis) + [list(v)], dim))
-    return before == after
+    return _span_rank(basis, dim) == _span_rank(list(basis) + [v], dim)
 
 
 def extend_basis(
@@ -227,11 +266,11 @@ def extend_basis(
 ) -> List[Vector]:
     """Greedily pick candidates extending span(base); returns the picks."""
     current = [list(v) for v in base]
-    rank = len(row_space_basis(current, dim))
+    rank = _span_rank(current, dim)
     chosen = []
     for c in candidates:
         trial = current + [list(c)]
-        r = len(row_space_basis(trial, dim))
+        r = _span_rank(trial, dim)
         if r > rank:
             current, rank = trial, r
             chosen.append(list(c))

@@ -61,6 +61,8 @@ BAD_INPUT = [
     (["normal-form", "--form", "g2"], 2),
     (["construct-nondeg", "2", "5"], 2),
     (["identities", "g2metric", "--param", "x"], 2),
+    (["verify-paper", "--filter", "zz"], 2),
+    (["cartan-check", "0,0,12", "--samples", "-1"], 2),
 ]
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lmmt.linalg import Matrix, extend_basis, in_span, row_space_basis
+from lmmt.linalg import Matrix, _dense, extend_basis, in_span, row_space_basis
 from lmmt.scalars import Scalar
 
 
@@ -116,13 +116,16 @@ over_q_sqrt3 = st.builds(lambda a, b: Scalar(a, b, 3), small_rationals, small_ra
 
 @st.composite
 def systems(draw, entries):
-    """(rows, rhs); sometimes a dependent row or a consistent rhs."""
+    """(rows, rhs); sometimes a dependent row, an exact duplicate row (two
+    equal candidates for one pivot) or a consistent rhs."""
     ncols = draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=5))
     if len(rows) >= 2 and draw(st.booleans()):
         c = draw(entries)
         rows.append([x + c * y for x, y in zip(rows[0], rows[1])])
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
         x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
         rhs = Matrix.from_rows(rows).mul_vec(x0)
@@ -142,6 +145,11 @@ def check_against_sympy(domain, rows, rhs):
     a, ref = Matrix.from_rows(rows), to_sympy(domain, rows)
     rank = a.rank()
     assert rank == ref.rank()
+    red, pivots = a.rref()
+    ref_red, ref_pivots = ref.rref()
+    assert pivots == list(ref_pivots) and len(pivots) == len(red) == rank
+    if red:
+        assert to_sympy(domain, [_dense(r, a.cols) for r in red]) == ref_red[:rank, :]
     ker = a.kernel_basis()
     assert len(ker) == a.cols - rank
     assert all(isinstance(x, Scalar) for v in ker for x in v)
