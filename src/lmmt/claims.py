@@ -18,8 +18,9 @@ from .cohomology import (
     is_trivial,
     kunneth_check,
     lie_kernel,
+    random_cartan_pair,
 )
-from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
+from .exterior import KVector, basis_masks, contract
 from .forms import (
     analyze,
     builtin_form,
@@ -30,6 +31,7 @@ from .forms import (
     weak_nondegenerate,
 )
 from .liealg import LieAlgebra, builtin, parse_salamon
+from .linalg import Matrix
 from .multimoment import Cocycle, solve_multimoment, triple_form
 from .scalars import Scalar
 from .spectral import (
@@ -102,8 +104,7 @@ def claim_su2() -> Dict[str, object]:
     g = builtin("su2")
     b = betti(g).betti
     lk2, lk3 = len(lie_kernel(g, 2)), len(lie_kernel(g, 3))
-    identity = [[Scalar(1) if i == j else Scalar(0) for j in range(3)] for i in range(3)]
-    gamma = triple_form(g, identity)
+    gamma = triple_form(g, Matrix.identity(3).to_rows())
     closed = d_form(g, gamma).is_zero()
     nonexact = not is_exact(g, gamma)
     computed = {"betti": b, "lk": (lk2, lk3), "closed": closed, "nonexact": nonexact}
@@ -209,8 +210,7 @@ def claim_multimoment() -> Dict[str, object]:
                       and d_form(g, sol.nu.representative) == z)
         sweep_ok = sweep_ok and sol.status == "unique" and round_trip
     su2 = builtin("su2")
-    identity = [[Scalar(1) if i == j else Scalar(0) for j in range(3)] for i in range(3)]
-    gamma = triple_form(su2, identity)
+    gamma = triple_form(su2, Matrix.identity(3).to_rows())
     sol = solve_multimoment(su2, Cocycle(3, gamma))
     h3 = betti(su2).betti[3]
     su2_ok = (sol.status == "no-existence"
@@ -255,16 +255,7 @@ def claim_properties() -> Dict[str, object]:
     cartan_ok = True
     for _ in range(40):
         g = rng.choice(algebras)
-        r = rng.randint(1, g.n)
-        s = rng.randint(1, r)
-        a = KForm(g.n, r, {
-            m: Scalar(rng.randint(-2, 2))
-            for m in rng.sample(basis_masks(g.n, r), min(3, dim_lambda(g.n, r)))
-        })
-        p = KVector(g.n, s, {
-            m: Scalar(rng.randint(-2, 2))
-            for m in rng.sample(basis_masks(g.n, s), min(2, dim_lambda(g.n, s)))
-        })
+        p, a = random_cartan_pair(g, rng)
         cartan_ok = cartan_ok and cartan_identity_check(g, p, a)
     checks["cartan"] = cartan_ok
     # invariant closed forms: p . da - (-1)^s d(p . a) = -L(p) . a reduces to

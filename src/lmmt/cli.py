@@ -21,8 +21,9 @@ from .cohomology import (
     is_trivial,
     kunneth_check,
     lie_kernel,
+    random_cartan_pair,
 )
-from .exterior import KForm, KVector, basis_masks, dim_lambda
+from .exterior import KForm
 from .forms import (
     analyze,
     builtin_form,
@@ -42,7 +43,7 @@ from .liealg import (
     structural_report,
 )
 from .multimoment import Cocycle, PDualElement, orbit_stab_condition, solve_multimoment
-from .scalars import FieldError, Scalar
+from .scalars import FieldError
 from .spectral import IdealSplit, hs_page, invariant_cohomology, search_34_extensions, verify_34_structure
 
 
@@ -242,17 +243,8 @@ def _dispatch(args) -> int:
             raise CliError(f"--samples must be at least 1, got {args.samples}", 2)
         g = _load_algebra(args.algebra, params)
         rng = random.Random(0)
-        ok = True
-        for _ in range(args.samples):
-            r = rng.randint(1, g.n)
-            s = rng.randint(1, r)
-            a = KForm(g.n, r, {m: Scalar(rng.randint(-3, 3))
-                               for m in rng.sample(basis_masks(g.n, r),
-                                                   min(3, dim_lambda(g.n, r)))})
-            p = KVector(g.n, s, {m: Scalar(rng.randint(-3, 3))
-                                 for m in rng.sample(basis_masks(g.n, s),
-                                                     min(2, dim_lambda(g.n, s)))})
-            ok = ok and cartan_identity_check(g, p, a)
+        ok = all(cartan_identity_check(g, *random_cartan_pair(g, rng))
+                 for _ in range(args.samples))
         _emit(args, {"samples": args.samples, "ok": ok}, str(ok).lower())
         return 0 if ok else 3
 

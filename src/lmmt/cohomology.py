@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
+from .exterior import DegreeError, KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import LieAlgebra
 from .linalg import Matrix
 from .scalars import Scalar
@@ -37,16 +38,10 @@ def d_form(g: LieAlgebra, a: KForm) -> KForm:
 
 
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:
-    """Basis of ker(L) on degree-k multivectors (domain degree)."""
+    """Basis of ker(L) on degree-k multivectors (domain degree); L there is
+    the transpose of d on degree k - 1."""
     src = basis_masks(g.n, k)
-    dst = basis_masks(g.n, k - 1)
-    col_index = {m: i for i, m in enumerate(dst)}
-    entries: Dict[Tuple[int, int], Scalar] = {}
-    for col, mi in enumerate(src):
-        image = g.lie_L(KVector(g.n, k, {mi: Scalar(1)}))
-        for mask, c in image.terms.items():
-            entries[(col_index[mask], col)] = c
-    mat = Matrix(len(dst), len(src), entries)
+    mat = ce_differential(g, k - 1).transpose()
     return [KVector.from_vector(g.n, k, src, v) for v in mat.kernel_basis()]
 
 
@@ -100,7 +95,9 @@ def is_trivial(
     """True when b_k = 0 for every listed degree.
 
     On failure, also returns a witness: a closed non-exact form in the
-    first offending degree."""
+    first offending degree.  Degrees above n name zero groups."""
+    if min(degrees, default=0) < 0:
+        raise DegreeError(f"degree {min(degrees)} is negative")
     rep = betti(g)
     for k in degrees:
         if k > g.n or rep.betti[k] == 0:
@@ -129,6 +126,22 @@ def kunneth_check(g: LieAlgebra, h: LieAlgebra) -> bool:
 
 
 # -- extended Cartan formula ----------------------------------------------
+
+
+def random_cartan_pair(g: LieAlgebra, rng: random.Random) -> Tuple[KVector, KForm]:
+    """A random s-vector p and r-form a, 1 <= s <= r <= n, with at most two and
+    three basis terms and coefficients in -2..2, for cartan_identity_check."""
+    r = rng.randint(1, g.n)
+    s = rng.randint(1, r)
+    a = KForm(g.n, r, {
+        m: Scalar(rng.randint(-2, 2))
+        for m in rng.sample(basis_masks(g.n, r), min(3, dim_lambda(g.n, r)))
+    })
+    p = KVector(g.n, s, {
+        m: Scalar(rng.randint(-2, 2))
+        for m in rng.sample(basis_masks(g.n, s), min(2, dim_lambda(g.n, s)))
+    })
+    return p, a
 
 
 def lie_derivative(g: LieAlgebra, x: KVector, a: KForm) -> KForm:

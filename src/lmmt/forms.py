@@ -159,10 +159,7 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
             Scalar(0),
         )
 
-    def e(i):
-        return [Scalar(1) if t == i else Scalar(0) for t in range(n)]
-
-    working = [e(i) for i in range(n)]
+    working = Matrix.identity(n).to_rows()
     paired: List[List[Scalar]] = []
     while True:
         pivot = None

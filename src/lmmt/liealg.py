@@ -342,11 +342,12 @@ class Derivation:
 
     def _leibniz_violation(self) -> Optional[Tuple[int, int]]:
         g = self.parent
+        e = Matrix.identity(g.n).to_rows()
         for i in range(1, g.n + 1):
             for j in range(i + 1, g.n + 1):
                 lhs = self.apply(_comp_vec(g.n, g.bracket_basis(i, j)))
-                rhs1 = g.bracket(self._basis_image(i), _basis_vec(g.n, j))
-                rhs2 = g.bracket(_basis_vec(g.n, i), self._basis_image(j))
+                rhs1 = g.bracket(self._basis_image(i), e[j - 1])
+                rhs2 = g.bracket(e[i - 1], self._basis_image(j))
                 if any(
                     not (lhs[k] - rhs1[k] - rhs2[k]).is_zero() for k in range(g.n)
                 ):
@@ -361,12 +362,6 @@ class Derivation:
             if any(not (ab[k] - ba[k]).is_zero() for k in range(n)):
                 return False
         return True
-
-
-def _basis_vec(n: int, i: int) -> Vector:
-    v = [Scalar(0)] * n
-    v[i - 1] = Scalar(1)
-    return v
 
 
 def _comp_vec(n: int, comp: Dict[int, Scalar]) -> Vector:
@@ -451,7 +446,7 @@ def _span_brackets(g: LieAlgebra, basis1: List[Vector], basis2: List[Vector]) ->
 
 
 def structural_report(g: LieAlgebra) -> StructuralReport:
-    full = [_basis_vec(g.n, i) for i in range(1, g.n + 1)]
+    full = Matrix.identity(g.n).to_rows()
     derived = [full]
     while True:
         nxt = _span_brackets(g, derived[-1], derived[-1])

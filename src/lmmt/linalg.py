@@ -6,8 +6,10 @@ raw ``Fraction``s when every entry is rational, so rational matrices skip the
 Q(sqrt(d)) arithmetic, and ``Scalar``s otherwise.  ``_rref`` is a forward pass
 that keeps each waiting row in a bucket keyed by its leading column, so a
 pivot step touches only the rows that hold its column, followed by optional
-back-substitution.  Callers that need only pivots or ranks (``rank``,
-``column_space_basis``, ``in_span``, ``extend_basis``) skip the latter.
+back-substitution, which ``rank`` and ``column_space_basis`` skip.  Each
+span query (``in_span``, ``extend_basis``) is one elimination without
+back-substitution: a column of [base | candidates] is a pivot column exactly
+when it is not in the span of the columns before it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ class Matrix:
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
         return Matrix(self.rows, self.cols + other.cols, entries)
+
+    def vstack(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch")
+        entries = dict(self.entries)
+        for (i, j), v in other.entries.items():
+            entries[(i + self.rows, j)] = v
+        return Matrix(self.rows + other.rows, self.cols, entries)
 
     def __eq__(self, other):
         return (
@@ -246,10 +256,6 @@ def _vector_rows(vectors: Iterable[Sequence[Scalar]]) -> List[Dict[int, Elem]]:
     return _field_rows(rows)
 
 
-def _span_rank(vectors: Iterable[Sequence[Scalar]], dim: int) -> int:
-    return len(_rref(_vector_rows(vectors), dim, reduce=False)[1])
-
-
 def row_space_basis(vectors: Iterable[Sequence[Scalar]], dim: int) -> List[Vector]:
     """Reduced basis of the span of the given coordinate vectors."""
     red, _ = _rref(_vector_rows(vectors), dim)
@@ -257,21 +263,15 @@ def row_space_basis(vectors: Iterable[Sequence[Scalar]], dim: int) -> List[Vecto
 
 
 def in_span(basis: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:
-    dim = len(v)
-    return _span_rank(basis, dim) == _span_rank(list(basis) + [v], dim)
+    return not extend_basis(basis, [v], len(v))
 
 
 def extend_basis(
     base: Sequence[Sequence[Scalar]], candidates: Sequence[Sequence[Scalar]], dim: int
 ) -> List[Vector]:
-    """Greedily pick candidates extending span(base); returns the picks."""
-    current = [list(v) for v in base]
-    rank = _span_rank(current, dim)
-    chosen = []
-    for c in candidates:
-        trial = current + [list(c)]
-        r = _span_rank(trial, dim)
-        if r > rank:
-            current, rank = trial, r
-            chosen.append(list(c))
-    return chosen
+    """The candidates outside the span of base and of the candidates before
+    them, in order: the pivot columns of [base | candidates] past base."""
+    cols = list(base) + list(candidates)
+    mat = Matrix.from_columns(cols, nrows=dim)
+    _, pivots = _rref(mat._sparse_rows(), mat.cols, reduce=False)
+    return [list(candidates[j - len(base)]) for j in pivots if j >= len(base)]

@@ -154,18 +154,18 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
     def pair(u: List[Scalar], j: int) -> Scalar:
         return sum((u[i] * m[i][j] for i in range(n)), Scalar(0))
 
-    ei = lambda i: [Scalar(1) if t == i - 1 else Scalar(0) for t in range(n)]
+    e = Matrix.identity(n).to_rows()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                lhs = pair(g.bracket(ei(i), ei(j)), k - 1)
-                rhs = pair(g.bracket(ei(i), ei(k)), j - 1)
+                lhs = pair(g.bracket(e[i - 1], e[j - 1]), k - 1)
+                rhs = pair(g.bracket(e[i - 1], e[k - 1]), j - 1)
                 if not (lhs + rhs).is_zero():
                     raise ValueError("inner product is not ad-invariant")
     terms = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            br = g.bracket(ei(i), ei(j))
+            br = g.bracket(e[i - 1], e[j - 1])
             for k in range(j + 1, n + 1):
                 c = pair(br, k - 1)
                 if not c.is_zero():

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import betti, ce_differential, d_form
+from .cohomology import betti, ce_differential, coboundary_matrix, d_form
 from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
-from .linalg import Matrix, extend_basis, in_span, row_space_basis
+from .linalg import Matrix, extend_basis
 from .scalars import Scalar, sc
 
 
@@ -42,24 +43,20 @@ class IdealSplit:
         cols = [list(v) for v in self.ideal_basis + self.complement_basis]
         if Matrix.from_columns(cols, nrows=n).rank() != n:
             raise SplitError("ideal and complement do not span")
-        ideal_span = row_space_basis(self.ideal_basis, n)
-        for i in range(1, n + 1):
-            e = [Scalar(1) if t == i - 1 else Scalar(0) for t in range(n)]
-            for v in self.ideal_basis:
-                if not in_span(ideal_span, g.bracket(e, list(v))):
-                    raise SplitError("subspace is not an ideal")
-        rep = structural_report(g)
-        for v in rep.derived_basis:
-            if not in_span(ideal_span, v):
-                raise SplitError("quotient is not abelian: ideal misses g'")
+        e = Matrix.identity(n).to_rows()
+        brackets = [g.bracket(x, list(v)) for x in e for v in self.ideal_basis]
+        if extend_basis(self.ideal_basis, brackets, n):
+            raise SplitError("subspace is not an ideal")
+        if extend_basis(self.ideal_basis, structural_report(g).derived_basis, n):
+            raise SplitError("quotient is not abelian: ideal misses g'")
 
     @classmethod
     def from_indices(cls, g: LieAlgebra, ideal: Sequence[int]) -> "IdealSplit":
-        def e(i):
-            return [Scalar(1) if t == i - 1 else Scalar(0) for t in range(g.n)]
-
+        if not set(ideal) <= set(range(1, g.n + 1)):
+            raise SplitError("ideal and complement do not span")
+        e = Matrix.identity(g.n).to_rows()
         comp = [i for i in range(1, g.n + 1) if i not in set(ideal)]
-        return cls(g, [e(i) for i in ideal], [e(i) for i in comp])
+        return cls(g, [e[i - 1] for i in ideal], [e[i - 1] for i in comp])
 
     @property
     def m(self) -> int:
@@ -134,8 +131,7 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     k = split.ideal_algebra()
     masks_q = basis_masks(m, q)
     z_basis = ce_differential(k, q).kernel_basis()
-    b_mat = ce_differential(k, q - 1) if q >= 1 else Matrix.zero(len(masks_q), 0)
-    b_basis = b_mat.column_space_basis()
+    b_basis = coboundary_matrix(k, q).column_space_basis()
     h_reps = extend_basis(b_basis, z_basis, len(masks_q))
     dim_h = len(h_reps)
     span_cols = b_basis + h_reps
@@ -148,13 +144,7 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
             coords = _solve_in_basis(span_cols, acted.to_vector(masks_q)) if span_cols else []
             cols.append(coords[len(b_basis):])
         ops.append(Matrix.from_columns(cols, nrows=dim_h))
-    if ops:
-        stacked = ops[0]
-        for op in ops[1:]:
-            stacked = stacked.transpose().hstack(op.transpose()).transpose()
-        kernel = stacked.kernel_basis()
-    else:
-        kernel = Matrix.identity(dim_h).to_rows()
+    kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel_basis()
     inv_forms = []
     for vec in kernel:
         acc = KForm.zero(m, q)
@@ -197,12 +187,11 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
         else:
             a1, a2 = inv.operators
             v = inv.dim_H
-            m1 = a1.transpose().hstack(a2.transpose()).transpose()  # v -> (A1 v, A2 v)
+            m1 = a1.vstack(a2)  # v -> (A1 v, A2 v)
             top = a2.scale(Scalar(-1)).hstack(a1)  # (u, w) -> A1 w - A2 u
             table[(0, q)] = inv.dim_invariant
             table[(1, q)] = (2 * v - top.rank()) - m1.rank()
-            im_cols = [a1.column(j) for j in range(v)] + [a2.column(j) for j in range(v)]
-            table[(2, q)] = v - len(row_space_basis(im_cols, v))
+            table[(2, q)] = v - a1.hstack(a2).rank()
     return SpectralPage(level, table)
 
 
@@ -220,27 +209,16 @@ def _quotient_functional_ideals(g: LieAlgebra) -> List[List[List[Scalar]]]:
     rep = structural_report(g)
     n = g.n
     dprime = rep.derived_basis
-    comp = extend_basis(
-        list(dprime),
-        [[Scalar(1) if t == i else Scalar(0) for t in range(n)] for i in range(n)],
-        n,
-    )
+    comp = _complement_for(g, dprime)
     p = len(comp)
-    funcs: List[List[Fraction]] = []
-    for i in range(p):
-        f = [Fraction(0)] * p
-        f[i] = Fraction(1)
-        funcs.append(f)
-    for i in range(p):
-        for j in range(i + 1, p):
-            for s in (1, -1):
-                f = [Fraction(0)] * p
-                f[i], f[j] = Fraction(1), Fraction(s)
-                funcs.append(f)
+    unit = Matrix.identity(p).to_rows()
+    funcs = unit + [
+        [x + s * y for x, y in zip(unit[i], unit[j])]
+        for i in range(p) for j in range(i + 1, p) for s in (1, -1)
+    ]
     ideals = []
     for f in funcs:
-        fm = Matrix.from_rows([[Scalar(x) for x in f]])
-        ker = fm.kernel_basis()  # vectors in quotient coordinates
+        ker = Matrix.from_rows([f]).kernel_basis()  # vectors in quotient coordinates
         lifted = [
             [
                 sum((v[i] * comp[i][t] for i in range(p)), Scalar(0))
@@ -274,9 +252,7 @@ class StructureVerdict:
 
 
 def _complement_for(g: LieAlgebra, ideal: List[List[Scalar]]) -> List[List[Scalar]]:
-    n = g.n
-    cand = [[Scalar(1) if t == i else Scalar(0) for t in range(n)] for i in range(n)]
-    return extend_basis([list(v) for v in ideal], cand, n)
+    return extend_basis(ideal, Matrix.identity(g.n).to_rows(), g.n)
 
 
 def verify_34_structure(g: LieAlgebra) -> StructureVerdict:

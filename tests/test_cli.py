@@ -63,6 +63,7 @@ BAD_INPUT = [
     (["identities", "g2metric", "--param", "x"], 2),
     (["verify-paper", "--filter", "zz"], 2),
     (["cartan-check", "0,0,12", "--samples", "-1"], 2),
+    (["trivial", "0,0,12", "--degrees", "-1"], 2),
 ]
 
 

@@ -2,19 +2,14 @@
 import random
 from itertools import combinations
 
+from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import (betti, cartan_identity_check, cocycle_basis,
                              ce_differential, d_form, is_exact, is_trivial,
                              kunneth_check, lie_derivative, lie_kernel)
 from lmmt.exterior import KForm, KVector, basis_masks, indices_of
 from lmmt.liealg import builtin, parse_salamon, structural_report
+from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
-
-CATALOG = ["0,12,2.13", "0,12,13,14,1.15", "0,0,13+24,14",
-           "0,0,13+24,14-23,2.15", "0,0,13+24,14,2.15",
-           "0,12,3.13,4.14+23,5.15+24,6.16+25,7.17+34+26",
-           "0,0,13+23,14,15,16,-4.17-27"]
-NILPOTENT = ["0,0,12", "0,0,12,13", "0,0,0,0,12+34", "0,0,12,13,14",
-             "0,0,12,13,14,15"]
 
 
 def test_su2_betti_oracle():
@@ -76,6 +71,20 @@ def test_nilpotent_betti_lower_bound():
 def test_lie_kernel_dims_su2():
     su2 = builtin("su2")
     assert [len(lie_kernel(su2, k)) for k in (1, 2, 3)] == [3, 0, 1]
+
+
+def test_lie_kernel_is_a_basis_of_ker_lie_L():
+    # lie_kernel reads L off d's transpose; here L comes from lie_L itself,
+    # so the d/L duality stays checked
+    for g in [parse_salamon(s) for s in CATALOG] + [builtin("su2"), builtin("su3")]:
+        for k in range(g.n + 1):
+            src, dst = basis_masks(g.n, k), basis_masks(g.n, k - 1)
+            ker = lie_kernel(g, k)
+            assert all(g.lie_L(v).is_zero() for v in ker)
+            images = [g.lie_L(KVector(g.n, k, {m: Scalar(1)})).to_vector(dst) for m in src]
+            rank = Matrix.from_columns(images, nrows=len(dst)).rank()
+            assert len(ker) == len(src) - rank
+            assert not ker or Matrix.from_rows([v.to_vector(src) for v in ker]).rank() == len(ker)
 
 
 def test_ce_differential_shape_and_rank():

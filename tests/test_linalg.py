@@ -175,3 +175,27 @@ def test_against_sympy_over_q_sqrt3(system):
     rows, rhs = system
     assume(any(x.b for r in rows for x in r))  # Scalar elimination, not Fractions
     check_against_sympy(QQ_SQRT3, rows, rhs)
+
+
+def check_spans_against_sympy(domain, rows):
+    """extend_basis picks, in order, the rows that raise the rank of the rows
+    before them; in_span holds exactly when adding v keeps the rank."""
+    ranks = [to_sympy(domain, rows[:i]).rank() for i in range(1, len(rows) + 1)]
+    picks = [rows[i] for i in range(1, len(rows)) if ranks[i] > ranks[i - 1]]
+    assert extend_basis(rows[:1], rows[1:], len(rows[0])) == picks
+    for v in rows:
+        assert in_span(rows[:1], v) == (to_sympy(domain, rows[:1] + [v]).rank() == ranks[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(over_q))
+def test_spans_against_sympy_over_q(system):
+    check_spans_against_sympy(QQ, system[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(over_q_sqrt3))
+def test_spans_against_sympy_over_q_sqrt3(system):
+    rows, _ = system
+    assume(any(x.b for r in rows for x in r))
+    check_spans_against_sympy(QQ_SQRT3, rows)

@@ -4,16 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from lmmt.claims import CATALOG
 from lmmt.cohomology import betti
 from lmmt.liealg import builtin, parse_salamon
 from lmmt.spectral import (IdealSplit, SplitError, abelian_eigen_criterion,
                            diagonal_extension, hs_page, invariant_cohomology,
                            search_34_extensions, verify_34_structure)
-
-CATALOG = ["0,12,2.13", "0,12,13,14,1.15", "0,0,13+24,14",
-           "0,0,13+24,14-23,2.15", "0,0,13+24,14,2.15",
-           "0,12,3.13,4.14+23,5.15+24,6.16+25,7.17+34+26",
-           "0,0,13+23,14,15,16,-4.17-27"]
 
 
 def test_split_validates_ideal():
