@@ -192,6 +192,8 @@ def _dispatch(args) -> int:
     params = _parse_params(getattr(args, "param", None))
     sqrt = _parse_field(getattr(args, "field", None))
     cmdname = args.command
+    if getattr(args, "degree", 0) < 0:  # lie-kernel, mm-solve, invariant-cohomology
+        raise CliError(f"--degree must be non-negative, got {args.degree}", 2)
 
     if cmdname == "parse":
         g = _load_algebra(args.algebra, params)
@@ -300,6 +302,8 @@ def _dispatch(args) -> int:
             rng_pair = (int(lo), int(hi))
         except ValueError:
             raise CliError(f"bad --eig-range {args.eig_range!r}, expected a..b", 2)
+        if args.m < 0:
+            raise CliError(f"--m must be non-negative, got {args.m}", 2)
         results = search_34_extensions(args.m, rng_pair)
         _emit(args, {"results": results},
               "\n".join(f"{r['algebra']}  agrees={r['agrees']}" for r in results)

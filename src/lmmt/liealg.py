@@ -44,6 +44,8 @@ class LieAlgebra:
     """
 
     def __init__(self, n: int, brackets: Brackets, validate: bool = True):
+        if n < 0:
+            raise ValueError(f"dimension {n} is negative")
         self.n = n
         clean: Brackets = {}
         for (i, j), comp in brackets.items():
@@ -200,25 +202,17 @@ _TOKEN = re.compile(
 )
 
 
-def parse_salamon(
-    text: str,
-    params: Optional[Dict[str, Fraction]] = None,
-    excluded: Optional[Dict[str, Sequence[Fraction]]] = None,
-) -> LieAlgebra:
+def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> LieAlgebra:
     """Parse Salamon notation like "0,12,2.13" into a validated algebra.
 
-    params binds identifiers to explicit rationals.  excluded maps a
-    parameter name to values for which the caller warned the construction
-    degenerates; hitting one raises a UserWarning (not an error).
+    params binds identifiers to explicit rationals.
     """
     params = params or {}
-    import warnings
-
     exprs = _split_top(text)
     n = len(exprs)
     diffs: List[Dict[Tuple[int, int], Scalar]] = []
     for expr, offset in exprs:
-        diffs.append(_parse_expr(expr, offset, n, params, excluded, warnings))
+        diffs.append(_parse_expr(expr, offset, n, params))
     brackets: Brackets = {}
     for k, two_form in enumerate(diffs, start=1):
         for (i, j), c in two_form.items():
@@ -243,7 +237,7 @@ def _split_top(text: str) -> List[Tuple[str, int]]:
     return out
 
 
-def _parse_expr(expr, offset, n, params, excluded, warnings):
+def _parse_expr(expr, offset, n, params):
     stripped = expr.strip()
     if stripped == "0":
         return {}
@@ -282,12 +276,7 @@ def _parse_expr(expr, offset, n, params, excluded, warnings):
             name = m.group("ident")
             if name not in params:
                 raise SalamonSyntaxError(f"unbound parameter {name!r}", offset + m.start())
-            value = Fraction(params[name])
-            if excluded and name in excluded and value in [Fraction(v) for v in excluded[name]]:
-                warnings.warn(
-                    f"parameter {name} = {value} lies in the excluded set", UserWarning
-                )
-            coeff = Scalar(value)
+            coeff = Scalar(Fraction(params[name]))
         elif m.group("pair") or m.group("bracket"):
             if m.group("pair"):
                 i, j = int(m.group("pair")[0]), int(m.group("pair")[1])

@@ -7,8 +7,8 @@ from typing import List, Optional, Sequence
 
 from .cohomology import (
     ce_differential,
-    cocycle_basis,
     coboundary_matrix,
+    cohomology_basis,
     d_form,
     is_exact,
 )
@@ -80,7 +80,7 @@ def solve_multimoment(g: LieAlgebra, psi: Cocycle) -> MultimomentSolution:
     When no solution exists the obstruction is the (nonzero) class of
     psi in degree-r cohomology; when the solution is not unique the
     affine solution set is a particular nu plus the span of the
-    returned kernel classes.
+    returned kernel classes, which are a basis of H^{r-1}.
     """
     r = psi.degree
     if not 1 <= r <= g.n:
@@ -91,12 +91,7 @@ def solve_multimoment(g: LieAlgebra, psi: Cocycle) -> MultimomentSolution:
         return MultimomentSolution("no-existence", obstruction=psi.form)
     masks = basis_masks(g.n, r - 1)
     nu = PDualElement(r - 1, KForm.from_vector(g.n, r - 1, masks, sol))
-    # kernel of d_P on classes: closed (r-1)-forms that are not exact
-    kernel: List[PDualElement] = []
-    bmat = coboundary_matrix(g, r - 1)
-    for z in cocycle_basis(g, r - 1):
-        if bmat.solve(z.to_vector(masks)) is None:
-            kernel.append(PDualElement(r - 1, z))
+    kernel = [PDualElement(r - 1, z) for z in cohomology_basis(g, r - 1)]
     status = "unique" if not kernel else "non-unique"
     return MultimomentSolution(status, nu=nu, kernel=kernel)
 

@@ -80,10 +80,6 @@ class Scalar:
         return cls(_as_fraction(x))
 
     @classmethod
-    def sqrt(cls, d: int) -> "Scalar":
-        return cls(0, 1, d)
-
-    @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Parse "p/q" or "p/q+r/s*sqrt(d)" (also "-sqrt(3)", "1-1/2*sqrt(2)")."""
         m = _SQRT_RE.match(text)
@@ -209,10 +205,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def sc(x: Union[Scalar, RationalLike]) -> Scalar:

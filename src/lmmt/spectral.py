@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import betti, ce_differential, coboundary_matrix, d_form
+from .cohomology import betti, coboundary_matrix, cohomology_basis, d_form
 from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
 from .linalg import Matrix, extend_basis
@@ -130,26 +130,26 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     gt = split.adapted()
     k = split.ideal_algebra()
     masks_q = basis_masks(m, q)
-    z_basis = ce_differential(k, q).kernel_basis()
     b_basis = coboundary_matrix(k, q).column_space_basis()
-    h_reps = extend_basis(b_basis, z_basis, len(masks_q))
+    h_reps = cohomology_basis(k, q)
     dim_h = len(h_reps)
-    span_cols = b_basis + h_reps
+    span_cols = b_basis + [rep.to_vector(masks_q) for rep in h_reps]
+    d_reps = [d_form(gt, _lift(rep, n)) for rep in h_reps]
     ops: List[Matrix] = []
     for a in range(m + 1, n + 1):
+        x_a = KVector.basis(n, [a])
         cols: List[List[Scalar]] = []
-        for rep in h_reps:
-            alpha = _lift(KForm.from_vector(m, q, masks_q, rep), n)
-            acted = _restrict(contract(KVector.basis(n, [a]), d_form(gt, alpha)), m)
-            coords = _solve_in_basis(span_cols, acted.to_vector(masks_q)) if span_cols else []
+        for d_rep in d_reps:
+            acted = _restrict(contract(x_a, d_rep), m)
+            coords = _solve_in_basis(span_cols, acted.to_vector(masks_q))
             cols.append(coords[len(b_basis):])
         ops.append(Matrix.from_columns(cols, nrows=dim_h))
     kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel_basis()
     inv_forms = []
     for vec in kernel:
         acc = KForm.zero(m, q)
-        for j, c in enumerate(vec):
-            acc = acc + KForm.from_vector(m, q, masks_q, h_reps[j]).scale(c)
+        for rep, c in zip(h_reps, vec):
+            acc = acc + rep.scale(c)
         inv_forms.append(acc)
     return InvariantCohomology(q, dim_h, len(kernel), ops, inv_forms)
 
@@ -270,22 +270,14 @@ def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     if not srep.solvable:
         return StructureVerdict(direct, False, srep.codim_derived, per_ideal)
     structural = True
-    for ideal in _quotient_functional_ideals(g):
-        split = IdealSplit(g, ideal, _complement_for(g, ideal))
-        dims = {
-            i: invariant_cohomology(split, i).dim_invariant
-            for i in (2, 3, 4)
-            if i <= split.m
-        }
-        ok = all(v == 0 for v in dims.values())
-        per_ideal.append({"dim": split.m, "invariant_dims": dims, "vanishes": ok})
-        structural = structural and ok
+    ideals = [(ideal, (2, 3, 4)) for ideal in _quotient_functional_ideals(g)]
     if srep.codim_derived >= 2:
-        ideal = [list(v) for v in srep.derived_basis]
+        ideals.append(([list(v) for v in srep.derived_basis], (1, 2, 3, 4)))
+    for ideal, degrees in ideals:
         split = IdealSplit(g, ideal, _complement_for(g, ideal))
         dims = {
             i: invariant_cohomology(split, i).dim_invariant
-            for i in (1, 2, 3, 4)
+            for i in degrees
             if i <= split.m
         }
         ok = all(v == 0 for v in dims.values())
@@ -318,11 +310,7 @@ def diagonal_extension(lambdas: Sequence[Fraction]) -> LieAlgebra:
     return LieAlgebra(m + 1, brackets, validate=False)
 
 
-def search_34_extensions(
-    m: int,
-    eig_range: Tuple[int, int],
-    include_excluded: bool = False,
-) -> List[Dict[str, object]]:
+def search_34_extensions(m: int, eig_range: Tuple[int, int]) -> List[Dict[str, object]]:
     """Enumerate diagonal extensions over an eigenvalue box.
 
     Each certificate cross-checks the eigenvalue criterion against the
@@ -332,7 +320,7 @@ def search_34_extensions(
     for tup in itertools.combinations_with_replacement(range(lo, hi + 1), m):
         lambdas = [Fraction(t) for t in tup]
         crit = abelian_eigen_criterion(lambdas)
-        if not crit and not include_excluded:
+        if not crit:
             continue
         g = diagonal_extension(lambdas)
         b = betti(g).betti

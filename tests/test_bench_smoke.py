@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark harness: one short traced betti-ladder run.
+"""Smoke tests of the benchmark harness: one short traced betti-ladder run
+and one short untraced verify-paper run.
 
 The traced run fails when an entry point it wraps is renamed or no longer
-called (its per-layer count reads 0), and every job's payload is checked
-against the recorded reference, so this catches both before a full
-benchmark run does.  It takes a few seconds.
+called (its per-layer count reads 0).  Every job's payload is checked
+against the recorded reference (for verify-paper, every claim payload), so
+this catches both before a full benchmark run does.  Each takes a few
+seconds.
 """
 import json
 import subprocess
@@ -13,11 +15,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_betti_ladder_run():
+def _run(workload: str, trace: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "betti-ladder",
-         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
+
+
+def test_traced_betti_ladder_run():
+    _run("betti-ladder", "1")
+
+
+def test_untraced_verify_paper_run():
+    _run("verify-paper", "0")

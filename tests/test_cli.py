@@ -64,6 +64,13 @@ BAD_INPUT = [
     (["verify-paper", "--filter", "zz"], 2),
     (["cartan-check", "0,0,12", "--samples", "-1"], 2),
     (["trivial", "0,0,12", "--degrees", "-1"], 2),
+    (["betti", "builtin:abelian:-1"], 2),
+    (["betti", '{"dim": -1, "brackets": []}'], 2),
+    (["cartan-check", "builtin:abelian:0"], 2),
+    (["search34", "--m", "-1"], 2),
+    (["lie-kernel", "0,0,12", "--degree", "-1"], 2),
+    (["mm-solve", "0,0,12", "--degree", "-1"], 2),
+    (["invariant-cohomology", "0,0,12", "--ideal", "2,3", "--degree", "-1"], 2),
 ]
 
 
@@ -73,6 +80,13 @@ def test_bad_input_is_one_error_line(capsys, argv, code):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_bad_input_message_names_the_input(capsys):
+    main(["cartan-check", "builtin:abelian:0"])
+    assert "dimension at least 1, got 0" in capsys.readouterr().err
+    main(["search34", "--m", "-1"])
+    assert "--m must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_trivial(capsys):

@@ -4,8 +4,9 @@ from itertools import combinations
 
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import (betti, cartan_identity_check, cocycle_basis,
-                             ce_differential, d_form, is_exact, is_trivial,
-                             kunneth_check, lie_derivative, lie_kernel)
+                             coboundary_matrix, cohomology_basis, ce_differential,
+                             d_form, is_exact, is_trivial, kunneth_check,
+                             lie_derivative, lie_kernel)
 from lmmt.exterior import KForm, KVector, basis_masks, indices_of
 from lmmt.liealg import builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
@@ -101,6 +102,34 @@ def test_is_trivial_catalog():
         assert ok and witness is None
     ok, witness = is_trivial(parse_salamon("0,0,12,13,14,15"))
     assert not ok and witness is not None
+
+
+def test_cohomology_basis_is_a_basis_of_H():
+    # closed representatives, independent modulo B^k, b_k of them
+    for g in [parse_salamon(s) for s in CATALOG + NILPOTENT] + [builtin("su2"), builtin("su3")]:
+        b = betti(g).betti
+        for k in range(g.n + 1):
+            masks = basis_masks(g.n, k)
+            reps = cohomology_basis(g, k)
+            assert len(reps) == b[k]
+            assert all(d_form(g, z).is_zero() for z in reps)
+            bmat = coboundary_matrix(g, k)
+            joint = bmat.hstack(Matrix.from_columns([z.to_vector(masks) for z in reps],
+                                                    nrows=len(masks)))
+            assert joint.rank() == bmat.rank() + len(reps)
+
+
+def test_is_trivial_witness_oracle():
+    # the witness is the first cocycle-basis vector that is not exact
+    for g in [parse_salamon(s) for s in CATALOG + NILPOTENT] + [builtin("su2")]:
+        b = betti(g).betti
+        for k in range(g.n + 2):
+            ok, witness = is_trivial(g, [k])
+            if k > g.n or b[k] == 0:
+                assert ok and witness is None
+            else:
+                first = next(z for z in cocycle_basis(g, k) if not is_exact(g, z))
+                assert not ok and witness == first
 
 
 def test_is_exact():

@@ -63,6 +63,15 @@ def test_nonunique_kernel_on_heisenberg():
     assert d_form(g, sol.nu.representative) == KForm.basis(3, (1, 2))
 
 
+def test_kernel_is_a_basis_of_H_r_minus_1():
+    # five cocycle-basis 3-forms are not exact here, but b_3 = 4
+    g = parse_salamon("0,0,12,13,14,15")
+    psi = next(z for z in cocycle_basis(g, 4) if is_exact(g, z))
+    sol = solve_multimoment(g, Cocycle(4, psi))
+    assert sol.status == "non-unique"
+    assert len(sol.kernel) == betti(g).betti[3] == 4
+
+
 def test_solution_json():
     g = parse_salamon("0,12,13,14,15")
     sol = solve_multimoment(g, Cocycle(4, cocycle_basis(g, 4)[0]))

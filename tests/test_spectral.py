@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from lmmt.claims import CATALOG
-from lmmt.cohomology import betti
+from lmmt.claims import CATALOG, NILPOTENT
+from lmmt.cohomology import betti, coboundary_matrix, d_form, is_exact
+from lmmt.exterior import KVector, basis_masks, contract
 from lmmt.liealg import builtin, parse_salamon
-from lmmt.spectral import (IdealSplit, SplitError, abelian_eigen_criterion,
-                           diagonal_extension, hs_page, invariant_cohomology,
-                           search_34_extensions, verify_34_structure)
+from lmmt.linalg import Matrix
+from lmmt.spectral import (IdealSplit, SplitError, _lift, _restrict,
+                           abelian_eigen_criterion, diagonal_extension, hs_page,
+                           invariant_cohomology, search_34_extensions,
+                           verify_34_structure)
 
 
 def test_split_validates_ideal():
@@ -48,6 +51,32 @@ def test_invariant_cohomology_trivial_action():
     split = IdealSplit.from_indices(g, [2, 3, 4])
     inv = invariant_cohomology(split, 1)
     assert inv.dim_H == 2 and inv.dim_invariant == 2
+
+
+def test_invariant_basis_is_invariant():
+    # each form is closed in k, every quotient direction A has A . da exact
+    # in k, and the forms are independent modulo the coboundaries
+    for text in CATALOG + NILPOTENT:
+        g = parse_salamon(text)
+        try:
+            split = IdealSplit.from_indices(g, list(range(2, g.n + 1)))
+        except SplitError:
+            continue
+        m, gt, k = split.m, split.adapted(), split.ideal_algebra()
+        for q in range(min(m, 4) + 1):
+            inv = invariant_cohomology(split, q)
+            forms = inv.invariant_basis
+            assert len(forms) == inv.dim_invariant
+            for f in forms:
+                assert d_form(k, f).is_zero()
+                for a in range(m + 1, g.n + 1):
+                    acted = contract(KVector.basis(g.n, [a]), d_form(gt, _lift(f, g.n)))
+                    assert is_exact(k, _restrict(acted, m))
+            masks = basis_masks(m, q)
+            bmat = coboundary_matrix(k, q)
+            joint = bmat.hstack(Matrix.from_columns([f.to_vector(masks) for f in forms],
+                                                    nrows=len(masks)))
+            assert joint.rank() == bmat.rank() + len(forms)
 
 
 def test_hs_page_codim_one_reconstructs_betti():
