@@ -33,7 +33,7 @@ from .forms import (
 from .liealg import LieAlgebra, builtin, parse_salamon
 from .linalg import Matrix
 from .multimoment import Cocycle, solve_multimoment, triple_form
-from .scalars import Scalar
+from .scalars import ONE
 from .spectral import (
     IdealSplit,
     abelian_eigen_criterion,
@@ -231,14 +231,14 @@ def claim_properties() -> Dict[str, object]:
     for g in algebras:
         for k in range(g.n + 1):
             for mask in basis_masks(g.n, k):
-                q = KVector(g.n, k, {mask: Scalar(1)})
+                q = KVector(g.n, k, {mask: ONE})
                 if not g.lie_L(g.lie_L(q)).is_zero():
                     ok_ll = False
             d1 = ce_differential(g, k)
             if k + 1 <= g.n:
                 d2 = ce_differential(g, k + 1)
                 prod_cols = [d2.mul_vec(d1.column(j)) for j in range(d1.cols)]
-                if any(any(not x.is_zero() for x in col) for col in prod_cols):
+                if any(any(col) for col in prod_cols):
                     ok_dd = False
     checks["LL_zero"] = ok_ll
     checks["dd_zero"] = ok_dd

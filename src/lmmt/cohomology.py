@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exterior import DegreeError, KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import LieAlgebra
 from .linalg import Matrix, extend_basis
-from .scalars import Scalar
+from .scalars import ONE, Elem
 
 
 def ce_differential(g: LieAlgebra, k: int) -> Matrix:
@@ -21,9 +21,9 @@ def ce_differential(g: LieAlgebra, k: int) -> Matrix:
     src = basis_masks(g.n, k)
     dst = basis_masks(g.n, k + 1)
     col_index = {m: i for i, m in enumerate(src)}
-    entries: Dict[Tuple[int, int], Scalar] = {}
+    entries: Dict[Tuple[int, int], Elem] = {}
     for row, mj in enumerate(dst):
-        image = g.lie_L(KVector(g.n, k + 1, {mj: Scalar(1)}))
+        image = g.lie_L(KVector(g.n, k + 1, {mj: ONE}))
         for mask, c in image.terms.items():
             entries[(row, col_index[mask])] = c
     return Matrix(len(dst), len(src), entries)
@@ -145,11 +145,11 @@ def random_cartan_pair(g: LieAlgebra, rng: random.Random) -> Tuple[KVector, KFor
     r = rng.randint(1, g.n)
     s = rng.randint(1, r)
     a = KForm(g.n, r, {
-        m: Scalar(rng.randint(-2, 2))
+        m: rng.randint(-2, 2)
         for m in rng.sample(basis_masks(g.n, r), min(3, dim_lambda(g.n, r)))
     })
     p = KVector(g.n, s, {
-        m: Scalar(rng.randint(-2, 2))
+        m: rng.randint(-2, 2)
         for m in rng.sample(basis_masks(g.n, s), min(2, dim_lambda(g.n, s)))
     })
     return p, a
@@ -170,10 +170,9 @@ def _hook_L(g: LieAlgebra, p: KVector, a: KForm) -> KForm:
         idx = [i for i in range(1, g.n + 1) if mask & (1 << (i - 1))]
         for pos, i in enumerate(idx):
             rest = mask ^ (1 << (i - 1))
-            sign = Scalar(1) if pos % 2 == 0 else Scalar(-1)
             deriv = lie_derivative(g, KVector.basis(g.n, [i]), a)
-            hooked = contract(KVector(g.n, s - 1, {rest: Scalar(1)}), deriv)
-            out = out + hooked.scale(coeff * sign)
+            hooked = contract(KVector(g.n, s - 1, {rest: ONE}), deriv)
+            out = out + hooked.scale(coeff if pos % 2 == 0 else -coeff)
     return out
 
 

@@ -3,7 +3,8 @@
 Multi-indices are bitmasks over basis indices 1..n (bit i-1 represents
 basis index i); signs are computed on the fly from popcounts of lower
 bits.  Forms (KForm) live on the dual basis e^1..e^n, multivectors
-(KVector) on E_1..E_n; both share the same sparse mask -> Scalar layout.
+(KVector) on E_1..E_n; both share the same sparse mask -> field element
+layout (``scalars.Elem``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
 from .linalg import Vector
-from .scalars import Scalar, sc
+from .scalars import ZERO, Elem, Scalar, sc
 
 
 class DimensionMismatch(ValueError):
@@ -83,13 +84,13 @@ class AltElement:
 
     __slots__ = ("n", "degree", "terms")
 
-    def __init__(self, n: int, degree: int, terms: Dict[int, Scalar]):
+    def __init__(self, n: int, degree: int, terms: Dict[int, object]):
         clean = {}
         for m, c in terms.items():
             c = sc(c)
             if m.bit_count() != degree:
                 raise ValueError(f"mask {m:b} has wrong degree (expected {degree})")
-            if not c.is_zero():
+            if c:
                 clean[m] = c
         # degrees beyond n only name the zero module
         if degree < 0 or (degree > n and clean):
@@ -111,13 +112,13 @@ class AltElement:
 
     @classmethod
     def from_terms(cls: Type[_E], n: int, terms: Iterable[Tuple[Sequence[int], object]]) -> _E:
-        acc: Dict[int, Scalar] = {}
+        acc: Dict[int, Elem] = {}
         degree = None
         for idx, coeff in terms:
             m = mask_of(idx)
             if degree is None:
                 degree = m.bit_count()
-            acc[m] = acc.get(m, Scalar(0)) + sc(coeff)
+            acc[m] = acc.get(m, ZERO) + sc(coeff)
         return cls(n, degree if degree is not None else 0, acc)
 
     # -- algebra -----------------------------------------------------------
@@ -138,7 +139,7 @@ class AltElement:
             raise DegreeError("degree mismatch in sum")
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Scalar(0)) + c
+            acc[m] = acc.get(m, ZERO) + c
         return type(self)(self.n, self.degree, acc)
 
     def __neg__(self: _E) -> _E:
@@ -157,7 +158,7 @@ class AltElement:
         deg = self.degree + other.degree
         if deg > self.n:
             return type(self).zero(self.n, 0)
-        acc: Dict[int, Scalar] = {}
+        acc: Dict[int, Elem] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma & mb:
@@ -165,7 +166,7 @@ class AltElement:
                 s = wedge_sign(ma, mb)
                 m = ma | mb
                 c = ca * cb if s > 0 else -(ca * cb)
-                acc[m] = acc.get(m, Scalar(0)) + c
+                acc[m] = acc.get(m, ZERO) + c
         return type(self)(self.n, deg, acc)
 
     def __eq__(self, other):
@@ -179,17 +180,17 @@ class AltElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices: Sequence[int]) -> Scalar:
-        return self.terms.get(mask_of(indices), Scalar(0))
+    def coefficient(self, indices: Sequence[int]) -> Elem:
+        return self.terms.get(mask_of(indices), ZERO)
 
     # -- coordinates -------------------------------------------------------
 
     def to_vector(self, masks: Sequence[int]) -> Vector:
-        return [self.terms.get(m, Scalar(0)) for m in masks]
+        return [self.terms.get(m, ZERO) for m in masks]
 
     @classmethod
     def from_vector(cls: Type[_E], n: int, degree: int, masks: Sequence[int], v: Sequence) -> _E:
-        return cls(n, degree, {m: sc(x) for m, x in zip(masks, v)})
+        return cls(n, degree, dict(zip(masks, v)))
 
     # -- serialization -----------------------------------------------------
 
@@ -241,7 +242,7 @@ def contract(p: KVector, a: KForm) -> KForm:
         raise DimensionMismatch(f"ambient dimensions differ: {p.n} vs {a.n}")
     if p.degree > a.degree:
         raise DegreeError(f"cannot contract degree {p.degree} into degree {a.degree}")
-    acc: Dict[int, Scalar] = {}
+    acc: Dict[int, Elem] = {}
     for mp, cp in p.terms.items():
         for ma, ca in a.terms.items():
             if mp & ma != mp:
@@ -253,7 +254,7 @@ def contract(p: KVector, a: KForm) -> KForm:
                 sign *= contract_sign(i, rest)
                 rest ^= 1 << (i - 1)
             c = cp * ca if sign > 0 else -(cp * ca)
-            acc[rest] = acc.get(rest, Scalar(0)) + c
+            acc[rest] = acc.get(rest, ZERO) + c
     return KForm(a.n, a.degree - p.degree, acc)
 
 
@@ -261,11 +262,11 @@ def hodge_star(a: KForm) -> KForm:
     """Hodge star for the standard orthonormal basis and orientation."""
     n = a.n
     full = (1 << n) - 1
-    acc: Dict[int, Scalar] = {}
+    acc: Dict[int, Elem] = {}
     for m, c in a.terms.items():
         comp = full ^ m
         s = wedge_sign(m, comp)
-        acc[comp] = acc.get(comp, Scalar(0)) + (c if s > 0 else -c)
+        acc[comp] = acc.get(comp, ZERO) + (c if s > 0 else -c)
     return KForm(n, n - a.degree, acc)
 
 

@@ -18,11 +18,11 @@ from .exterior import (
     volume_form,
     wedge_sign,
 )
-from .linalg import Matrix
-from .scalars import FieldError, Scalar
+from .linalg import Matrix, Vector
+from .scalars import ZERO, Elem, FieldError, Scalar
 
-HALF = Scalar(Fraction(1, 2))
-SQRT3_HALF = Scalar(0, Fraction(1, 2), 3)
+HALF = Fraction(1, 2)
+SQRT3_HALF = Scalar(0, HALF, 3)
 
 _G2_TERMS = [
     ((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), 1),
@@ -38,7 +38,7 @@ _SPIN7_TERMS = [
 ]
 
 _PSU3_TERMS = [
-    ((1, 2, 3), Scalar(1)),
+    ((1, 2, 3), 1),
     ((1, 4, 7), HALF), ((1, 5, 6), -HALF),
     ((2, 4, 6), HALF), ((2, 5, 7), HALF),
     ((3, 4, 5), HALF), ((3, 6, 7), -HALF),
@@ -76,7 +76,7 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
 # -- degeneracy ------------------------------------------------------------
 
 
-def contraction_kernel(alpha: KForm) -> List[List[Scalar]]:
+def contraction_kernel(alpha: KForm) -> List[Vector]:
     """Null space of v -> v . alpha."""
     n = alpha.n
     masks = basis_masks(n, alpha.degree - 1)
@@ -99,6 +99,8 @@ def construct_nondegenerate(r: int, n: int) -> Optional[KForm]:
     """
     if r < 3:
         raise ValueError("degree must be at least 3")
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
     if n < r or n == r + 1:
         return None
     if r == n:
@@ -132,9 +134,9 @@ class NormalFormResult:
         }
 
 
-def _gram(omega: KForm) -> List[List[Scalar]]:
+def _gram(omega: KForm) -> List[Vector]:
     n = omega.n
-    g = [[Scalar(0)] * n for _ in range(n)]
+    g = [[ZERO] * n for _ in range(n)]
     for mask, c in omega.terms.items():
         i, j = indices_of(mask)
         g[i - 1][j - 1] = c
@@ -153,19 +155,16 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
     n = omega.n
     g = _gram(omega)
 
-    def ev(u: List[Scalar], v: List[Scalar]) -> Scalar:
-        return sum(
-            (u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)),
-            Scalar(0),
-        )
+    def ev(u: Vector, v: Vector) -> Elem:
+        return sum((u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)), ZERO)
 
     working = Matrix.identity(n).to_rows()
-    paired: List[List[Scalar]] = []
+    paired: List[Vector] = []
     while True:
         pivot = None
         for a in range(len(working)):
             for b in range(a + 1, len(working)):
-                if not ev(working[a], working[b]).is_zero():
+                if ev(working[a], working[b]):
                     pivot = (a, b)
                     break
             if pivot:
@@ -200,22 +199,19 @@ def pullback(alpha: KForm, change: Matrix) -> KForm:
         idx = indices_of(mask)
         vecs = [cols[i - 1] for i in idx]
         val = _evaluate(alpha, vecs)
-        if not val.is_zero():
+        if val:
             out = out + KForm(n, alpha.degree, {mask: val})
     return out
 
 
-def _evaluate(alpha: KForm, vecs: List[List[Scalar]]) -> Scalar:
+def _evaluate(alpha: KForm, vecs: List[Vector]) -> Elem:
     """alpha(v_1, ..., v_r) by iterated contraction."""
     n = alpha.n
     acc = alpha
     for v in vecs:
-        kv = KVector(n, 1, {
-            1 << i: c for i, c in enumerate(v) if not c.is_zero()
-        })
-        acc = contract(kv, acc)
+        acc = contract(KVector(n, 1, {1 << i: c for i, c in enumerate(v)}), acc)
     # after contracting all slots we hold a 0-form
-    return acc.terms.get(0, Scalar(0))
+    return acc.terms.get(0, ZERO)
 
 
 # -- stabilizers and stability --------------------------------------------
@@ -239,9 +235,8 @@ def _act_elementary(alpha: KForm, a: int, b: int) -> KForm:
         if rest & (1 << (b - 1)):
             continue
         pos = bin(mask & (abit - 1)).count("1")  # slot of a in the term
-        sgn = Scalar(1) if pos % 2 == 0 else Scalar(-1)
-        wsign = wedge_sign(1 << (b - 1), rest)
-        coeff = c * sgn * (Scalar(1) if wsign > 0 else Scalar(-1))
+        sign = (-1) ** pos * wedge_sign(1 << (b - 1), rest)
+        coeff = c if sign > 0 else -c
         out = out + KForm(n, alpha.degree, {rest | (1 << (b - 1)): coeff})
     return out
 
@@ -259,7 +254,7 @@ def stabilizer_algebra(alpha: KForm) -> List[Matrix]:
     for vec in system.kernel_basis():
         entries = {}
         for t, (a, b) in enumerate(keys):
-            if not vec[t].is_zero():
+            if vec[t]:
                 # E_ab has matrix entry (b, a): it maps the vector e_a to e_b
                 entries[(b - 1, a - 1)] = vec[t]
         out.append(Matrix(n, n, entries))
@@ -269,7 +264,7 @@ def stabilizer_algebra(alpha: KForm) -> List[Matrix]:
 @dataclass
 class FormAnalysis:
     form: KForm
-    kernel_basis: List[List[Scalar]]
+    kernel_basis: List[Vector]
     weakly_nondegenerate: bool
     stabilizer_dim: int
     orbit_dim: int
@@ -345,16 +340,16 @@ def holonomy_identities(which: str) -> Dict[str, object]:
                     .wedge(contract(KVector.basis(7, [j]), phi))
                     .wedge(phi)
                 )
-                c = w.terms.get((1 << 7) - 1, Scalar(0))
+                c = w.terms.get((1 << 7) - 1, ZERO)
                 row.append(c)
-                ok = ok and c == (Scalar(6) if i == j else Scalar(0))
+                ok = ok and c == (6 if i == j else 0)
             matrix.append(row)
         return {"ok": ok, "matrix": [[str(x) for x in r] for r in matrix]}
     if which == "spin7vol":
         big = builtin_form("spin7")
         sq = big.wedge(big)
-        c = sq.terms.get((1 << 8) - 1, Scalar(0))
-        return {"ok": c == Scalar(14), "coefficient": str(c)}
+        c = sq.terms.get((1 << 8) - 1, ZERO)
+        return {"ok": c == 14, "coefficient": str(c)}
     if which == "spin7bivector":
         big = builtin_form("spin7")
         ok = True
@@ -362,9 +357,9 @@ def holonomy_identities(which: str) -> Dict[str, object]:
         for i in range(1, 9):
             for j in range(i + 1, 9):
                 om = contract(KVector.basis(8, [i, j]), big)
-                c = om.wedge(om).wedge(big).terms.get((1 << 8) - 1, Scalar(0))
+                c = om.wedge(om).wedge(big).terms.get((1 << 8) - 1, ZERO)
                 values[f"{i},{j}"] = str(c)
-                ok = ok and c == Scalar(6)
+                ok = ok and c == 6
         rank12 = 2 * two_form_normal_form(
             contract(KVector.basis(8, [1, 2]), big)
         ).k

@@ -15,9 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import KVector, indices_of
 from .linalg import Matrix, Vector, row_space_basis
-from .scalars import Scalar, sc
+from .scalars import ONE, ZERO, Elem, Scalar, sc
 
-Brackets = Dict[Tuple[int, int], Dict[int, Scalar]]
+Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
 
 
 class JacobiError(ValueError):
@@ -51,7 +51,7 @@ class LieAlgebra:
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad bracket key ({i},{j})")
-            comp = {k: sc(c) for k, c in comp.items() if not sc(c).is_zero()}
+            comp = {k: x for k, c in comp.items() if (x := sc(c))}
             if comp:
                 clean[(i, j)] = comp
         self.brackets = clean
@@ -62,20 +62,20 @@ class LieAlgebra:
 
     # -- bracket evaluation ------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> Dict[int, Scalar]:
+    def bracket_basis(self, i: int, j: int) -> Dict[int, Elem]:
         if i == j:
             return {}
         if i < j:
             return self.brackets.get((i, j), {})
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        out = [Scalar(0)] * self.n
+    def bracket(self, u: Sequence[Elem], v: Sequence[Elem]) -> Vector:
+        out = [ZERO] * self.n
         for i, ui in enumerate(u, start=1):
-            if ui.is_zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v, start=1):
-                if vj.is_zero():
+                if not vj:
                     continue
                 for k, c in self.bracket_basis(i, j).items():
                     out[k - 1] = out[k - 1] + ui * vj * c
@@ -94,13 +94,13 @@ class LieAlgebra:
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
                 for k in range(j + 1, self.n + 1):
-                    acc = [Scalar(0)] * self.n
+                    acc = [ZERO] * self.n
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         inner = self.bracket_basis(a, b)
                         for m, cm in inner.items():
                             for p, cp in self.bracket_basis(m, c).items():
                                 acc[p - 1] = acc[p - 1] + cm * cp
-                    if any(not x.is_zero() for x in acc):
+                    if any(acc):
                         return (i, j, k)
         return None
 
@@ -110,7 +110,7 @@ class LieAlgebra:
         """L(Q) = sum_{i<j} [X_i, X_j] wedge Q_{^ij}, extended linearly."""
         if p.n != self.n:
             raise ValueError("multivector dimension mismatch")
-        acc: Dict[int, Scalar] = {}  # one sum for all pairs, validated once
+        acc: Dict[int, Elem] = {}  # one sum for all pairs, validated once
         for mask, coeff in p.terms.items():
             idx = indices_of(mask)
             s = len(idx)
@@ -122,10 +122,10 @@ class LieAlgebra:
                     if not br:
                         continue
                     vec = KVector(self.n, 1, {1 << (k - 1): c for k, c in br.items()})
-                    rest_v = KVector(self.n, s - 2, {rest: sc(coeff if sign > 0 else -coeff)})
+                    rest_v = KVector(self.n, s - 2, {rest: coeff if sign > 0 else -coeff})
                     for m, c in vec.wedge(rest_v).terms.items():
                         c = acc[m] + c if m in acc else c
-                        if c.is_zero():
+                        if not c:
                             del acc[m]
                         else:
                             acc[m] = c
@@ -148,7 +148,7 @@ class LieAlgebra:
             cdict = {}
             for k, c in sorted(comp.items()):
                 cdict[str(k)] = str(c)
-                if not c.is_rational():
+                if isinstance(c, Scalar):
                     d = c.d
             payload.append({"i": i, "j": j, "c": cdict})
         return {"dim": self.n, "brackets": payload, "field": {"sqrt": d}}
@@ -176,11 +176,11 @@ class LieAlgebra:
                 pair = f"{i}{j}" if self.n <= 9 else f"[{i},{j}]"
                 if coeff == 1:
                     terms.append(f"+{pair}")
-                elif coeff == Scalar(-1):
+                elif coeff == -1:
                     terms.append(f"-{pair}")
                 else:
                     sgn = "+"
-                    if coeff.is_rational() and coeff.a < 0:
+                    if not isinstance(coeff, Scalar) and coeff < 0:
                         sgn, coeff = "-", -coeff
                     terms.append(f"{sgn}{coeff}.{pair}")
             if not terms:
@@ -210,13 +210,13 @@ def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> Li
     params = params or {}
     exprs = _split_top(text)
     n = len(exprs)
-    diffs: List[Dict[Tuple[int, int], Scalar]] = []
+    diffs: List[Dict[Tuple[int, int], Elem]] = []
     for expr, offset in exprs:
         diffs.append(_parse_expr(expr, offset, n, params))
     brackets: Brackets = {}
     for k, two_form in enumerate(diffs, start=1):
         for (i, j), c in two_form.items():
-            brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, Scalar(0)) - c
+            brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, ZERO) - c
     alg = LieAlgebra(n, brackets, validate=True)
     return alg
 
@@ -243,11 +243,11 @@ def _parse_expr(expr, offset, n, params):
         return {}
     if not stripped:
         raise SalamonSyntaxError("empty expression", offset)
-    terms: Dict[Tuple[int, int], Scalar] = {}
+    terms: Dict[Tuple[int, int], Fraction] = {}
     pos = 0
-    sign = Scalar(1)
+    sign = ONE
     expect_term = True
-    coeff: Optional[Scalar] = None
+    coeff: Optional[Fraction] = None
     pending_dot = False
     while pos < len(expr):
         m = _TOKEN.match(expr, pos)
@@ -262,7 +262,7 @@ def _parse_expr(expr, offset, n, params):
                 continue
             if expect_term:
                 raise SalamonSyntaxError("misplaced sign", offset + m.start())
-            sign = Scalar(1) if m.group("op") == "+" else Scalar(-1)
+            sign = ONE if m.group("op") == "+" else -ONE
             expect_term, coeff, pending_dot = True, None, False
         elif m.group("op") == ".":
             if coeff is None:
@@ -271,12 +271,12 @@ def _parse_expr(expr, offset, n, params):
         elif m.group("rat"):
             if coeff is not None:
                 raise SalamonSyntaxError("two coefficients in a term", offset + m.start())
-            coeff = Scalar(Fraction(m.group("rat")))
+            coeff = Fraction(m.group("rat"))
         elif m.group("ident"):
             name = m.group("ident")
             if name not in params:
                 raise SalamonSyntaxError(f"unbound parameter {name!r}", offset + m.start())
-            coeff = Scalar(Fraction(params[name]))
+            coeff = Fraction(params[name])
         elif m.group("pair") or m.group("bracket"):
             if m.group("pair"):
                 i, j = int(m.group("pair")[0]), int(m.group("pair")[1])
@@ -285,17 +285,17 @@ def _parse_expr(expr, offset, n, params):
                 i, j = int(nums[0]), int(nums[1])
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise SalamonSyntaxError(f"bad index pair {i}{j}", offset + m.start())
-            flip = Scalar(1)
+            flip = ONE
             if i > j:
-                i, j, flip = j, i, Scalar(-1)
-            c = sign * flip * (coeff if coeff is not None else Scalar(1))
-            terms[(i, j)] = terms.get((i, j), Scalar(0)) + c
-            sign, coeff, expect_term, pending_dot = Scalar(1), None, False, False
+                i, j, flip = j, i, -ONE
+            c = sign * flip * (coeff if coeff is not None else ONE)
+            terms[(i, j)] = terms.get((i, j), ZERO) + c
+            sign, coeff, expect_term, pending_dot = ONE, None, False, False
         else:  # pragma: no cover
             raise SalamonSyntaxError("unrecognised token", offset + m.start())
     if expect_term and not terms:
         raise SalamonSyntaxError("trailing operator", offset + len(expr))
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+    return {k: v for k, v in terms.items() if v}
 
 
 # -- derivations -----------------------------------------------------------
@@ -306,7 +306,7 @@ class Derivation:
     """A derivation of parent, as the matrix with T(e_j) = sum_i M[i][j] e_i."""
 
     parent: LieAlgebra
-    matrix: Tuple[Tuple[Scalar, ...], ...]
+    matrix: Tuple[Tuple[Elem, ...], ...]
 
     def __post_init__(self):
         n = self.parent.n
@@ -320,11 +320,9 @@ class Derivation:
     def from_rows(cls, parent: LieAlgebra, rows: Sequence[Sequence]) -> "Derivation":
         return cls(parent, tuple(tuple(sc(x) for x in r) for r in rows))
 
-    def apply(self, v: Sequence[Scalar]) -> Vector:
+    def apply(self, v: Sequence[Elem]) -> Vector:
         n = self.parent.n
-        return [
-            sum((self.matrix[i][j] * v[j] for j in range(n)), Scalar(0)) for i in range(n)
-        ]
+        return [sum((self.matrix[i][j] * v[j] for j in range(n)), ZERO) for i in range(n)]
 
     def _basis_image(self, j: int) -> Vector:
         return [self.matrix[i][j - 1] for i in range(self.parent.n)]
@@ -337,9 +335,7 @@ class Derivation:
                 lhs = self.apply(_comp_vec(g.n, g.bracket_basis(i, j)))
                 rhs1 = g.bracket(self._basis_image(i), e[j - 1])
                 rhs2 = g.bracket(e[i - 1], self._basis_image(j))
-                if any(
-                    not (lhs[k] - rhs1[k] - rhs2[k]).is_zero() for k in range(g.n)
-                ):
+                if any(lhs[k] - rhs1[k] - rhs2[k] for k in range(g.n)):
                     return (i, j)
         return None
 
@@ -348,13 +344,13 @@ class Derivation:
         for j in range(1, n + 1):
             ab = self.apply(other._basis_image(j))
             ba = other.apply(self._basis_image(j))
-            if any(not (ab[k] - ba[k]).is_zero() for k in range(n)):
+            if any(ab[k] - ba[k] for k in range(n)):
                 return False
         return True
 
 
-def _comp_vec(n: int, comp: Dict[int, Scalar]) -> Vector:
-    v = [Scalar(0)] * n
+def _comp_vec(n: int, comp: Dict[int, Elem]) -> Vector:
+    v = [ZERO] * n
     for k, c in comp.items():
         v[k - 1] = c
     return v
@@ -371,10 +367,7 @@ def grading_derivation(k: LieAlgebra, weights: Sequence[int]) -> Derivation:
                     f"weights incompatible: [e{i},e{j}] has component e{m} "
                     f"of weight {weights[m - 1]} != {weights[i - 1] + weights[j - 1]}"
                 )
-    rows = [
-        [Scalar(weights[i]) if i == j else Scalar(0) for j in range(k.n)]
-        for i in range(k.n)
-    ]
+    rows = [[weights[i] if i == j else 0 for j in range(k.n)] for i in range(k.n)]
     return Derivation.from_rows(k, rows)
 
 
@@ -398,7 +391,7 @@ def extend_by_derivations(k: LieAlgebra, ds: Sequence[Derivation]) -> LieAlgebra
     for a, d in enumerate(ds, start=1):
         for j in range(1, k.n + 1):
             col = d._basis_image(j)
-            comp = {m + p: col[m - 1] for m in range(1, k.n + 1) if not col[m - 1].is_zero()}
+            comp = {m + p: col[m - 1] for m in range(1, k.n + 1) if col[m - 1]}
             if comp:
                 brackets[(a, j + p)] = comp
     return LieAlgebra(n, brackets, validate=True)
@@ -453,7 +446,7 @@ def structural_report(g: LieAlgebra) -> StructuralReport:
         if not nxt:
             break
     unimodular = all(
-        sum((g.ad_matrix(i).entries.get((j, j), Scalar(0)) for j in range(g.n)), Scalar(0)).is_zero()
+        not sum((g.ad_matrix(i).entries.get((j, j), ZERO) for j in range(g.n)), ZERO)
         for i in range(1, g.n + 1)
     )
     dprime = derived[1] if len(derived) > 1 else _span_brackets(g, full, full)
@@ -473,22 +466,21 @@ def structural_report(g: LieAlgebra) -> StructuralReport:
 
 
 def _su2() -> LieAlgebra:
-    m = Scalar(-2)
-    return LieAlgebra(3, {(1, 2): {3: m}, (2, 3): {1: m}, (1, 3): {2: Scalar(2)}})
+    return LieAlgebra(3, {(1, 2): {3: -2}, (2, 3): {1: -2}, (1, 3): {2: 2}})
 
 
 def _su3() -> LieAlgebra:
     """Anti-Hermitian Gell-Mann basis X_a; [X_a, X_b] = f_abc X_c."""
     half = Fraction(1, 2)
     s3h = Scalar(0, half, 3)  # sqrt(3)/2
-    f: Dict[Tuple[int, int, int], Scalar] = {
-        (1, 2, 3): Scalar(1),
-        (1, 4, 7): Scalar(half),
-        (1, 5, 6): Scalar(-half),
-        (2, 4, 6): Scalar(half),
-        (2, 5, 7): Scalar(half),
-        (3, 4, 5): Scalar(half),
-        (3, 6, 7): Scalar(-half),
+    f: Dict[Tuple[int, int, int], Elem] = {
+        (1, 2, 3): ONE,
+        (1, 4, 7): half,
+        (1, 5, 6): -half,
+        (2, 4, 6): half,
+        (2, 5, 7): half,
+        (3, 4, 5): half,
+        (3, 6, 7): -half,
         (4, 5, 8): s3h,
         (6, 7, 8): s3h,
     }
@@ -501,7 +493,7 @@ def _su3() -> LieAlgebra:
         ):
             if i < j:
                 comp = brackets.setdefault((i, j), {})
-                comp[k] = comp.get(k, Scalar(0)) + (v if s > 0 else -v)
+                comp[k] = comp.get(k, ZERO) + (v if s > 0 else -v)
     return LieAlgebra(8, brackets)
 
 

@@ -1,9 +1,10 @@
 """Sparse exact linear algebra over Q and Q(sqrt(d)).
 
-Matrices and vectors hold ``Scalar``s.  Every rank, kernel, solve and span
-runs one elimination routine, ``_rref``, on sparse rows of field elements:
-raw ``Fraction``s when every entry is rational, so rational matrices skip the
-Q(sqrt(d)) arithmetic, and ``Scalar``s otherwise.  ``_rref`` is a forward pass
+Matrices and vectors hold field elements (``scalars.Elem``): a ``Fraction``
+for every rational entry and a ``Scalar`` only for a + b*sqrt(d) with
+b != 0.  Every rank, kernel, solve and span runs one elimination routine,
+``_rref``, on sparse rows of those elements, mixed freely, so a rational
+matrix never touches Q(sqrt(d)) arithmetic.  ``_rref`` is a forward pass
 that keeps each waiting row in a bucket keyed by its leading column, so a
 pivot step touches only the rows that hold its column, followed by optional
 back-substitution, which ``rank`` and ``column_space_basis`` skip.  Each
@@ -14,63 +15,47 @@ when it is not in the span of the columns before it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import Scalar, sc
+from .scalars import ONE, ZERO, Elem, Scalar, sc
 
-Vector = List[Scalar]
-Elem = Union[Fraction, Scalar]  # one kind per elimination, never mixed
-
-
-def _zero_vec(n: int) -> Vector:
-    return [Scalar(0)] * n
+Vector = List[Elem]
 
 
 class Matrix:
-    """Immutable sparse matrix: entries maps (row, col) -> nonzero Scalar."""
+    """Immutable sparse matrix: entries maps (row, col) -> nonzero element."""
 
-    def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], Scalar]):
+    def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], object]):
         self.rows = rows
         self.cols = cols
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.entries = {k: x for k, v in entries.items() if (x := sc(v))}
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        entries = {}
         ncols = max((len(r) for r in rows), default=0)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                x = sc(x)
-                if not x.is_zero():
-                    entries[(i, j)] = x
-        return cls(len(rows), ncols, entries)
+        return cls(len(rows), ncols, {
+            (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
-        entries = {}
         if nrows is None:
             nrows = max((len(c) for c in cols), default=0)
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                x = sc(x)
-                if not x.is_zero():
-                    entries[(i, j)] = x
-        return cls(nrows, len(cols), entries)
+        return cls(nrows, len(cols), {
+            (i, j): x for j, col in enumerate(cols) for i, x in enumerate(col)})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): Scalar(1) for i in range(n)})
+        return cls(n, n, {(i, i): ONE for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, {})
 
     def row(self, i: int) -> Vector:
-        return [self.entries.get((i, j), Scalar(0)) for j in range(self.cols)]
+        return [self.entries.get((i, j), ZERO) for j in range(self.cols)]
 
     def column(self, j: int) -> Vector:
-        return [self.entries.get((i, j), Scalar(0)) for i in range(self.rows)]
+        return [self.entries.get((i, j), ZERO) for i in range(self.rows)]
 
     def to_rows(self) -> List[Vector]:
         return [self.row(i) for i in range(self.rows)]
@@ -78,16 +63,16 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def mul_vec(self, v: Sequence[Scalar]) -> Vector:
+    def mul_vec(self, v: Sequence[Elem]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = _zero_vec(self.rows)
+        out = [ZERO] * self.rows
         for (i, j), x in self.entries.items():
-            if not v[j].is_zero():
+            if v[j]:
                 out[i] = out[i] + x * v[j]
         return out
 
-    def scale(self, c: Scalar) -> "Matrix":
+    def scale(self, c: Elem) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -117,14 +102,13 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def _sparse_rows(self) -> List[Dict[int, Elem]]:
-        rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.rows)]
+        rows: List[Dict[int, Elem]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
-        return _field_rows(rows)
+        return rows
 
     def rref(self) -> Tuple[List[Dict[int, Elem]], List[int]]:
-        """Reduced row echelon form; returns (rows, pivot column list).
-        Row entries are Fractions if the matrix is rational, else Scalars."""
+        """Reduced row echelon form; returns (rows, pivot column list)."""
         return _rref(self._sparse_rows(), self.cols)
 
     def rank(self) -> int:
@@ -138,12 +122,15 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
         for f in free:
-            v = {p: -rows[r][f] for r, p in enumerate(pivots) if f in rows[r]}
-            v[f] = 1
-            basis.append(_dense(v, self.cols))
+            v = [ZERO] * self.cols
+            for r, p in enumerate(pivots):
+                if f in rows[r]:
+                    v[p] = -rows[r][f]
+            v[f] = ONE
+            basis.append(v)
         return basis
 
-    def solve(self, rhs: Sequence[Scalar]) -> Optional[Vector]:
+    def solve(self, rhs: Sequence[Elem]) -> Optional[Vector]:
         """One exact solution of m*x = rhs, or None if inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError(f"rhs length {len(rhs)} != rows {self.rows}")
@@ -151,7 +138,10 @@ class Matrix:
         red, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        return _dense({p: red[r].get(self.cols, 0) for r, p in enumerate(pivots)}, self.cols)
+        x = [ZERO] * self.cols
+        for r, p in enumerate(pivots):
+            x[p] = red[r].get(self.cols, ZERO)
+        return x
 
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
@@ -159,27 +149,12 @@ class Matrix:
         return [self.column(j) for j in piv_cols]
 
 
-def _dense(row: Dict[int, Elem], n: int) -> Vector:
-    """Dense Scalar vector of length n from a sparse row of field elements."""
-    v = _zero_vec(n)
-    for j, x in row.items():
-        v[j] = sc(x)
-    return v
-
-
-def _field_rows(rows: List[Dict[int, Scalar]]) -> List[Dict[int, Elem]]:
-    """The rows on raw Fractions if every entry is rational, else unchanged."""
-    if all(v.b == 0 for r in rows for v in r.values()):
-        return [{j: v.a for j, v in r.items()} for r in rows]
-    return rows
-
-
 def _bits(x: Elem) -> int:
-    """Pivot size: numerator plus denominator bit-lengths (of both parts of a
-    Scalar, so a rational Scalar measures one more than its Fraction)."""
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    return x.complexity()
+    """Pivot size: numerator plus denominator bit-lengths of the rational
+    parts of x (a Fraction, or both parts a and b of a Scalar)."""
+    if isinstance(x, Scalar):
+        return _bits(x.a) + _bits(x.b)
+    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 def _rref(
@@ -190,15 +165,15 @@ def _rref(
     leading 1.  With ``reduce`` the rows are the unique RREF; without it the
     back-substitution is skipped, which is all a rank or pivot query needs.
 
-    The elements are all Fractions or all Scalars; only ``+ - *``, ``1 / x``,
-    truthiness and ``_bits`` are used.  The forward pass keeps every waiting
-    row in a bucket keyed by its leading column.  Columns are processed left
-    to right; once those left of ``col`` are cleared, a row holds ``col``
-    exactly when it sits in bucket ``col``, so each pivot step touches only
-    that bucket and re-buckets each updated row by its new leading column.
-    The pivot is the bucket row of least ``_bits`` (ties by bucket position).
-    ``_bits`` of a rational Scalar is its Fraction's plus one, so the pivots
-    do not depend on which kind a rational matrix is eliminated in."""
+    The elements are ``Fraction``s and ``Scalar``s (b != 0), mixed freely;
+    only ``+ - *``, ``1 / x``, truthiness and ``_bits`` are used, so any
+    exact field type with those works unchanged.  The forward pass keeps
+    every waiting row in a bucket keyed by its leading column.  Columns are
+    processed left to right; once those left of ``col`` are cleared, a row
+    holds ``col`` exactly when it sits in bucket ``col``, so each pivot step
+    touches only that bucket and re-buckets each updated row by its new
+    leading column.  The pivot is the bucket row of least ``_bits`` (ties by
+    bucket position)."""
     buckets: Dict[int, List[Dict[int, Elem]]] = {}
     for r in rows:
         if r:
@@ -251,23 +226,19 @@ def _clear_col(r: Dict[int, Elem], col: int, tail: List[Tuple[int, Elem]]) -> No
 # -- subspace utilities ----------------------------------------------------
 
 
-def _vector_rows(vectors: Iterable[Sequence[Scalar]]) -> List[Dict[int, Elem]]:
-    rows = [{j: x for j, x in enumerate(map(sc, v)) if x} for v in vectors]
-    return _field_rows(rows)
-
-
-def row_space_basis(vectors: Iterable[Sequence[Scalar]], dim: int) -> List[Vector]:
+def row_space_basis(vectors: Iterable[Sequence], dim: int) -> List[Vector]:
     """Reduced basis of the span of the given coordinate vectors."""
-    red, _ = _rref(_vector_rows(vectors), dim)
-    return [_dense(r, dim) for r in red]
+    rows = [{j: x for j, x in enumerate(map(sc, v)) if x} for v in vectors]
+    red, _ = _rref(rows, dim)
+    return [[r.get(j, ZERO) for j in range(dim)] for r in red]
 
 
-def in_span(basis: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> bool:
+def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     return not extend_basis(basis, [v], len(v))
 
 
 def extend_basis(
-    base: Sequence[Sequence[Scalar]], candidates: Sequence[Sequence[Scalar]], dim: int
+    base: Sequence[Sequence], candidates: Sequence[Sequence], dim: int
 ) -> List[Vector]:
     """The candidates outside the span of base and of the candidates before
     them, in order: the pivot columns of [base | candidates] past base."""

@@ -12,10 +12,10 @@ from .cohomology import (
     d_form,
     is_exact,
 )
-from .exterior import KForm, KVector, basis_masks, contract
+from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract
 from .liealg import LieAlgebra
-from .linalg import Matrix, row_space_basis
-from .scalars import Scalar, sc
+from .linalg import Matrix, Vector, row_space_basis
+from .scalars import ZERO, Elem, sc
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def solve_multimoment(g: LieAlgebra, psi: Cocycle) -> MultimomentSolution:
 
 @dataclass
 class OrbitStabReport:
-    stab_basis: List[List[Scalar]]
-    ker_basis: List[List[Scalar]]
+    stab_basis: List[Vector]
+    ker_basis: List[Vector]
     holds: bool
 
     def to_json(self) -> dict:
@@ -118,10 +118,13 @@ def orbit_stab_condition(g: LieAlgebra, beta: PDualElement) -> OrbitStabReport:
     stab = {X : X . d(rep) is a coboundary}; ker = {X : X . d(rep) = 0}.
     Equality means the closed geometry is realised on the orbit.
     """
+    if beta.representative.n != g.n:
+        raise DimensionMismatch(
+            f"form is on R^{beta.representative.n}, the algebra has dimension {g.n}")
     k = beta.degree
     dbeta = d_P(g, beta)
     masks_k = basis_masks(g.n, k)
-    cols: List[List[Scalar]] = []
+    cols: List[Vector] = []
     for i in range(1, g.n + 1):
         hooked = contract(KVector.basis(g.n, [i]), dbeta)
         cols.append(hooked.to_vector(masks_k))
@@ -129,7 +132,7 @@ def orbit_stab_condition(g: LieAlgebra, beta: PDualElement) -> OrbitStabReport:
     ker = hook.kernel_basis()
     # stab: solve X . d(rep) = d(gamma) jointly in (X, gamma)
     bmat = coboundary_matrix(g, k)
-    joint = hook.hstack(bmat.scale(Scalar(-1)))
+    joint = hook.hstack(bmat.scale(-1))
     stab = row_space_basis([v[: g.n] for v in joint.kernel_basis()], g.n)
     holds = len(stab) == len(ker)
     return OrbitStabReport(stab, ker, holds)
@@ -146,8 +149,8 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
             if m[i][j] != m[j][i]:
                 raise ValueError("inner product not symmetric")
 
-    def pair(u: List[Scalar], j: int) -> Scalar:
-        return sum((u[i] * m[i][j] for i in range(n)), Scalar(0))
+    def pair(u: Vector, j: int) -> Elem:
+        return sum((u[i] * m[i][j] for i in range(n)), ZERO)
 
     e = Matrix.identity(n).to_rows()
     for i in range(1, n + 1):
@@ -155,7 +158,7 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
             for k in range(1, n + 1):
                 lhs = pair(g.bracket(e[i - 1], e[j - 1]), k - 1)
                 rhs = pair(g.bracket(e[i - 1], e[k - 1]), j - 1)
-                if not (lhs + rhs).is_zero():
+                if lhs + rhs:
                     raise ValueError("inner product is not ad-invariant")
     terms = []
     for i in range(1, n + 1):
@@ -163,6 +166,6 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
             br = g.bracket(e[i - 1], e[j - 1])
             for k in range(j + 1, n + 1):
                 c = pair(br, k - 1)
-                if not c.is_zero():
+                if c:
                     terms.append(((i, j, k), c))
     return KForm.from_terms(n, terms) if terms else KForm.zero(n, 3)

@@ -1,8 +1,15 @@
-"""Exact field elements a + b*sqrt(d) with rational a, b.
+"""Exact field elements of Q and Q(sqrt(d)), with no floating point anywhere.
 
-The field tag ``d`` is made square-free on construction (square factors move
-into ``b``); ``d == 1`` means a plain rational (``b`` is folded into ``a``).
-All arithmetic is exact, there is no floating point anywhere.
+There is one element type, ``Elem = Fraction | Scalar``.  A rational value
+is always a plain ``Fraction``; a ``Scalar`` is a + b*sqrt(d) with b != 0
+and d > 1 square-free.  ``Scalar.parse`` and every ``Scalar`` arithmetic
+result pass through one normaliser, ``_elem``, which returns the ``Fraction``
+when the value is rational after square-splitting d.  Mixed arithmetic needs
+no field object: ``Fraction`` returns ``NotImplemented`` for a ``Scalar``
+operand, and the reflected ``Scalar`` method runs.
+
+``Scalar(x)`` of a rational x still constructs, as an input spelling with
+b == 0; ``sc`` and every operation on it give the ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ _SQRT_RE = re.compile(
     r"(?P<b>(?:(?<=\d)\s*[+-]|[+-]?)\s*(?:\d+(?:/\d+)?\s*\*\s*)?sqrt\((?P<d>\d+)\))?\s*$"
 )
 
+ZERO, ONE = Fraction(0), Fraction(1)
+
 
 class FieldError(ValueError):
     """Raised when scalars from incompatible quadratic fields are mixed."""
@@ -27,7 +36,7 @@ class FieldError(ValueError):
 @functools.lru_cache(maxsize=32)
 def _square_split(d: int) -> Tuple[int, int]:
     """(f, s) with d == f*f*s and s square-free, for d >= 1, by trial
-    division; cached because every arithmetic result passes its d here."""
+    division; cached because every Scalar passes its d here."""
     f, p = 1, 2
     while p * p <= d:
         while d % (p * p) == 0:
@@ -47,154 +56,149 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def _canonical(a: Fraction, b: Fraction, d: int) -> Tuple[Fraction, Fraction, int]:
+    """(a', b', d') naming the same value a + b*sqrt(d): b' != 0 with d' > 1
+    square-free, or b' == 0 with d' == 1."""
+    if d < 0:
+        raise FieldError("field tag d must be non-negative")
+    if not b or d == 0:  # sqrt(0) = 0
+        return a, ZERO, 1
+    f, d = _square_split(d)
+    if d == 1:
+        return a + b * f, ZERO, 1
+    return a, (b * f if f != 1 else b), d
+
+
+def _elem(a: Fraction, b: Fraction, d: int) -> "Elem":
+    """The field element a + b*sqrt(d): its Fraction when it is rational,
+    else a Scalar."""
+    a, b, d = _canonical(a, b, d)
+    return Scalar(a, b, d) if b else a
+
+
 class Scalar:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), exact."""
+    """An element a + b*sqrt(d) of Q(sqrt(d)), exact; every Scalar the
+    library makes has b != 0 and d > 1 square-free."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 1):
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        if d < 0:
-            raise FieldError("field tag d must be non-negative")
-        if d == 0:
-            # sqrt(0) = 0
-            b, d = Fraction(0), 1
-        elif d > 1 and b:
-            f, d = _square_split(d)
-            if f != 1:
-                b *= f
-        if d == 1:
-            a, b = a + b, Fraction(0)
+        a, b, d = _canonical(_as_fraction(a), _as_fraction(b), d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d if b != 0 else 1)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def rational(cls, x: RationalLike) -> "Scalar":
-        return cls(_as_fraction(x))
-
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Parse "p/q" or "p/q+r/s*sqrt(d)" (also "-sqrt(3)", "1-1/2*sqrt(2)")."""
+    def parse(cls, text: str) -> "Elem":
+        """Parse "p/q" or "p/q+r/s*sqrt(d)" (also "-sqrt(3)", "1-1/2*sqrt(2)");
+        a rational value comes back as a Fraction."""
         m = _SQRT_RE.match(text)
         if not m or (m.group("a") is None and m.group("b") is None):
             raise ValueError(f"cannot parse scalar {text!r}")
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-        b = Fraction(0)
+        a = Fraction(m.group("a")) if m.group("a") else ZERO
+        b = ZERO
         d = 1
         if m.group("b"):
             d = int(m.group("d"))
             coef = m.group("b").split("sqrt")[0].replace("*", "").replace(" ", "")
             if coef in ("", "+"):
-                b = Fraction(1)
+                b = ONE
             elif coef == "-":
-                b = Fraction(-1)
+                b = -ONE
             else:
                 b = Fraction(coef)
-        return cls(a, b, d)
-
-    # -- helpers -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
+        return _elem(a, b, d)
 
     def _join(self, other: "Scalar") -> int:
-        if self.b == 0:
+        if not self.b:
             return other.d
-        if other.b == 0:
+        if not other.b:
             return self.d
         if self.d != other.d:
             raise FieldError(f"mixing sqrt({self.d}) and sqrt({other.d})")
         return self.d
 
-    @staticmethod
-    def _coerce(x: Union["Scalar", RationalLike]) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        return Scalar(_as_fraction(x))
-
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: the operand is a Scalar, an int or a Fraction -----------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        d = self._join(other)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        if isinstance(other, Scalar):
+            return _elem(self.a + other.a, self.b + other.b, self._join(other))
+        if isinstance(other, (int, Fraction)):
+            return _elem(self.a + other, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.d)
+        return _elem(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if isinstance(other, Scalar):
+            return _elem(self.a - other.a, self.b - other.b, self._join(other))
+        if isinstance(other, (int, Fraction)):
+            return _elem(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        if isinstance(other, (int, Fraction)):
+            return _elem(other - self.a, -self.b, self.d)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        d = self._join(other)
-        return Scalar(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        if isinstance(other, Scalar):
+            d = self._join(other)
+            return _elem(
+                self.a * other.a + self.b * other.b * d,
+                self.a * other.b + self.b * other.a,
+                d,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _elem(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Scalar":
-        if self.is_zero():
+    def inverse(self) -> "Elem":
+        if not self:
             raise ZeroDivisionError("scalar is zero")
+        # the norm is nonzero: sqrt(d) is irrational for square-free d > 1
         norm = self.a * self.a - self.b * self.b * self.d
-        # norm = 0 with (a, b) != 0 would mean sqrt(d) rational; d is
-        # square-free, so then d == 1 and b == 0 already.
-        return Scalar(self.a / norm, -self.b / norm, self.d)
+        return _elem(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        if isinstance(other, Scalar):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return _elem(self.a / other, self.b / other, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        return self.a == other.a and self.b == other.b and self.d == other.d
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return not self.is_zero()
-
-    # size metric used for pivot selection
-    def complexity(self) -> int:
-        return (
-            self.a.numerator.bit_length()
-            + self.a.denominator.bit_length()
-            + self.b.numerator.bit_length()
-            + self.b.denominator.bit_length()
-        )
+        return bool(self.b) or bool(self.a)
 
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if not self.b:
             return str(self.a)
         bpart = "" if abs(self.b) == 1 else f"{abs(self.b)}*"
         sign = "+" if self.b > 0 else "-"
@@ -207,6 +211,13 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def sc(x: Union[Scalar, RationalLike]) -> Scalar:
-    """Shorthand coercion to Scalar."""
-    return Scalar._coerce(x)
+Elem = Union[Fraction, Scalar]
+
+
+def sc(x: Union[Scalar, RationalLike]) -> Elem:
+    """Coercion to a field element: a Fraction for any rational value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, Scalar):
+        return x if x.b else x.a
+    return _as_fraction(x)

@@ -11,15 +11,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cohomology import betti, coboundary_matrix, cohomology_basis, d_form
 from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
-from .linalg import Matrix, extend_basis
-from .scalars import Scalar, sc
+from .linalg import Matrix, Vector, extend_basis
+from .scalars import ZERO
 
 
 class SplitError(ValueError):
     pass
 
 
-def _solve_in_basis(cols: List[List[Scalar]], v: List[Scalar]) -> List[Scalar]:
+def _solve_in_basis(cols: List[Vector], v: Vector) -> Vector:
     sol = Matrix.from_columns(cols, nrows=len(v)).solve(v)
     if sol is None:
         raise SplitError("vector escapes the chosen basis")
@@ -31,8 +31,8 @@ class IdealSplit:
     """An ideal k of g containing g' together with a lifted complement."""
 
     g: LieAlgebra
-    ideal_basis: List[List[Scalar]]
-    complement_basis: List[List[Scalar]]
+    ideal_basis: List[Vector]
+    complement_basis: List[Vector]
     _adapted: Optional[LieAlgebra] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -76,9 +76,7 @@ class IdealSplit:
             for i in range(n):
                 for j in range(i + 1, n):
                     w = _solve_in_basis(cols, g.bracket(basis[i], basis[j]))
-                    comp = {
-                        k + 1: w[k] for k in range(n) if not w[k].is_zero()
-                    }
+                    comp = {k + 1: w[k] for k in range(n) if w[k]}
                     if comp:
                         brackets[(i + 1, j + 1)] = comp
             self._adapted = LieAlgebra(n, brackets, validate=False)
@@ -138,7 +136,7 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     ops: List[Matrix] = []
     for a in range(m + 1, n + 1):
         x_a = KVector.basis(n, [a])
-        cols: List[List[Scalar]] = []
+        cols: List[Vector] = []
         for d_rep in d_reps:
             acted = _restrict(contract(x_a, d_rep), m)
             coords = _solve_in_basis(span_cols, acted.to_vector(masks_q))
@@ -173,6 +171,8 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
         raise SplitError("quotient dimension must be 1 or 2")
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
+    if max_q < 0:
+        raise ValueError(f"max_q must be non-negative, got {max_q}")
     table: Dict[Tuple[int, int], int] = {}
     for q in range(max_q + 1):
         inv = invariant_cohomology(split, q)
@@ -188,7 +188,7 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
             a1, a2 = inv.operators
             v = inv.dim_H
             m1 = a1.vstack(a2)  # v -> (A1 v, A2 v)
-            top = a2.scale(Scalar(-1)).hstack(a1)  # (u, w) -> A1 w - A2 u
+            top = a2.scale(-1).hstack(a1)  # (u, w) -> A1 w - A2 u
             table[(0, q)] = inv.dim_invariant
             table[(1, q)] = (2 * v - top.rank()) - m1.rank()
             table[(2, q)] = v - a1.hstack(a2).rank()
@@ -198,7 +198,7 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
 # -- structure-theorem verification ---------------------------------------
 
 
-def _quotient_functional_ideals(g: LieAlgebra) -> List[List[List[Scalar]]]:
+def _quotient_functional_ideals(g: LieAlgebra) -> List[List[Vector]]:
     """Codimension-one ideals containing g', via a hyperplane grid on g/g'.
 
     The grid takes kernels of the dual quotient-basis functionals and of
@@ -221,7 +221,7 @@ def _quotient_functional_ideals(g: LieAlgebra) -> List[List[List[Scalar]]]:
         ker = Matrix.from_rows([f]).kernel_basis()  # vectors in quotient coordinates
         lifted = [
             [
-                sum((v[i] * comp[i][t] for i in range(p)), Scalar(0))
+                sum((v[i] * comp[i][t] for i in range(p)), ZERO)
                 for t in range(n)
             ]
             for v in ker
@@ -251,7 +251,7 @@ class StructureVerdict:
         }
 
 
-def _complement_for(g: LieAlgebra, ideal: List[List[Scalar]]) -> List[List[Scalar]]:
+def _complement_for(g: LieAlgebra, ideal: List[Vector]) -> List[Vector]:
     return extend_basis(ideal, Matrix.identity(g.n).to_rows(), g.n)
 
 
@@ -304,8 +304,8 @@ def diagonal_extension(lambdas: Sequence[Fraction]) -> LieAlgebra:
     m = len(lambdas)
     brackets: Brackets = {}
     for i, lam in enumerate(lambdas, start=2):
-        c = -sc(Fraction(lam))
-        if not c.is_zero():
+        c = -Fraction(lam)
+        if c:
             brackets[(1, i)] = {i: c}
     return LieAlgebra(m + 1, brackets, validate=False)
 

@@ -1,11 +1,12 @@
 """Smoke tests of the benchmark harness: one short traced betti-ladder run
-and one short untraced verify-paper run.
+and short untraced verify-paper and quadratic-field runs.
 
 The traced run fails when an entry point it wraps is renamed or no longer
 called (its per-layer count reads 0).  Every job's payload is checked
 against the recorded reference (for verify-paper, every claim payload), so
-this catches both before a full benchmark run does.  Each takes a few
-seconds.
+this catches both before a full benchmark run does.  The quadratic-field
+run is the exact payload check of elimination over Q(sqrt 3): the su3 and
+su3+su2 Betti tables and the psu3 stabiliser.  Each takes a few seconds.
 """
 import json
 import subprocess
@@ -31,3 +32,7 @@ def test_traced_betti_ladder_run():
 
 def test_untraced_verify_paper_run():
     _run("verify-paper", "0")
+
+
+def test_untraced_quadratic_field_run():
+    _run("quadratic-field", "0")

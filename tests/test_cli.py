@@ -71,6 +71,9 @@ BAD_INPUT = [
     (["lie-kernel", "0,0,12", "--degree", "-1"], 2),
     (["mm-solve", "0,0,12", "--degree", "-1"], 2),
     (["invariant-cohomology", "0,0,12", "--ideal", "2,3", "--degree", "-1"], 2),
+    (["orbit-check", "0,0,12", "--form", '{"n":4,"degree":1,"terms":{"1":"1"}}'], 2),
+    (["hs-page", "0,0,12", "--ideal", "2,3", "--max-q", "-1"], 2),
+    (["construct-nondeg", "3", "-2"], 2),
 ]
 
 
@@ -87,6 +90,12 @@ def test_bad_input_message_names_the_input(capsys):
     assert "dimension at least 1, got 0" in capsys.readouterr().err
     main(["search34", "--m", "-1"])
     assert "--m must be non-negative, got -1" in capsys.readouterr().err
+    main(["orbit-check", "0,0,12", "--form", '{"n":4,"degree":1,"terms":{"1":"1"}}'])
+    assert "form is on R^4, the algebra has dimension 3" in capsys.readouterr().err
+    main(["hs-page", "0,0,12", "--ideal", "2,3", "--max-q", "-1"])
+    assert "max_q must be non-negative, got -1" in capsys.readouterr().err
+    main(["construct-nondeg", "3", "-2"])
+    assert "dimension -2 is negative" in capsys.readouterr().err
 
 
 def test_trivial(capsys):

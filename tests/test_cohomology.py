@@ -1,6 +1,9 @@
 """Chevalley-Eilenberg cohomology, Lie kernels, Cartan-type identities."""
 import random
 from itertools import combinations
+from math import comb
+
+import pytest
 
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import (betti, cartan_identity_check, cocycle_basis,
@@ -60,6 +63,26 @@ def test_poincare_duality_unimodular():
     b = betti(parse_salamon("0,0,13+23,14,15,16,-4.17-27")).betti
     assert b == [1, 2, 1, 0, 0, 1, 2, 1]
     assert b == b[::-1]
+
+
+def _closed_form(kind, size):
+    """(algebra, Betti numbers) of abelian R^size or of the Heisenberg algebra
+    h_{2m+1}, m = size: b_k = C(2m, k) - C(2m, k - 2) for k <= m, and
+    Poincare duality above (Santharoubane, Proc. AMS 87, 1983)."""
+    if kind == "abelian":
+        return builtin(f"abelian:{size}"), [comb(size, k) for k in range(size + 1)]
+    m = size
+    z = "+".join(f"[{2 * i - 1},{2 * i}]" for i in range(1, m + 1))
+    low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
+    return parse_salamon(",".join(["0"] * (2 * m) + [z])), low + low[::-1]
+
+
+@pytest.mark.parametrize(
+    "kind,size",
+    [("abelian", n) for n in range(11)] + [("heisenberg", m) for m in range(1, 6)])
+def test_betti_closed_forms(kind, size):
+    g, expect = _closed_form(kind, size)
+    assert betti(g).betti == expect
 
 
 def test_nilpotent_betti_lower_bound():

@@ -65,7 +65,7 @@ def test_stabilizer_annihilates_form():
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 c = mat.to_rows()[b - 1][a - 1]
-                if not c.is_zero():
+                if c:
                     total = total + _act_elementary(alpha, a, b).scale(c)
         assert total.is_zero()
 

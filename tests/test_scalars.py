@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lmmt.cohomology import betti
+from lmmt.liealg import parse_salamon
+from lmmt.linalg import _bits
 from lmmt.scalars import FieldError, Scalar, sc
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
 
 def test_rational_construction():
-    assert Scalar(3).is_rational()
+    assert not Scalar(3).b and isinstance(sc(Scalar(3)), Fraction)
     assert Scalar(Fraction(3, 2)).a == Fraction(3, 2)
-    assert Scalar.rational(Fraction(3, 2)) == Scalar(Fraction(3, 2))
-    assert Scalar(0, 0, 5).is_zero()
+    assert sc(Fraction(3, 2)) == Scalar(Fraction(3, 2))
+    assert not Scalar(0, 0, 5)
 
 
 def test_sc_coercion():
@@ -68,17 +71,45 @@ def test_quadratic_field_axioms(a, b, c, d):
     y = Scalar(c, d, 2)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
-    if not x.is_zero():
+    if x:
         assert x * x.inverse() == Scalar(1)
 
 
+@given(rationals, rationals, rationals, rationals)
+def test_results_are_fractions_exactly_when_rational(a, b, c, d):
+    # x = a + b sqrt 2, y = c + d sqrt 2; the sqrt 2 part of each result,
+    # from plain Fractions: x / y = x (c - d sqrt 2) / (c^2 - 2 d^2)
+    x, y = sc(Scalar(a, b, 2)), sc(Scalar(c, d, 2))
+    results = {"+": (x + y, b + d), "-": (x - y, b - d), "*": (x * y, a * d + b * c)}
+    if y:
+        results["/"] = (x / y, b * c - a * d)
+    for value, sqrt2_part in results.values():
+        assert isinstance(value, Fraction) == (sqrt2_part == 0)
+        assert isinstance(value, Fraction) or value.b != 0
+
+
+def test_rational_betti_creates_no_scalar(monkeypatch):
+    calls = []
+    init = Scalar.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    g = parse_salamon("0,0,12,13,14,15,16,17")  # filiform L_8
+    assert betti(g).betti == [1, 2, 4, 8, 10, 8, 4, 2, 1]
+    assert calls == []
+
+
 def test_complexity_orders_simple_first():
-    assert Scalar(1).complexity() < Scalar(Fraction(97, 89)).complexity()
+    assert _bits(Fraction(1)) < _bits(Fraction(97, 89))
+    assert _bits(Scalar(1, 1, 3)) < _bits(Scalar(Fraction(97, 89), 1, 3))
 
 
 def test_radicand_square_factors_pulled_out():
     assert Scalar(2, -1, 4) == 0  # 2 - sqrt(4)
-    assert Scalar(2, -1, 4).is_zero()
+    assert not Scalar(2, -1, 4)
     assert Scalar(1, 1, 4).inverse() == Scalar(Fraction(1, 3))
     assert Scalar.parse("sqrt(4)") == 2
     assert Scalar(0, 1, 8) == Scalar(0, 2, 2)
