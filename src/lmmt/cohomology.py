@@ -6,7 +6,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import DegreeError, KForm, KVector, basis_masks, contract, dim_lambda
+from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks, contract,
+                       contract_sign, dim_lambda, indices_of, wedge_sign)
 from .liealg import LieAlgebra
 from .linalg import Matrix, extend_basis
 from .scalars import ONE, Elem
@@ -30,11 +31,32 @@ def ce_differential(g: LieAlgebra, k: int) -> Matrix:
 
 
 def d_form(g: LieAlgebra, a: KForm) -> KForm:
-    src = basis_masks(g.n, a.degree)
-    dst = basis_masks(g.n, a.degree + 1)
-    vec = a.to_vector(src)
-    out = ce_differential(g, a.degree).mul_vec(vec)
-    return KForm.from_vector(g.n, a.degree + 1, dst, out)
+    """d a, applied on the support of a straight from the structure constants.
+
+    d is the derivation d(e^I) = sum_{i in I} (-1)^pos(i) de^i ^ e^{I - i},
+    with de^i = -sum_{j<l} c^i_{jl} e^{jl}; the cost grows with the number
+    of terms of a, not with the C(n, k+1) rows of ce_differential(g, k),
+    whose product with a it equals."""
+    if a.n != g.n:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.n} vs {g.n}")
+    de: Dict[int, List[Tuple[int, Elem]]] = {}  # i -> (mask of jl, c^i_jl)
+    for (j, l), comp in g.brackets.items():
+        pair = (1 << (j - 1)) | (1 << (l - 1))
+        for i, c in comp.items():
+            de.setdefault(i, []).append((pair, c))
+    acc: Dict[int, Elem] = {}
+    for mask, coeff in a.terms.items():
+        for i in indices_of(mask):
+            rest = mask ^ (1 << (i - 1))
+            # -(-1)^pos(i) coeff: the sign of de^i folded in
+            lead = coeff if contract_sign(i, mask) < 0 else -coeff
+            for pair, c in de.get(i, ()):
+                if pair & rest:
+                    continue
+                m = pair | rest
+                v = lead * c if wedge_sign(pair, rest) > 0 else -(lead * c)
+                acc[m] = acc[m] + v if m in acc else v
+    return KForm(g.n, a.degree + 1, acc)  # drops the sums that cancelled
 
 
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:

@@ -206,11 +206,17 @@ class AltElement:
 
     @classmethod
     def from_json(cls: Type[_E], data: dict) -> _E:
+        n = data["n"]
+        if n < 0:
+            raise ValueError(f"dimension {n} is negative")
         terms = {}
         for key, val in data.get("terms", {}).items():
             idx = [int(t) for t in key.split(",")] if key else []
+            bad = [i for i in idx if not 1 <= i <= n]
+            if bad:
+                raise ValueError(f"index {bad[0]} in term {key!r} is outside 1..{n}")
             terms[mask_of(idx)] = Scalar.parse(val)
-        return cls(data["n"], data["degree"], terms)
+        return cls(n, data["degree"], terms)
 
     def __str__(self) -> str:
         if not self.terms:

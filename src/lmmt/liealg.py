@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import KVector, indices_of
 from .linalg import Matrix, Vector, row_space_basis
-from .scalars import ONE, ZERO, Elem, Scalar, sc
+from .scalars import ONE, ZERO, Elem, FieldError, Scalar, sc
 
 Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
 
@@ -40,7 +40,9 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra with exact structure constants.
 
     brackets maps (i, j) with i < j to the sparse component vector of
-    [e_i, e_j]; antisymmetry is implicit in the storage.
+    [e_i, e_j]; antisymmetry is implicit in the storage.  Component indices
+    lie in 1..n, and the constants lie in one field, Q or one Q(sqrt d)
+    (else FieldError).
     """
 
     def __init__(self, n: int, brackets: Brackets, validate: bool = True):
@@ -48,12 +50,25 @@ class LieAlgebra:
             raise ValueError(f"dimension {n} is negative")
         self.n = n
         clean: Brackets = {}
+        radicand = None
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad bracket key ({i},{j})")
-            comp = {k: x for k, c in comp.items() if (x := sc(c))}
-            if comp:
-                clean[(i, j)] = comp
+            kept = {}
+            for k, c in comp.items():
+                if not 1 <= k <= n:
+                    raise ValueError(f"bad component index {k} in bracket ({i},{j}), "
+                                     f"expected 1..{n}")
+                x = sc(c)
+                if isinstance(x, Scalar):
+                    if radicand not in (None, x.d):
+                        raise FieldError(f"structure constants mix Q(sqrt {radicand}) "
+                                         f"and Q(sqrt {x.d})")
+                    radicand = x.d
+                if x:
+                    kept[k] = x
+            if kept:
+                clean[(i, j)] = kept
         self.brackets = clean
         if validate:
             bad = self.jacobi_check()

@@ -1,8 +1,9 @@
-"""Smoke tests of the benchmark harness: one short traced betti-ladder run
-and short untraced verify-paper and quadratic-field runs.
+"""Smoke tests of the benchmark harness: short traced betti-ladder and
+verify-paper runs and short untraced verify-paper and quadratic-field runs.
 
-The traced run fails when an entry point it wraps is renamed or no longer
-called (its per-layer count reads 0).  Every job's payload is checked
+A traced run fails when an entry point it wraps is renamed or no longer
+called (its per-layer count reads 0); the two traced workloads together
+reach every entry point the harness requires.  Every job's payload is checked
 against the recorded reference (for verify-paper, every claim payload), so
 this catches both before a full benchmark run does.  The quadratic-field
 run is the exact payload check of elimination over Q(sqrt 3): the su3 and
@@ -28,6 +29,10 @@ def _run(workload: str, trace: str) -> None:
 
 def test_traced_betti_ladder_run():
     _run("betti-ladder", "1")
+
+
+def test_traced_verify_paper_run():
+    _run("verify-paper", "1")
 
 
 def test_untraced_verify_paper_run():

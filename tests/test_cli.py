@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lmmt.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -42,6 +48,10 @@ def test_jacobi_failure_exit_code(capsys):
     assert main(["betti", "0,12,13+23"]) == 1
 
 
+# structure constants from Q(sqrt 2) and from Q(sqrt 3)
+MIXED_FIELDS = ('{"dim":3,"brackets":[{"i":1,"j":2,"c":{"3":"sqrt(2)"}},'
+                '{"i":1,"j":3,"c":{"2":"sqrt(3)"}}]}')
+
 BAD_INPUT = [
     (["parse", "0,0,x"], 2),
     (["betti", "0,12,13+23"], 1),
@@ -74,6 +84,13 @@ BAD_INPUT = [
     (["orbit-check", "0,0,12", "--form", '{"n":4,"degree":1,"terms":{"1":"1"}}'], 2),
     (["hs-page", "0,0,12", "--ideal", "2,3", "--max-q", "-1"], 2),
     (["construct-nondeg", "3", "-2"], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"5":"1"}}]}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"0":"1"}}]}'], 2),
+    (["stable", "--form", '{"n":3,"degree":2,"terms":{"1,5":"1"}}'], 2),
+    (["nondeg", "--form", '{"n":-1,"degree":0,"terms":{}}'], 2),
+    (["stable", "--form", '{"n":3,"degree":1,"terms":{"0":"1"}}'], 2),
+    (["--json", "parse", MIXED_FIELDS], 2),
+    (["betti", MIXED_FIELDS], 2),
 ]
 
 
@@ -96,6 +113,23 @@ def test_bad_input_message_names_the_input(capsys):
     assert "max_q must be non-negative, got -1" in capsys.readouterr().err
     main(["construct-nondeg", "3", "-2"])
     assert "dimension -2 is negative" in capsys.readouterr().err
+    main(["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"5":"1"}}]}'])
+    assert "bad component index 5 in bracket (1,2), expected 1..2" in capsys.readouterr().err
+    main(["stable", "--form", '{"n":3,"degree":2,"terms":{"1,5":"1"}}'])
+    assert "index 5 in term '1,5' is outside 1..3" in capsys.readouterr().err
+    main(["stable", "--form", '{"n":3,"degree":1,"terms":{"0":"1"}}'])
+    assert "index 0 in term '0' is outside 1..3" in capsys.readouterr().err
+    main(["betti", MIXED_FIELDS])
+    assert "mix Q(sqrt 2) and Q(sqrt 3)" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "lmmt", "betti", "0,0,12"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "betti [1, 2, 2, 1]\n"
 
 
 def test_trivial(capsys):

@@ -1,16 +1,18 @@
 """Chevalley-Eilenberg cohomology, Lie kernels, Cartan-type identities."""
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import (betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
-from lmmt.exterior import KForm, KVector, basis_masks, indices_of
+from lmmt.exterior import DimensionMismatch, KForm, KVector, basis_masks, indices_of
 from lmmt.liealg import builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
@@ -28,6 +30,55 @@ def test_su2_differential_oracle():
     # de1 = 2 e23 for the convention [X1, X2] = -2 X3 (cyclic)
     e1 = KForm.basis(3, (1,))
     assert d_form(builtin("su2"), e1) == KForm.basis(3, (2, 3), 2)
+
+
+# su3 has structure constants in Q(sqrt 3); the rest are rational
+D_ALGEBRAS = [parse_salamon(s) for s in CATALOG + NILPOTENT] + [builtin("su2"), builtin("su3")]
+
+
+def test_d_form_equals_every_ce_differential_column():
+    # d_form reads the structure constants, ce_differential is built from
+    # lie_L by duality: the two must agree on every basis form
+    for g in D_ALGEBRAS:
+        for k in range(g.n + 1):
+            mat = ce_differential(g, k)
+            dst = basis_masks(g.n, k + 1)
+            for col, mask in enumerate(basis_masks(g.n, k)):
+                expect = KForm.from_vector(g.n, k + 1, dst, mat.column(col))
+                assert d_form(g, KForm.basis(g.n, indices_of(mask))) == expect
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def sparse_forms(draw):
+    """(g, a): a form on g with up to five terms, coefficients in Q(sqrt 3)."""
+    g = draw(st.sampled_from(D_ALGEBRAS))
+    k = draw(st.integers(0, g.n))
+    masks = draw(st.lists(st.sampled_from(basis_masks(g.n, k)), max_size=5, unique=True))
+    coeffs = draw(st.lists(st.builds(lambda a, b: Scalar(a, b, 3), small_rationals, small_rationals),
+                           min_size=len(masks), max_size=len(masks)))
+    return g, KForm(g.n, k, dict(zip(masks, coeffs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_forms())
+def test_d_form_is_the_ce_differential_on_sparse_forms(case):
+    g, a = case
+    k = a.degree
+    src, dst = basis_masks(g.n, k), basis_masks(g.n, k + 1)
+    expect = KForm.from_vector(g.n, k + 1, dst, ce_differential(g, k).mul_vec(a.to_vector(src)))
+    da = d_form(g, a)
+    assert da == expect
+    assert d_form(g, da).is_zero()
+
+
+def test_d_form_rejects_a_form_of_another_dimension():
+    su2 = builtin("su2")
+    for n in (2, 4):
+        with pytest.raises(DimensionMismatch):
+            d_form(su2, KForm.basis(n, (1,)))
 
 
 def test_dd_zero_exhaustive():

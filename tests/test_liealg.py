@@ -6,7 +6,7 @@ import pytest
 from lmmt.liealg import (Derivation, JacobiError, LeibnizError, LieAlgebra,
                          SalamonSyntaxError, builtin, extend_by_derivations,
                          grading_derivation, parse_salamon, structural_report)
-from lmmt.scalars import Scalar
+from lmmt.scalars import FieldError, Scalar
 
 
 def test_parse_heisenberg_bracket():
@@ -149,3 +149,14 @@ def test_extension_requires_commuting_derivations():
     d2 = grading_derivation(a3, [1, 1, 2])
     g = extend_by_derivations(a3, [d1, d2])
     assert g.n == 5 and g.jacobi_check() is None
+
+
+def test_bracket_components_are_checked():
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"bad component index {k}"):
+            LieAlgebra(2, {(1, 2): {k: 1}})
+    with pytest.raises(FieldError):
+        LieAlgebra(3, {(1, 2): {3: Scalar(0, 1, 2)}, (1, 3): {2: Scalar(0, 1, 3)}})
+    g = LieAlgebra(3, {(1, 2): {3: Scalar(0, 1, 3)}, (1, 3): {2: Scalar(1, 1, 3)}},
+                   validate=False)
+    assert g.to_json()["field"] == {"sqrt": 3}
