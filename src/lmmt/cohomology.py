@@ -84,9 +84,20 @@ class CohomologyReport:
 
 
 def betti(g: LieAlgebra) -> CohomologyReport:
-    """All Betti numbers b_0..b_n, with cocycle/coboundary dimensions."""
+    """All Betti numbers b_0..b_n, with cocycle/coboundary dimensions.
+
+    With r_k = rank of d on k-forms, b_k = C(n, k) - r_k - r_{k-1}, where
+    r_{-1} = r_n = 0.  A unimodular algebra (tr ad x = 0 for every x) has
+    Poincare duality b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950; Hazewinkel,
+    Math. USSR Sb. 12, 1970), and induction on k from r_{-1} = r_n turns it
+    into r_k = r_{n-1-k}: only d on k-forms with k <= (n-1)/2 is built and
+    ranked.  Any other algebra gets every degree built."""
     n = g.n
-    ranks = [ce_differential(g, k).rank() for k in range(n + 1)]
+    if g.is_unimodular():
+        low = [ce_differential(g, k).rank() for k in range((n + 1) // 2)]
+        ranks = [low[min(k, n - 1 - k)] for k in range(n)] + [0]
+    else:
+        ranks = [ce_differential(g, k).rank() for k in range(n + 1)]
     cocycles = [dim_lambda(n, k) - ranks[k] for k in range(n + 1)]
     cobound = [0] + [ranks[k] for k in range(n)]
     b = [cocycles[k] - cobound[k] for k in range(n + 1)]

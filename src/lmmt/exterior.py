@@ -9,6 +9,7 @@ layout (``scalars.Elem``).
 
 from __future__ import annotations
 
+import json
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
@@ -22,6 +23,13 @@ class DimensionMismatch(ValueError):
 
 class DegreeError(ValueError):
     pass
+
+
+def json_int(value: object, name: str) -> int:
+    """value when it is a JSON integer (not a boolean), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 # -- mask utilities --------------------------------------------------------
@@ -206,7 +214,7 @@ class AltElement:
 
     @classmethod
     def from_json(cls: Type[_E], data: dict) -> _E:
-        n = data["n"]
+        n = json_int(data["n"], "n")
         if n < 0:
             raise ValueError(f"dimension {n} is negative")
         terms = {}
@@ -216,7 +224,7 @@ class AltElement:
             if bad:
                 raise ValueError(f"index {bad[0]} in term {key!r} is outside 1..{n}")
             terms[mask_of(idx)] = Scalar.parse(val)
-        return cls(n, data["degree"], terms)
+        return cls(n, json_int(data["degree"], "degree"), terms)
 
     def __str__(self) -> str:
         if not self.terms:

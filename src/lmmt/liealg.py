@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, indices_of
+from .exterior import KVector, indices_of, json_int
 from .linalg import Matrix, Vector, row_space_basis
 from .scalars import ONE, ZERO, Elem, FieldError, Scalar, sc
 
@@ -104,6 +104,19 @@ class LieAlgebra:
                 entries[(k - 1, j - 1)] = c
         return Matrix(self.n, self.n, entries)
 
+    def is_unimodular(self) -> bool:
+        """True when tr ad(e_i) = sum_j c^j_{ij} vanishes for every i.
+
+        Read straight from the brackets: the component j of [e_i, e_j]
+        adds to tr ad(e_i), and its component i subtracts from tr ad(e_j)."""
+        trace: Dict[int, Elem] = {}
+        for (i, j), comp in self.brackets.items():
+            if j in comp:
+                trace[i] = trace.get(i, ZERO) + comp[j]
+            if i in comp:
+                trace[j] = trace.get(j, ZERO) - comp[i]
+        return not any(trace.values())
+
     def jacobi_check(self) -> Optional[Tuple[int, int, int]]:
         """None if Jacobi holds; else the first failing basis triple."""
         for i in range(1, self.n + 1):
@@ -173,8 +186,9 @@ class LieAlgebra:
         brackets: Brackets = {}
         for entry in data.get("brackets", []):
             comp = {int(k): Scalar.parse(v) for k, v in entry["c"].items()}
-            brackets[(entry["i"], entry["j"])] = comp
-        return cls(data["dim"], brackets)
+            brackets[(json_int(entry["i"], "bracket index i"),
+                      json_int(entry["j"], "bracket index j"))] = comp
+        return cls(json_int(data["dim"], "dim"), brackets)
 
     # -- Salamon notation --------------------------------------------------
 
@@ -460,10 +474,6 @@ def structural_report(g: LieAlgebra) -> StructuralReport:
         lower.append(nxt)
         if not nxt:
             break
-    unimodular = all(
-        not sum((g.ad_matrix(i).entries.get((j, j), ZERO) for j in range(g.n)), ZERO)
-        for i in range(1, g.n + 1)
-    )
     dprime = derived[1] if len(derived) > 1 else _span_brackets(g, full, full)
     return StructuralReport(
         n=g.n,
@@ -471,7 +481,7 @@ def structural_report(g: LieAlgebra) -> StructuralReport:
         lower_central_dims=[len(b) for b in lower],
         solvable=len(derived[-1]) == 0,
         nilpotent=len(lower[-1]) == 0,
-        unimodular=unimodular,
+        unimodular=g.is_unimodular(),
         codim_derived=g.n - len(dprime),
         derived_basis=dprime,
     )

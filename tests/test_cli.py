@@ -91,6 +91,13 @@ BAD_INPUT = [
     (["stable", "--form", '{"n":3,"degree":1,"terms":{"0":"1"}}'], 2),
     (["--json", "parse", MIXED_FIELDS], 2),
     (["betti", MIXED_FIELDS], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":"1","j":2,"c":{"2":"1"}}]}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2.0,"c":{"2":"1"}}]}'], 2),
+    (["betti", '{"dim":"2","brackets":[]}'], 2),
+    (["betti", '{"dim":2.0,"brackets":[]}'], 2),
+    (["betti", '{"dim":true,"brackets":[]}'], 2),
+    (["stable", "--form", '{"n":"3","degree":1,"terms":{"1":"1"}}'], 2),
+    (["stable", "--form", '{"n":3,"degree":"1","terms":{"1":"1"}}'], 2),
 ]
 
 
@@ -121,6 +128,12 @@ def test_bad_input_message_names_the_input(capsys):
     assert "index 0 in term '0' is outside 1..3" in capsys.readouterr().err
     main(["betti", MIXED_FIELDS])
     assert "mix Q(sqrt 2) and Q(sqrt 3)" in capsys.readouterr().err
+    main(["betti", '{"dim":2,"brackets":[{"i":"1","j":2,"c":{"2":"1"}}]}'])
+    assert 'bracket index i must be an integer, got "1"' in capsys.readouterr().err
+    main(["betti", '{"dim":true,"brackets":[]}'])
+    assert "dim must be an integer, got true" in capsys.readouterr().err
+    main(["stable", "--form", '{"n":"3","degree":1,"terms":{"1":"1"}}'])
+    assert 'n must be an integer, got "3"' in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT
-from lmmt.cohomology import (betti, cartan_identity_check, cocycle_basis,
+from lmmt.cohomology import (CohomologyReport, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
@@ -16,6 +16,7 @@ from lmmt.exterior import DimensionMismatch, KForm, KVector, basis_masks, indice
 from lmmt.liealg import builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
+from lmmt.spectral import diagonal_extension
 
 
 def test_su2_betti_oracle():
@@ -111,9 +112,63 @@ def test_b1_equals_codim_derived():
 
 
 def test_poincare_duality_unimodular():
-    b = betti(parse_salamon("0,0,13+23,14,15,16,-4.17-27")).betti
+    g = parse_salamon("0,0,13+23,14,15,16,-4.17-27")
+    b = betti(g).betti
     assert b == [1, 2, 1, 0, 0, 1, 2, 1]
     assert b == b[::-1]
+    # the identity betti's shortcut rests on, from direct ranks
+    ranks = [ce_differential(g, k).rank() for k in range(g.n)]
+    assert ranks == ranks[::-1]
+
+
+# tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,
+# "0,12,-1.13" is but is not nilpotent, and "12,0,23" / "12,0,2.23" act by
+# e_2 in the middle of the basis, with trace zero and non-zero
+TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23"]
+
+DUALITY_CASES = (
+    [(s, parse_salamon(s)) for s in CATALOG + NILPOTENT + TRACE_CASES]
+    + [(name, builtin(name)) for name in ("su2", "su3", "heisenberg")]
+    + [(f"abelian:{n}", builtin(f"abelian:{n}")) for n in range(5)]
+    + [(f"diag{lam}", diagonal_extension([Fraction(x) for x in lam]))
+       for lam in ((1, -1), (1, 2, -3), (1, -1, 2), (1, 2), (0, 0, 1))])
+
+
+@pytest.mark.parametrize("name,g", DUALITY_CASES, ids=[c[0] for c in DUALITY_CASES])
+def test_betti_equals_direct_ranks(name, g):
+    """The whole report equals the table from the ranks of all n + 1
+    differentials, unimodular (duality shortcut) or not."""
+    n = g.n
+    ranks = [ce_differential(g, k).rank() for k in range(n + 1)]
+    cocycles = [comb(n, k) - ranks[k] for k in range(n + 1)]
+    coboundaries = [0] + ranks[:n]
+    expect = CohomologyReport(n, [z - c for z, c in zip(cocycles, coboundaries)],
+                              cocycles, coboundaries)
+    assert betti(g) == expect
+
+
+def _poincare_polynomial(exponents):
+    """Coefficients of prod (1 + t^(2e + 1)) over the exponents e."""
+    coeffs = [1]
+    for e in exponents:
+        shifted = [0] * (2 * e + 1) + coeffs
+        coeffs = [a + b for a, b in zip(coeffs + [0] * (2 * e + 1), shifted)]
+    return coeffs
+
+
+@pytest.mark.parametrize("parts,exponents", [
+    (["su2"], [1]),
+    (["su3"], [1, 2]),
+    (["su2", "su2"], [1, 1]),
+    (["su3", "su2"], [1, 2, 1]),
+])
+def test_compact_semisimple_betti_oracle(parts, exponents):
+    """su(m) has exponents 1..m-1; a compact semisimple algebra has Poincare
+    polynomial prod (1 + t^(2e + 1)) over the exponents of its simple parts."""
+    g = builtin(parts[0])
+    for name in parts[1:]:
+        g = g.direct_sum(builtin(name))
+    assert betti(g).betti == _poincare_polynomial(exponents)
 
 
 def _closed_form(kind, size):

@@ -107,7 +107,12 @@ def test_from_json_checks_dimension_and_indices():
     assert KForm.from_json({"n": 3, "degree": 2, "terms": {"1,3": "2"}}) == KForm.basis(3, (1, 3), 2)
     for data in ({"n": -1, "degree": 0, "terms": {}},
                  {"n": 3, "degree": 2, "terms": {"1,5": "1"}},
-                 {"n": 3, "degree": 1, "terms": {"0": "1"}}):
+                 {"n": 3, "degree": 1, "terms": {"0": "1"}},
+                 {"n": "3", "degree": 1, "terms": {"1": "1"}},
+                 {"n": 3.0, "degree": 1, "terms": {"1": "1"}},
+                 {"n": True, "degree": 1, "terms": {"1": "1"}},
+                 {"n": 3, "degree": "1", "terms": {"1": "1"}},
+                 {"n": 3, "degree": 1.0, "terms": {"1": "1"}}):
         with pytest.raises(ValueError):
             KForm.from_json(data)
 

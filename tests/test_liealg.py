@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.liealg import (Derivation, JacobiError, LeibnizError, LieAlgebra,
                          SalamonSyntaxError, builtin, extend_by_derivations,
                          grading_derivation, parse_salamon, structural_report)
-from lmmt.scalars import FieldError, Scalar
+from lmmt.scalars import ZERO, FieldError, Scalar
+from lmmt.spectral import diagonal_extension
 
 
 def test_parse_heisenberg_bracket():
@@ -112,6 +114,27 @@ def test_structural_report_oracles():
     assert not su2.solvable and su2.codim_derived == 0
     aff = structural_report(parse_salamon("0,12"))
     assert aff.solvable and not aff.nilpotent and not aff.unimodular
+
+
+# tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,
+# "0,12,-1.13" is but is not nilpotent, and "12,0,23" / "12,0,2.23" act by
+# e_2 in the middle of the basis, with trace zero and non-zero
+TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23"]
+
+
+def test_is_unimodular_is_the_trace_of_ad():
+    algebras = ([parse_salamon(s) for s in CATALOG + NILPOTENT + TRACE_CASES]
+                + [builtin(name) for name in ("su2", "su3", "abelian:0")]
+                + [diagonal_extension([Fraction(x) for x in lam])
+                   for lam in ((1, -1), (1, 2), (1, 2, -3), (0, 1), (1, -1, 1))])
+    verdicts = []
+    for g in algebras:
+        traces = [sum((g.ad_matrix(i).entries.get((j, j), ZERO) for j in range(g.n)), ZERO)
+                  for i in range(1, g.n + 1)]
+        verdicts.append(g.is_unimodular())
+        assert verdicts[-1] == (not any(traces))
+        assert structural_report(g).unimodular == verdicts[-1]
+    assert True in verdicts and False in verdicts
 
 
 def test_derivation_validation():
