@@ -4,29 +4,33 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks, contract,
                        contract_sign, dim_lambda, indices_of, wedge_sign)
 from .liealg import LieAlgebra
 from .linalg import Matrix, extend_basis
-from .scalars import ONE, Elem
+from .scalars import ONE, ZERO, Elem, Scalar
 
 
-def ce_differential(g: LieAlgebra, k: int) -> Matrix:
+def ce_differential(g: LieAlgebra, k: int,
+                    block: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> Matrix:
     """Matrix of d: degree-k forms -> degree-(k+1) forms, canonical bases.
 
     Dual to the bracket-extension map: the e^J-coefficient of d(e^I) is
-    the e_I-coefficient of L(e_J).
+    the e_I-coefficient of L(e_J).  block = (cols, rows) restricts the
+    matrix to those degree-k and degree-(k+1) masks, in that order.
     """
-    src = basis_masks(g.n, k)
-    dst = basis_masks(g.n, k + 1)
+    src, dst = block if block is not None else (basis_masks(g.n, k), basis_masks(g.n, k + 1))
     col_index = {m: i for i, m in enumerate(src)}
     entries: Dict[Tuple[int, int], Elem] = {}
     for row, mj in enumerate(dst):
         image = g.lie_L(KVector(g.n, k + 1, {mj: ONE}))
         for mask, c in image.terms.items():
-            entries[(row, col_index[mask])] = c
+            col = col_index.get(mask)
+            if col is not None:
+                entries[(row, col)] = c
     return Matrix(len(dst), len(src), entries)
 
 
@@ -83,17 +87,86 @@ class CohomologyReport:
         }
 
 
+def _weight_codes(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[int]:
+    """One integer per basis index o, additive over masks, whose sum over a
+    mask is 0 exactly when every w_t sums to 0 there.
+
+    Each w_t(o) = a + b sqrt(d) gives the rational digits a and b; times the
+    common denominator they are integers, and no sum of them over a mask
+    exceeds s = the sum of their absolute values.  Base 2s + 1 then packs
+    each joint weight into one integer without carries, exactly."""
+    digits = []
+    for o in range(1, n + 1):
+        row = []
+        for w in torus.values():
+            x = w.get(o, ZERO)
+            row += (x.a, x.b) if isinstance(x, Scalar) else (x, ZERO)
+        digits.append(row)
+    den = lcm(*(c.denominator for row in digits for c in row))
+    digits = [[int(c * den) for c in row] for row in digits]
+    base = 2 * sum(abs(c) for row in digits for c in row) + 1
+    return [sum(c * base ** j for j, c in enumerate(row)) for row in digits]
+
+
+def _weight_zero_masks(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[List[int]]:
+    """The masks of joint torus weight zero, by degree 0..n+1 (degree n+1 is
+    empty: the rows of the degree-n block), each list increasing.
+
+    One pass over the 2^n masks in Gray-code order: consecutive masks differ
+    in one bit, so each weight code is the previous one plus or minus that
+    bit's code, and no table of weights is kept."""
+    codes = _weight_codes(n, torus)
+    zero: List[List[int]] = [[0]] + [[] for _ in range(n + 1)]
+    weight = mask = 0
+    for i in range(1, 1 << n):
+        low = i & -i
+        mask ^= low
+        if mask & low:
+            weight += codes[low.bit_length() - 1]
+        else:
+            weight -= codes[low.bit_length() - 1]
+        if not weight:
+            zero[mask.bit_count()].append(mask)
+    for masks in zero:
+        masks.sort()
+    return zero
+
+
 def betti(g: LieAlgebra) -> CohomologyReport:
     """All Betti numbers b_0..b_n, with cocycle/coboundary dimensions.
 
     With r_k = rank of d on k-forms, b_k = C(n, k) - r_k - r_{k-1}, where
-    r_{-1} = r_n = 0.  A unimodular algebra (tr ad x = 0 for every x) has
-    Poincare duality b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950; Hazewinkel,
-    Math. USSR Sb. 12, 1970), and induction on k from r_{-1} = r_n turns it
-    into r_k = r_{n-1-k}: only d on k-forms with k <= (n-1)/2 is built and
-    ranked.  Any other algebra gets every degree built."""
+    r_{-1} = r_n = 0.  Three ways to the ranks, tried in this order:
+
+    - An inner diagonal torus: basis elements e_t with [e_t, e_o] = w_t(o) e_o
+      for every o (``LieAlgebra.inner_torus``).  By the Cartan formula
+      L_X = d i_X + i_X d, and L_{e_t} e^I = -w_t(I) e^I with w_t(I) the sum
+      of w_t over I.  d commutes with every L_{e_t} (and i_{e_t} with
+      L_{e_s}, as [e_s, e_t] = 0), so the complex splits into joint weight
+      blocks, and on a block where some w_t != 0 the map -i_{e_t} / w_t is a
+      contracting homotopy: the block is acyclic (Hochschild-Serre, Ann. of
+      Math. 57, 1953).  Only the weight-zero block, c0_k masks in degree k,
+      is built and ranked (r0_k).  The acyclic rest has ranks
+      r'_k = C(n, k) - c0_k - r'_{k-1} from r'_{-1} = 0, and r_k = r0_k + r'_k;
+      r'_k >= 0 and r'_n = 0 are checked as a certificate.
+    - A unimodular algebra (tr ad x = 0 for every x) has Poincare duality
+      b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950; Hazewinkel, Math. USSR Sb.
+      12, 1970), and induction on k from r_{-1} = r_n turns it into
+      r_k = r_{n-1-k}: only d on k-forms with k <= (n-1)/2 is built and ranked.
+    - Any other algebra gets every degree built."""
     n = g.n
-    if g.is_unimodular():
+    torus = g.inner_torus()
+    if torus:
+        zero = _weight_zero_masks(n, torus)
+        ranks, rest = [], 0
+        for k in range(n + 1):
+            rest = dim_lambda(n, k) - len(zero[k]) - rest
+            if rest < 0:
+                raise AssertionError(f"negative rank {rest} off the weight-zero block")
+            ranks.append(ce_differential(g, k, (zero[k], zero[k + 1])).rank() + rest)
+        if rest:
+            raise AssertionError(f"the complex off weight zero is not acyclic in degree {n}")
+    elif g.is_unimodular():
         low = [ce_differential(g, k).rank() for k in range((n + 1) // 2)]
         ranks = [low[min(k, n - 1 - k)] for k in range(n)] + [0]
     else:

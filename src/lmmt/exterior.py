@@ -25,10 +25,14 @@ class DegreeError(ValueError):
     pass
 
 
-def json_int(value: object, name: str) -> int:
-    """value when it is a JSON integer (not a boolean), else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_as(value, kind: type, name: str):
+    """value when its JSON type is kind (int, str, list or dict; a boolean is
+    not an int), else ValueError naming the input."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
     return value
 
 
@@ -77,10 +81,21 @@ def contract_sign(i: int, mask: int) -> int:
 
 
 def basis_masks(n: int, k: int) -> List[int]:
-    """Canonical (bitmask-ordered) basis of degree k over n indices."""
+    """Canonical (bitmask-ordered) basis of degree k over n indices.
+
+    Gosper's hack steps from each k-bit mask to the next larger one, so the
+    cost is C(n, k), not 2^n."""
     if k < 0 or k > n:
         return []
-    out = [m for m in range(1 << n) if m.bit_count() == k]
+    if k == 0:
+        return [0]
+    out = []
+    m, end = (1 << k) - 1, 1 << n
+    while m < end:
+        out.append(m)
+        low = m & -m
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> 2) // low
     return out
 
 
@@ -214,17 +229,17 @@ class AltElement:
 
     @classmethod
     def from_json(cls: Type[_E], data: dict) -> _E:
-        n = json_int(data["n"], "n")
+        n = json_as(json_as(data, dict, "a form")["n"], int, "n")
         if n < 0:
             raise ValueError(f"dimension {n} is negative")
         terms = {}
-        for key, val in data.get("terms", {}).items():
+        for key, val in json_as(data.get("terms", {}), dict, "terms").items():
             idx = [int(t) for t in key.split(",")] if key else []
             bad = [i for i in idx if not 1 <= i <= n]
             if bad:
                 raise ValueError(f"index {bad[0]} in term {key!r} is outside 1..{n}")
-            terms[mask_of(idx)] = Scalar.parse(val)
-        return cls(n, json_int(data["degree"], "degree"), terms)
+            terms[mask_of(idx)] = Scalar.parse(json_as(val, str, f"coefficient of term {key!r}"))
+        return cls(n, json_as(data["degree"], int, "degree"), terms)
 
     def __str__(self) -> str:
         if not self.terms:

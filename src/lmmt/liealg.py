@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, indices_of, json_int
+from .exterior import KVector, indices_of, json_as
 from .linalg import Matrix, Vector, row_space_basis
 from .scalars import ONE, ZERO, Elem, FieldError, Scalar, sc
 
@@ -117,6 +117,28 @@ class LieAlgebra:
                 trace[j] = trace.get(j, ZERO) - comp[i]
         return not any(trace.values())
 
+    def inner_torus(self) -> Dict[int, Dict[int, Elem]]:
+        """t -> {o: w_t(o)} for each basis element e_t whose ad is diagonal
+        and non-zero: [e_t, e_o] = w_t(o) e_o for every o.
+
+        Read straight from the brackets: a bracket (i, j) keeps e_i diagonal
+        only when its sole component is j, and e_j only when it is i.  Two
+        such elements commute, since [e_t, e_s] is a multiple of e_s and of
+        e_t at once."""
+        weights: Dict[int, Dict[int, Elem]] = {}
+        mixed = set()
+        for (i, j), comp in self.brackets.items():
+            only = next(iter(comp)) if len(comp) == 1 else None
+            if only == j:
+                weights.setdefault(i, {})[j] = comp[j]
+            else:
+                mixed.add(i)
+            if only == i:
+                weights.setdefault(j, {})[i] = -comp[i]
+            else:
+                mixed.add(j)
+        return {t: weights[t] for t in sorted(weights) if t not in mixed}
+
     def jacobi_check(self) -> Optional[Tuple[int, int, int]]:
         """None if Jacobi holds; else the first failing basis triple."""
         for i in range(1, self.n + 1):
@@ -184,11 +206,14 @@ class LieAlgebra:
     @classmethod
     def from_json(cls, data: dict) -> "LieAlgebra":
         brackets: Brackets = {}
-        for entry in data.get("brackets", []):
-            comp = {int(k): Scalar.parse(v) for k, v in entry["c"].items()}
-            brackets[(json_int(entry["i"], "bracket index i"),
-                      json_int(entry["j"], "bracket index j"))] = comp
-        return cls(json_int(data["dim"], "dim"), brackets)
+        for entry in json_as(json_as(data, dict, "an algebra").get("brackets", []),
+                             list, "brackets"):
+            comp = json_as(json_as(entry, dict, "a bracket")["c"], dict, "bracket components c")
+            brackets[(json_as(entry["i"], int, "bracket index i"),
+                      json_as(entry["j"], int, "bracket index j"))] = {
+                int(k): Scalar.parse(json_as(v, str, f"structure constant c[{k}]"))
+                for k, v in comp.items()}
+        return cls(json_as(data["dim"], int, "dim"), brackets)
 
     # -- Salamon notation --------------------------------------------------
 

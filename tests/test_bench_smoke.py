@@ -1,16 +1,18 @@
-"""Smoke tests of the benchmark harness: short traced betti-ladder and
-verify-paper runs and short untraced verify-paper, quadratic-field and
-diag-ext runs.
+"""Smoke tests of the benchmark harness: short traced betti-ladder,
+verify-paper and diag-ext runs and short untraced verify-paper,
+quadratic-field and diag-ext runs.
 
 A traced run fails when an entry point it wraps is renamed or no longer
-called (its per-layer count reads 0); the two traced workloads together
+called (its per-layer count reads 0); the traced workloads together
 reach every entry point the harness requires.  Every job's payload is checked
 against the recorded reference (for verify-paper, every claim payload), so
 this catches both before a full benchmark run does.  The quadratic-field
 run is the exact payload check of elimination over Q(sqrt 3): the su3 and
-su3+su2 Betti tables and the psu3 stabiliser.  The diag-ext run checks
-Betti tables of algebras that are not unimodular, which betti builds in
-every degree, against a closed form.  Each takes a few seconds.
+su3+su2 Betti tables and the psu3 stabiliser.  The diag-ext runs check
+Betti tables of algebras with an inner diagonal torus, which betti builds
+on the weight-zero block only, against a closed form; the traced one also
+checks that the block build still reaches lie_L, wedge and the elimination.
+Each takes a few seconds.
 """
 import json
 import subprocess
@@ -48,3 +50,7 @@ def test_untraced_quadratic_field_run():
 
 def test_untraced_diag_ext_run():
     _run("diag-ext", "0")
+
+
+def test_traced_diag_ext_run():
+    _run("diag-ext", "1")

@@ -98,6 +98,12 @@ BAD_INPUT = [
     (["betti", '{"dim":true,"brackets":[]}'], 2),
     (["stable", "--form", '{"n":"3","degree":1,"terms":{"1":"1"}}'], 2),
     (["stable", "--form", '{"n":3,"degree":"1","terms":{"1":"1"}}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":1}}]}'], 2),
+    (["stable", "--form", '{"n":3,"degree":1,"terms":{"1":1}}'], 2),
+    (["betti", '{"dim":2,"brackets":[1]}'], 2),
+    (["betti", '{"dim":2,"brackets":{"a":1}}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":[1]}]}'], 2),
+    (["stable", "--form", '{"n":3,"degree":1,"terms":[1]}'], 2),
 ]
 
 
@@ -134,6 +140,12 @@ def test_bad_input_message_names_the_input(capsys):
     assert "dim must be an integer, got true" in capsys.readouterr().err
     main(["stable", "--form", '{"n":"3","degree":1,"terms":{"1":"1"}}'])
     assert 'n must be an integer, got "3"' in capsys.readouterr().err
+    main(["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":1}}]}'])
+    assert "structure constant c[2] must be a string, got 1" in capsys.readouterr().err
+    main(["betti", '{"dim":2,"brackets":{"a":1}}'])
+    assert 'brackets must be a list, got {"a": 1}' in capsys.readouterr().err
+    main(["stable", "--form", '{"n":3,"degree":1,"terms":[1]}'])
+    assert "terms must be an object, got [1]" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -13,7 +13,8 @@ from lmmt.cohomology import (CohomologyReport, betti, cartan_identity_check, coc
                              d_form, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
 from lmmt.exterior import DimensionMismatch, KForm, KVector, basis_masks, indices_of
-from lmmt.liealg import builtin, parse_salamon, structural_report
+from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
+                          parse_salamon, structural_report)
 from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
 from lmmt.spectral import diagonal_extension
@@ -123,8 +124,9 @@ def test_poincare_duality_unimodular():
 
 # tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,
 # "0,12,-1.13" is but is not nilpotent, and "12,0,23" / "12,0,2.23" act by
-# e_2 in the middle of the basis, with trace zero and non-zero
-TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23"]
+# e_2 in the middle of the basis, with trace zero and non-zero; in
+# "0,-12+13,-12+13" ad e_1 is nilpotent but not diagonal, with diagonal (1, -1)
+TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23", "0,-12+13,-12+13"]
 
 DUALITY_CASES = (
     [(s, parse_salamon(s)) for s in CATALOG + NILPOTENT + TRACE_CASES]
@@ -137,14 +139,139 @@ DUALITY_CASES = (
 @pytest.mark.parametrize("name,g", DUALITY_CASES, ids=[c[0] for c in DUALITY_CASES])
 def test_betti_equals_direct_ranks(name, g):
     """The whole report equals the table from the ranks of all n + 1
-    differentials, unimodular (duality shortcut) or not."""
+    differentials, whichever shortcut betti takes."""
+    assert betti(g) == _report_from_all_ranks(g)
+
+
+def _report_from_all_ranks(g):
+    """The report built from the ranks of all n + 1 full differentials."""
     n = g.n
     ranks = [ce_differential(g, k).rank() for k in range(n + 1)]
     cocycles = [comb(n, k) - ranks[k] for k in range(n + 1)]
     coboundaries = [0] + ranks[:n]
-    expect = CohomologyReport(n, [z - c for z, c in zip(cocycles, coboundaries)],
-                              cocycles, coboundaries)
-    assert betti(g) == expect
+    return CohomologyReport(n, [z - c for z, c in zip(cocycles, coboundaries)],
+                            cocycles, coboundaries)
+
+
+def _diagonal_derivations(k):
+    """A basis of the diagonal derivations diag(d_1..d_n) of k: d_m = d_i + d_j
+    whenever [e_i, e_j] has a component e_m."""
+    rows = []
+    for (i, j), comp in k.brackets.items():
+        for m in comp:
+            row = [0] * k.n
+            row[m - 1] += 1
+            row[i - 1] -= 1
+            row[j - 1] -= 1
+            rows.append(row)
+    return Matrix.from_rows(rows or [[0] * k.n]).kernel_basis()
+
+
+def _sl3_chevalley():
+    """sl(3) on h1 = E11 - E22, h2 = E22 - E33 and the six E_ij: a Cartan
+    subalgebra of two basis elements with diagonal ad."""
+    def unit(i, j):
+        return [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+
+    def sub(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def mul(a, b):
+        return [[sum(a[r][t] * b[t][c] for t in range(3)) for c in range(3)] for r in range(3)]
+
+    roots = [(i, j) for i in range(3) for j in range(3) if i != j]
+    basis = [sub(unit(0, 0), unit(1, 1)), sub(unit(1, 1), unit(2, 2))]
+    basis += [unit(i, j) for i, j in roots]
+    brackets = {}
+    for p in range(8):
+        for q in range(p + 1, 8):
+            x = sub(mul(basis[p], basis[q]), mul(basis[q], basis[p]))
+            # diag(a, b, c) with a + b + c = 0 is a h1 + (a + b) h2
+            comp = {1: x[0][0], 2: x[0][0] + x[1][1]}
+            comp.update({3 + r: x[i][j] for r, (i, j) in enumerate(roots)})
+            brackets[(p + 1, q + 1)] = comp
+    return LieAlgebra(8, brackets)
+
+
+def _split_sl2():
+    """sl(2) on h, e, f: [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    return LieAlgebra(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+
+
+def _h3_by_mixed_signs():
+    """h3 extended by diag(1, -1, 0): e^4 and e^23 have weight zero and d e^4
+    is a multiple of e^23, so the weight-zero block has a non-zero d."""
+    h3 = parse_salamon("0,0,12")
+    return extend_by_derivations(h3, [Derivation.from_rows(h3, [[1, 0, 0], [0, -1, 0], [0, 0, 0]])])
+
+
+@st.composite
+def torus_algebras(draw):
+    """Algebras with an inner diagonal torus, each possibly summed with a
+    nilpotent algebra (on which the torus weights vanish)."""
+    kind = draw(st.sampled_from(["diag-q", "diag-sqrt3", "nilpotent", "sl2"]))
+    if kind == "diag-q":
+        g = diagonal_extension(draw(st.lists(small_rationals, min_size=1, max_size=6).filter(any)))
+    elif kind == "diag-sqrt3":
+        lams = draw(st.lists(st.builds(lambda a, b: Scalar(a, b, 3), small_rationals,
+                                       small_rationals), min_size=1, max_size=6).filter(any))
+        g = LieAlgebra(len(lams) + 1, {(1, i): {i: lam} for i, lam in enumerate(lams, 2)})
+    elif kind == "nilpotent":
+        k = parse_salamon(draw(st.sampled_from(NILPOTENT[:4])))
+        basis = _diagonal_derivations(k)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        diag = [sum((c * v[m] for c, v in zip(coeffs, basis)), Fraction(0)) for m in range(k.n)]
+        if not any(diag):
+            diag = list(basis[0])
+        rows = [[diag[r] if r == c else 0 for c in range(k.n)] for r in range(k.n)]
+        g = extend_by_derivations(k, [Derivation.from_rows(k, rows)])
+    else:
+        g = _split_sl2()
+    if g.n <= 6 and draw(st.booleans()):
+        g = g.direct_sum(parse_salamon(draw(st.sampled_from(["0,0,12", "0,0"]))))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_algebras())
+def test_torus_betti_equals_direct_ranks(g):
+    """The weight-zero shortcut against the full complex, on random algebras
+    that have an inner diagonal torus."""
+    assert g.inner_torus()
+    assert betti(g) == _report_from_all_ranks(g)
+
+
+@pytest.mark.parametrize("make,torus,expect", [
+    (_split_sl2, [1], [1, 0, 0, 1]),
+    (_sl3_chevalley, [1, 2], [1, 0, 0, 1, 0, 1, 0, 0, 1]),  # (1 + t^3)(1 + t^5)
+    (_h3_by_mixed_signs, [1], None),
+])
+def test_torus_fixed_cases(make, torus, expect):
+    """Split sl2 and sl3 (Poincare polynomial of their compact forms) and a
+    case whose weight-zero block has rank > 0, against all n + 1 ranks."""
+    g = make()
+    assert list(g.inner_torus()) == torus
+    rep = betti(g)
+    assert rep == _report_from_all_ranks(g)
+    assert expect is None or rep.betti == expect
+
+
+def test_torus_block_has_a_nonzero_differential():
+    assert ce_differential(_h3_by_mixed_signs(), 1, ([0b1000], [0b0110])).rank() == 1
+
+
+def test_ce_differential_block_is_a_submatrix():
+    g = parse_salamon(CATALOG[1])
+    rng = random.Random(5)
+    for k in range(g.n + 1):
+        src, dst = basis_masks(g.n, k), basis_masks(g.n, k + 1)
+        full = ce_differential(g, k)
+        cols = sorted(rng.sample(range(len(src)), len(src) // 2))
+        rows = sorted(rng.sample(range(len(dst)), len(dst) // 2))
+        sub = ce_differential(g, k, ([src[c] for c in cols], [dst[r] for r in rows]))
+        assert sub == Matrix(len(rows), len(cols), {
+            (a, b): full.entries.get((r, c), 0)
+            for a, r in enumerate(rows) for b, c in enumerate(cols)})
 
 
 def _poincare_polynomial(exponents):

@@ -20,6 +20,12 @@ def test_dim_lambda():
     assert len(basis_masks(5, 2)) == 10
 
 
+def test_basis_masks_are_the_filtered_masks():
+    for n in range(13):
+        for k in range(-1, n + 2):
+            assert basis_masks(n, k) == [m for m in range(1 << n) if m.bit_count() == k]
+
+
 def test_wedge_sign_oracle():
     assert wedge_sign(mask_of((1,)), mask_of((2,))) == 1
     assert wedge_sign(mask_of((2,)), mask_of((1,))) == -1
@@ -112,7 +118,10 @@ def test_from_json_checks_dimension_and_indices():
                  {"n": 3.0, "degree": 1, "terms": {"1": "1"}},
                  {"n": True, "degree": 1, "terms": {"1": "1"}},
                  {"n": 3, "degree": "1", "terms": {"1": "1"}},
-                 {"n": 3, "degree": 1.0, "terms": {"1": "1"}}):
+                 {"n": 3, "degree": 1.0, "terms": {"1": "1"}},
+                 {"n": 3, "degree": 1, "terms": {"1": 1}},
+                 {"n": 3, "degree": 1, "terms": [1]},
+                 [1]):
         with pytest.raises(ValueError):
             KForm.from_json(data)
 

@@ -118,8 +118,9 @@ def test_structural_report_oracles():
 
 # tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,
 # "0,12,-1.13" is but is not nilpotent, and "12,0,23" / "12,0,2.23" act by
-# e_2 in the middle of the basis, with trace zero and non-zero
-TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23"]
+# e_2 in the middle of the basis, with trace zero and non-zero; in
+# "0,-12+13,-12+13" ad e_1 is nilpotent but not diagonal, with diagonal (1, -1)
+TRACE_CASES = ["0,12", "0,12,-1.13", "12,0,23", "12,0,2.23", "0,-12+13,-12+13"]
 
 
 def test_is_unimodular_is_the_trace_of_ad():
@@ -135,6 +136,36 @@ def test_is_unimodular_is_the_trace_of_ad():
         assert verdicts[-1] == (not any(traces))
         assert structural_report(g).unimodular == verdicts[-1]
     assert True in verdicts and False in verdicts
+
+
+def test_inner_torus_is_the_diagonal_ad():
+    algebras = ([parse_salamon(s) for s in CATALOG + NILPOTENT + TRACE_CASES]
+                + [builtin(name) for name in ("su2", "su3", "abelian:3")]
+                + [diagonal_extension([Fraction(x) for x in lam])
+                   for lam in ((1, -1), (1, 2), (0, 1), (0, 0))]
+                + [LieAlgebra(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}),
+                   LieAlgebra(3, {(1, 2): {2: Scalar(0, 1, 3)}, (1, 3): {3: 1}, (2, 3): {}})])
+    found = []
+    for g in algebras:
+        expect = {}
+        for t in range(1, g.n + 1):
+            ad = g.ad_matrix(t).entries
+            if ad and all(r == c for r, c in ad):
+                expect[t] = {c + 1: x for (r, c), x in ad.items()}
+        assert g.inner_torus() == expect
+        found.append(len(expect))
+    assert 0 in found and 1 in found and 2 in found
+
+
+def test_from_json_rejects_wrong_shapes():
+    for data in ([1],
+                 {"dim": 2, "brackets": [1]},
+                 {"dim": 2, "brackets": {"a": 1}},
+                 {"dim": 2, "brackets": [{"i": 1, "j": 2, "c": [1]}]},
+                 {"dim": 2, "brackets": [{"i": 1, "j": 2, "c": {"2": 1}}]},
+                 {"dim": 2, "brackets": [{"i": 1, "j": 2, "c": {"2": 0.5}}]}):
+        with pytest.raises(ValueError):
+            LieAlgebra.from_json(data)
 
 
 def test_derivation_validation():
