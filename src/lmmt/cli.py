@@ -61,7 +61,7 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:
         name, value = pair.split("=", 1)
         try:
             out[name] = Fraction(value)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError(f"bad rational in --param {pair!r}", 2)
     return out
 

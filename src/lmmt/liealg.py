@@ -139,6 +139,46 @@ class LieAlgebra:
                 mixed.add(j)
         return {t: weights[t] for t in sorted(weights) if t not in mixed}
 
+    def components(self) -> List[List[int]]:
+        """The finest split of 1..n into parts whose spans are commuting
+        ideals, read from the brackets in one union-find pass.
+
+        i and j join when [e_i, e_j] != 0, and so does each component index
+        k of [e_i, e_j] with i.  For i in a part P, every non-zero [e_i, e_j]
+        then has j and all its components in P: span P is an ideal, and
+        brackets across parts vanish.  Parts are increasing lists, ordered
+        by their least index."""
+        parent = list(range(self.n + 1))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for (i, j), comp in self.brackets.items():
+            r = root(i)
+            parent[root(j)] = r
+            for k in comp:
+                parent[root(k)] = r
+        parts: Dict[int, List[int]] = {}
+        for i in range(1, self.n + 1):
+            parts.setdefault(root(i), []).append(i)
+        return list(parts.values())
+
+    def restrict(self, indices: Sequence[int]) -> "LieAlgebra":
+        """The subalgebra spanned by e_i for the increasing indices, with
+        e_i renumbered by its position 1..m.  The span must be closed under
+        the bracket (ValueError otherwise), as every part of components()
+        is; Jacobi is inherited, so it is not checked again."""
+        pos = {i: p for p, i in enumerate(indices, start=1)}
+        brackets: Brackets = {}
+        for (i, j), comp in self.brackets.items():
+            if i in pos and j in pos:
+                if not comp.keys() <= pos.keys():
+                    raise ValueError(f"[e{i}, e{j}] leaves the span of {list(indices)}")
+                brackets[(pos[i], pos[j])] = {pos[k]: c for k, c in comp.items()}
+        return LieAlgebra(len(pos), brackets, validate=False)
+
     def jacobi_check(self) -> Optional[Tuple[int, int, int]]:
         """None if Jacobi holds; else the first failing basis triple."""
         for i in range(1, self.n + 1):
@@ -325,7 +365,11 @@ def _parse_expr(expr, offset, n, params):
         elif m.group("rat"):
             if coeff is not None:
                 raise SalamonSyntaxError("two coefficients in a term", offset + m.start())
-            coeff = Fraction(m.group("rat"))
+            try:
+                coeff = Fraction(m.group("rat"))
+            except ZeroDivisionError:
+                raise SalamonSyntaxError(f"zero denominator in {m.group('rat')!r}",
+                                         offset + m.start()) from None
         elif m.group("ident"):
             name = m.group("ident")
             if name not in params:

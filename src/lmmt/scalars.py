@@ -98,18 +98,21 @@ class Scalar:
         m = _SQRT_RE.match(text)
         if not m or (m.group("a") is None and m.group("b") is None):
             raise ValueError(f"cannot parse scalar {text!r}")
-        a = Fraction(m.group("a")) if m.group("a") else ZERO
-        b = ZERO
-        d = 1
-        if m.group("b"):
-            d = int(m.group("d"))
-            coef = m.group("b").split("sqrt")[0].replace("*", "").replace(" ", "")
-            if coef in ("", "+"):
-                b = ONE
-            elif coef == "-":
-                b = -ONE
-            else:
-                b = Fraction(coef)
+        try:
+            a = Fraction(m.group("a")) if m.group("a") else ZERO
+            b = ZERO
+            d = 1
+            if m.group("b"):
+                d = int(m.group("d"))
+                coef = m.group("b").split("sqrt")[0].replace("*", "").replace(" ", "")
+                if coef in ("", "+"):
+                    b = ONE
+                elif coef == "-":
+                    b = -ONE
+                else:
+                    b = Fraction(coef)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
         return _elem(a, b, d)
 
     def _join(self, other: "Scalar") -> int:

@@ -83,14 +83,7 @@ class IdealSplit:
         return self._adapted
 
     def ideal_algebra(self) -> LieAlgebra:
-        m = self.m
-        gt = self.adapted()
-        brackets = {
-            key: dict(comp)
-            for key, comp in gt.brackets.items()
-            if key[1] <= m
-        }
-        return LieAlgebra(m, brackets, validate=False)
+        return self.adapted().restrict(range(1, self.m + 1))
 
 
 def _restrict(form: KForm, m: int) -> KForm:

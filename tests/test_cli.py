@@ -104,6 +104,10 @@ BAD_INPUT = [
     (["betti", '{"dim":2,"brackets":{"a":1}}'], 2),
     (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":[1]}]}'], 2),
     (["stable", "--form", '{"n":3,"degree":1,"terms":[1]}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"1/0"}}]}'], 2),
+    (["betti", "0,1/0.12"], 2),
+    (["stable", "--form", '{"n":3,"degree":1,"terms":{"1":"1/0"}}'], 2),
+    (["parse", "0,12,a.13", "--param", "a=1/0"], 2),
 ]
 
 
@@ -146,6 +150,12 @@ def test_bad_input_message_names_the_input(capsys):
     assert 'brackets must be a list, got {"a": 1}' in capsys.readouterr().err
     main(["stable", "--form", '{"n":3,"degree":1,"terms":[1]}'])
     assert "terms must be an object, got [1]" in capsys.readouterr().err
+    main(["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"1/2+1/0*sqrt(3)"}}]}'])
+    assert "zero denominator in scalar '1/2+1/0*sqrt(3)'" in capsys.readouterr().err
+    main(["betti", "0,1/0.12"])
+    assert "zero denominator in '1/0' (at position 2)" in capsys.readouterr().err
+    main(["parse", "0,12,a.13", "--param", "a=1/0"])
+    assert "bad rational in --param 'a=1/0'" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

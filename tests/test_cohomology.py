@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmmt.claims import CATALOG, NILPOTENT
+from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
 from lmmt.cohomology import (CohomologyReport, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, is_exact, is_trivial, kunneth_check,
@@ -133,7 +133,9 @@ DUALITY_CASES = (
     + [(name, builtin(name)) for name in ("su2", "su3", "heisenberg")]
     + [(f"abelian:{n}", builtin(f"abelian:{n}")) for n in range(5)]
     + [(f"diag{lam}", diagonal_extension([Fraction(x) for x in lam]))
-       for lam in ((1, -1), (1, 2, -3), (1, -1, 2), (1, 2), (0, 0, 1))])
+       for lam in ((1, -1), (1, 2, -3), (1, -1, 2), (1, 2), (0, 0, 1))]
+    + [("su3+su2", builtin("su3").direct_sum(builtin("su2"))),
+       ("h3+R2", builtin("heisenberg").direct_sum(builtin("abelian:2")))])
 
 
 @pytest.mark.parametrize("name,g", DUALITY_CASES, ids=[c[0] for c in DUALITY_CASES])
@@ -151,6 +153,33 @@ def _report_from_all_ranks(g):
     coboundaries = [0] + ranks[:n]
     return CohomologyReport(n, [z - c for z, c in zip(cocycles, coboundaries)],
                             cocycles, coboundaries)
+
+
+def _relabel(g, perm):
+    """g with e_i renamed e_{perm[i - 1]}."""
+    brackets = {}
+    for (i, j), comp in g.brackets.items():
+        a, b = perm[i - 1], perm[j - 1]
+        brackets[(min(a, b), max(a, b))] = {
+            perm[k - 1]: c if a < b else -c for k, c in comp.items()}
+    return LieAlgebra(g.n, brackets, validate=False)
+
+
+def test_a_wrong_split_is_caught(monkeypatch):
+    """With components() reporting every index alone, betti on a sum gives
+    the table of R^n; the checks that read the sum from its full
+    differentials tell it apart."""
+    su2, h3 = builtin("su2"), builtin("heisenberg")
+    g = su2.direct_sum(h3)
+    assert kunneth_check(su2, h3) and claim_kunneth()["ok"]
+    monkeypatch.setattr(LieAlgebra, "components",
+                        lambda self: [[i] for i in range(1, self.n + 1)])
+    assert betti(g).betti == [comb(6, k) for k in range(7)]
+    assert betti(g) != _report_from_all_ranks(g)
+    assert not kunneth_check(su2, h3)
+    c06 = claim_kunneth()
+    assert not c06["ok"]
+    assert [c["b3"] for c in c06["computed"]] == [2, 1, 0]  # the sums read directly
 
 
 def _diagonal_derivations(k):
@@ -241,6 +270,37 @@ def test_torus_betti_equals_direct_ranks(g):
     assert betti(g) == _report_from_all_ranks(g)
 
 
+SUMMANDS = ([parse_salamon(s) for s in CATALOG + NILPOTENT]
+            + [builtin(name) for name in ("su2", "abelian:1", "abelian:2", "abelian:3")])
+
+
+@st.composite
+def shuffled_sums(draw, budget=10):
+    """(number of summands, their direct sum with the basis shuffled): 2-3
+    summands of total dimension <= budget, so the parts interleave."""
+    summands = []
+    for _ in range(draw(st.integers(2, 3))):
+        left = budget - sum(h.n for h in summands)
+        if left >= 5 and draw(st.booleans()):
+            summands.append(draw(torus_algebras().filter(lambda h: h.n <= left)))
+        elif left >= 1:
+            summands.append(draw(st.sampled_from([h for h in SUMMANDS if h.n <= left])))
+    g = summands[0]
+    for h in summands[1:]:
+        g = g.direct_sum(h)
+    return len(summands), _relabel(g, draw(st.permutations(range(1, g.n + 1))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(shuffled_sums())
+def test_shuffled_sum_betti_equals_direct_ranks(case):
+    """The Kunneth split against the full complex, on random direct sums
+    whose parts are not contiguous index blocks."""
+    count, g = case
+    assert len(g.components()) >= count
+    assert betti(g) == _report_from_all_ranks(g)
+
+
 @pytest.mark.parametrize("make,torus,expect", [
     (_split_sl2, [1], [1, 0, 0, 1]),
     (_sl3_chevalley, [1, 2], [1, 0, 0, 1, 0, 1, 0, 0, 1]),  # (1 + t^3)(1 + t^5)
@@ -288,6 +348,7 @@ def _poincare_polynomial(exponents):
     (["su3"], [1, 2]),
     (["su2", "su2"], [1, 1]),
     (["su3", "su2"], [1, 2, 1]),
+    (["su3", "su3"], [1, 2, 1, 2]),
 ])
 def test_compact_semisimple_betti_oracle(parts, exponents):
     """su(m) has exponents 1..m-1; a compact semisimple algebra has Poincare
@@ -299,11 +360,16 @@ def test_compact_semisimple_betti_oracle(parts, exponents):
 
 
 def _closed_form(kind, size):
-    """(algebra, Betti numbers) of abelian R^size or of the Heisenberg algebra
+    """(algebra, Betti numbers) of abelian R^size, of h3 + R^size (the
+    table (1, 2, 2, 1) times (1 + t)^size), or of the Heisenberg algebra
     h_{2m+1}, m = size: b_k = C(2m, k) - C(2m, k - 2) for k <= m, and
     Poincare duality above (Santharoubane, Proc. AMS 87, 1983)."""
     if kind == "abelian":
         return builtin(f"abelian:{size}"), [comb(size, k) for k in range(size + 1)]
+    if kind == "h3+abelian":
+        return (builtin("heisenberg").direct_sum(builtin(f"abelian:{size}")),
+                [sum(h * comb(size, k - i) for i, h in enumerate([1, 2, 2, 1]) if i <= k)
+                 for k in range(size + 4)])
     m = size
     z = "+".join(f"[{2 * i - 1},{2 * i}]" for i in range(1, m + 1))
     low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
@@ -312,7 +378,8 @@ def _closed_form(kind, size):
 
 @pytest.mark.parametrize(
     "kind,size",
-    [("abelian", n) for n in range(11)] + [("heisenberg", m) for m in range(1, 6)])
+    [("abelian", n) for n in range(25)] + [("h3+abelian", a) for a in (1, 2, 5, 13, 21)]
+    + [("heisenberg", m) for m in range(1, 6)])
 def test_betti_closed_forms(kind, size):
     g, expect = _closed_form(kind, size)
     assert betti(g).betti == expect

@@ -157,6 +157,46 @@ def test_inner_torus_is_the_diagonal_ad():
     assert 0 in found and 1 in found and 2 in found
 
 
+def test_components_are_commuting_ideals():
+    """components() against its definition: the parts partition 1..n in
+    order, each is closed under the bracket, brackets across parts vanish,
+    and no part splits further."""
+    algebras = ([parse_salamon(s) for s in CATALOG + NILPOTENT + TRACE_CASES]
+                + [builtin(name) for name in ("su2", "su3", "abelian:0", "abelian:3")]
+                + [diagonal_extension([Fraction(x) for x in lam]) for lam in ((0, 1), (1, 0, 2))]
+                + [parse_salamon(s) for s in ("0,0,0,12", "0,0,0,0,13,24", "0,0,0,0,0,0,0,45")]
+                + [builtin("su2").direct_sum(builtin("abelian:1")).direct_sum(builtin("su3"))])
+    sizes = []
+    for g in algebras:
+        parts = g.components()
+        sizes += [len(p) for p in parts]
+        assert sorted(i for p in parts for i in p) == list(range(1, g.n + 1))
+        assert all(p == sorted(p) for p in parts) and parts == sorted(parts)
+        where = {i: a for a, p in enumerate(parts) for i in p}
+        for i in range(1, g.n + 1):
+            for j in range(1, g.n + 1):
+                comp = g.bracket_basis(i, j)
+                if where[i] != where[j]:
+                    assert comp == {}
+                else:
+                    assert all(where[k] == where[i] for k in comp)
+        for p in parts:
+            assert g.restrict(p).components() == [list(range(1, len(p) + 1))]
+    assert 1 in sizes and max(sizes) > 3
+    assert builtin("su3").direct_sum(builtin("su2")).components() == [
+        list(range(1, 9)), [9, 10, 11]]
+    assert parse_salamon("0,0,0,0,13,24").components() == [[1, 3, 5], [2, 4, 6]]
+
+
+def test_restrict_renumbers_a_closed_span():
+    g = parse_salamon("0,0,0,0,13,24")
+    assert g.restrict([2, 4, 6]).brackets == {(1, 2): {3: Scalar(-1)}}
+    h3 = parse_salamon("0,0,12")
+    assert h3.restrict([1, 3]).brackets == {}  # a subalgebra, not an ideal
+    with pytest.raises(ValueError, match="leaves the span"):
+        h3.restrict([1, 2])
+
+
 def test_from_json_rejects_wrong_shapes():
     for data in ([1],
                  {"dim": 2, "brackets": [1]},
