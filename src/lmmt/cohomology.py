@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks, contract,
                        contract_sign, dim_lambda, indices_of, wedge_sign)
 from .liealg import LieAlgebra
-from .linalg import Matrix, extend_basis
+from .linalg import Matrix, Vector, extend_basis
 from .scalars import ONE, ZERO, Elem, Scalar
 
 
@@ -241,14 +241,17 @@ def is_exact(g: LieAlgebra, a: KForm) -> bool:
 def cohomology_basis(g: LieAlgebra, k: int) -> List[KForm]:
     """Representatives of a basis of H^k: the cocycle-basis vectors outside
     the span of the coboundaries and of the cocycle-basis vectors before them."""
+    return coboundaries_and_cohomology(g, k)[1]
+
+
+def coboundaries_and_cohomology(g: LieAlgebra, k: int) -> Tuple[List[Vector], List[KForm]]:
+    """The columns of ``coboundary_matrix(g, k)``, which span B^k, and
+    ``cohomology_basis(g, k)``, from one build of that matrix."""
     masks = basis_masks(g.n, k)
     bmat = coboundary_matrix(g, k)
-    reps = extend_basis(
-        [bmat.column(j) for j in range(bmat.cols)],
-        ce_differential(g, k).kernel_basis(),
-        len(masks),
-    )
-    return [KForm.from_vector(g.n, k, masks, v) for v in reps]
+    b_cols = [bmat.column(j) for j in range(bmat.cols)]
+    reps = extend_basis(b_cols, ce_differential(g, k).kernel_basis(), len(masks))
+    return b_cols, [KForm.from_vector(g.n, k, masks, v) for v in reps]
 
 
 def is_trivial(

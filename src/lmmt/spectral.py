@@ -8,27 +8,35 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import betti, coboundary_matrix, cohomology_basis, d_form
+from .cohomology import betti, coboundaries_and_cohomology, d_form
 from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
 from .linalg import Matrix, Vector, extend_basis
-from .scalars import ZERO
+from .scalars import ZERO, Elem
 
 
 class SplitError(ValueError):
     pass
 
 
-def _solve_in_basis(cols: List[Vector], v: Vector) -> Vector:
-    sol = Matrix.from_columns(cols, nrows=len(v)).solve(v)
-    if sol is None:
+def _reduce_onto(span: List[Vector], vectors: List[Vector], dim: int) -> List[Dict[int, Elem]]:
+    """The reduced rows of [span | vectors], from one elimination; SplitError
+    if a vector is outside the span of ``span``.  Row r belongs to the r-th
+    pivot column of ``span`` and holds, at column len(span) + t, the
+    coordinate of vector t on that column."""
+    rows, pivots = Matrix.from_columns(span + vectors, nrows=dim).rref()
+    if pivots and pivots[-1] >= len(span):
         raise SplitError("vector escapes the chosen basis")
-    return sol
+    return rows
 
 
 @dataclass
 class IdealSplit:
-    """An ideal k of g containing g' together with a lifted complement."""
+    """An ideal k of g containing g' together with a lifted complement.
+
+    One span test checks both conditions: a k that holds every [e_i, e_j]
+    holds g', so [g, k] lies in g' and hence in k, and k is an ideal.  The
+    ideal test runs only when that fails, to name the condition that broke."""
 
     g: LieAlgebra
     ideal_basis: List[Vector]
@@ -37,17 +45,15 @@ class IdealSplit:
 
     def __post_init__(self):
         g, n = self.g, self.g.n
-        m, p = len(self.ideal_basis), len(self.complement_basis)
-        if m + p != n:
-            raise SplitError("ideal and complement do not span")
         cols = [list(v) for v in self.ideal_basis + self.complement_basis]
-        if Matrix.from_columns(cols, nrows=n).rank() != n:
+        if len(cols) != n or Matrix.from_columns(cols, nrows=n).rank() != n:
             raise SplitError("ideal and complement do not span")
-        e = Matrix.identity(n).to_rows()
-        brackets = [g.bracket(x, list(v)) for x in e for v in self.ideal_basis]
-        if extend_basis(self.ideal_basis, brackets, n):
-            raise SplitError("subspace is not an ideal")
-        if extend_basis(self.ideal_basis, structural_report(g).derived_basis, n):
+        derived = [[c.get(k, ZERO) for k in range(1, n + 1)] for c in g.brackets.values()]
+        if extend_basis(self.ideal_basis, derived, n):
+            e = Matrix.identity(n).to_rows()
+            brackets = [g.bracket(x, list(v)) for x in e for v in self.ideal_basis]
+            if extend_basis(self.ideal_basis, brackets, n):
+                raise SplitError("subspace is not an ideal")
             raise SplitError("quotient is not abelian: ideal misses g'")
 
     @classmethod
@@ -67,18 +73,17 @@ class IdealSplit:
         return len(self.complement_basis)
 
     def adapted(self) -> LieAlgebra:
-        """g in a basis whose first m vectors span the ideal."""
+        """g in a basis whose first m vectors span the ideal; the coordinates
+        of all n(n-1)/2 brackets come from one elimination."""
         if self._adapted is None:
             g, n = self.g, self.g.n
             basis = [list(v) for v in self.ideal_basis + self.complement_basis]
-            cols = basis
-            brackets: Brackets = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    w = _solve_in_basis(cols, g.bracket(basis[i], basis[j]))
-                    comp = {k + 1: w[k] for k in range(n) if w[k]}
-                    if comp:
-                        brackets[(i + 1, j + 1)] = comp
+            pairs = list(itertools.combinations(range(n), 2))
+            rows = _reduce_onto(basis, [g.bracket(basis[i], basis[j]) for i, j in pairs], n)
+            brackets: Brackets = {
+                (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
+                for t, (i, j) in enumerate(pairs)
+            }
             self._adapted = LieAlgebra(n, brackets, validate=False)
         return self._adapted
 
@@ -116,32 +121,35 @@ class InvariantCohomology:
 
 
 def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
-    """H^q(k), the quotient action on it per A.[a] = [A . da], joint kernel."""
+    """H^q(k), the quotient action on it per A.[a] = [A . da], joint kernel.
+
+    One elimination of [coboundaries | representatives | every A . da] gives
+    the coordinates of each A . da on the representatives, for every
+    quotient direction A and representative a at once."""
     m, n = split.m, split.g.n
-    gt = split.adapted()
-    k = split.ideal_algebra()
+    gt, k = split.adapted(), split.ideal_algebra()
     masks_q = basis_masks(m, q)
-    b_basis = coboundary_matrix(k, q).column_space_basis()
-    h_reps = cohomology_basis(k, q)
+    b_cols, h_reps = coboundaries_and_cohomology(k, q)
     dim_h = len(h_reps)
-    span_cols = b_basis + [rep.to_vector(masks_q) for rep in h_reps]
+    rep_cols = [rep.to_vector(masks_q) for rep in h_reps]
     d_reps = [d_form(gt, _lift(rep, n)) for rep in h_reps]
-    ops: List[Matrix] = []
-    for a in range(m + 1, n + 1):
-        x_a = KVector.basis(n, [a])
-        cols: List[Vector] = []
-        for d_rep in d_reps:
-            acted = _restrict(contract(x_a, d_rep), m)
-            coords = _solve_in_basis(span_cols, acted.to_vector(masks_q))
-            cols.append(coords[len(b_basis):])
-        ops.append(Matrix.from_columns(cols, nrows=dim_h))
+    acted = [
+        _restrict(contract(KVector.basis(n, [a]), d_rep), m).to_vector(masks_q)
+        for a in range(m + 1, n + 1) for d_rep in d_reps
+    ]
+    span = b_cols + rep_cols
+    # the representatives are independent modulo the coboundaries, so they
+    # are the last dim_h pivot columns of span and own the last dim_h rows
+    rows = _reduce_onto(span, acted, len(masks_q))
+    h_rows = rows[len(rows) - dim_h:]
+    ops = [
+        Matrix(dim_h, dim_h, {(r, j - lo): x for r, row in enumerate(h_rows)
+                              for j, x in row.items() if lo <= j < lo + dim_h})
+        for lo in (len(span) + s * dim_h for s in range(split.codim))
+    ]
     kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel_basis()
-    inv_forms = []
-    for vec in kernel:
-        acc = KForm.zero(m, q)
-        for rep, c in zip(h_reps, vec):
-            acc = acc + rep.scale(c)
-        inv_forms.append(acc)
+    rep_mat = Matrix.from_columns(rep_cols, nrows=len(masks_q))
+    inv_forms = [KForm.from_vector(m, q, masks_q, rep_mat.mul_vec(v)) for v in kernel]
     return InvariantCohomology(q, dim_h, len(kernel), ops, inv_forms)
 
 
@@ -191,7 +199,7 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
 # -- structure-theorem verification ---------------------------------------
 
 
-def _quotient_functional_ideals(g: LieAlgebra) -> List[List[Vector]]:
+def _quotient_functional_ideals(g: LieAlgebra, dprime: List[Vector]) -> List[List[Vector]]:
     """Codimension-one ideals containing g', via a hyperplane grid on g/g'.
 
     The grid takes kernels of the dual quotient-basis functionals and of
@@ -199,11 +207,9 @@ def _quotient_functional_ideals(g: LieAlgebra) -> List[List[Vector]]:
     impossible over the rationals, and these hyperplanes are the ones the
     structure arguments are sensitive to.
     """
-    rep = structural_report(g)
-    n = g.n
-    dprime = rep.derived_basis
     comp = _complement_for(g, dprime)
     p = len(comp)
+    lift = Matrix.from_columns(comp, nrows=g.n)  # quotient coordinates -> g
     unit = Matrix.identity(p).to_rows()
     funcs = unit + [
         [x + s * y for x, y in zip(unit[i], unit[j])]
@@ -212,14 +218,7 @@ def _quotient_functional_ideals(g: LieAlgebra) -> List[List[Vector]]:
     ideals = []
     for f in funcs:
         ker = Matrix.from_rows([f]).kernel_basis()  # vectors in quotient coordinates
-        lifted = [
-            [
-                sum((v[i] * comp[i][t] for i in range(p)), ZERO)
-                for t in range(n)
-            ]
-            for v in ker
-        ]
-        ideals.append([list(b) for b in dprime] + lifted)
+        ideals.append([list(b) for b in dprime] + [lift.mul_vec(v) for v in ker])
     return ideals
 
 
@@ -263,7 +262,7 @@ def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     if not srep.solvable:
         return StructureVerdict(direct, False, srep.codim_derived, per_ideal)
     structural = True
-    ideals = [(ideal, (2, 3, 4)) for ideal in _quotient_functional_ideals(g)]
+    ideals = [(ideal, (2, 3, 4)) for ideal in _quotient_functional_ideals(g, srep.derived_basis)]
     if srep.codim_derived >= 2:
         ideals.append(([list(v) for v in srep.derived_basis], (1, 2, 3, 4)))
     for ideal, degrees in ideals:

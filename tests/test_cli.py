@@ -108,6 +108,8 @@ BAD_INPUT = [
     (["betti", "0,1/0.12"], 2),
     (["stable", "--form", '{"n":3,"degree":1,"terms":{"1":"1/0"}}'], 2),
     (["parse", "0,12,a.13", "--param", "a=1/0"], 2),
+    (["invariant-cohomology", "0,12,2.13", "--ideal", "1,2", "--degree", "1"], 2),
+    (["invariant-cohomology", "0,12,2.13", "--ideal", "3", "--degree", "1"], 2),
 ]
 
 
@@ -138,6 +140,10 @@ def test_bad_input_message_names_the_input(capsys):
     assert "index 0 in term '0' is outside 1..3" in capsys.readouterr().err
     main(["betti", MIXED_FIELDS])
     assert "mix Q(sqrt 2) and Q(sqrt 3)" in capsys.readouterr().err
+    main(["invariant-cohomology", "0,12,2.13", "--ideal", "1,2", "--degree", "1"])
+    assert capsys.readouterr().err == "error: subspace is not an ideal\n"
+    main(["invariant-cohomology", "0,12,2.13", "--ideal", "3", "--degree", "1"])
+    assert capsys.readouterr().err == "error: quotient is not abelian: ideal misses g'\n"
     main(["betti", '{"dim":2,"brackets":[{"i":"1","j":2,"c":{"2":"1"}}]}'])
     assert 'bracket index i must be an integer, got "1"' in capsys.readouterr().err
     main(["betti", '{"dim":true,"brackets":[]}'])

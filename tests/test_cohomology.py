@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
 from lmmt.cohomology import (CohomologyReport, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
-                             d_form, is_exact, is_trivial, kunneth_check,
+                             d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
 from lmmt.exterior import DimensionMismatch, KForm, KVector, basis_masks, indices_of
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
 from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
-from lmmt.spectral import diagonal_extension
+from lmmt.spectral import (IdealSplit, _complement_for, _quotient_functional_ideals,
+                           diagonal_extension, invariant_cohomology)
 
 
 def test_su2_betti_oracle():
@@ -299,6 +300,33 @@ def test_shuffled_sum_betti_equals_direct_ranks(case):
     count, g = case
     assert len(g.components()) >= count
     assert betti(g) == _report_from_all_ranks(g)
+
+
+def _check_codim_one_invariants(g):
+    """The Hochschild-Serre sequence of a codimension-1 ideal k containing g'
+    has two columns: E2 = E_inf, and the one operator's kernel and cokernel
+    have equal dimension, so b_q(g) = dim H^q(k)^g + dim H^(q-1)(k)^g.
+    Checked on the hyperplane ideals verify_34_structure uses, with b from
+    all n + 1 full ranks; no invariant dimension is computed from it."""
+    b = direct_betti(g).betti
+    for ideal in _quotient_functional_ideals(g, structural_report(g).derived_basis):
+        split = IdealSplit(g, ideal, _complement_for(g, ideal))
+        assert split.codim == 1
+        for q in range(min(split.m, 4) + 1):
+            alternating = sum((-1) ** j * b[q - j] for j in range(q + 1))
+            assert invariant_cohomology(split, q).dim_invariant == alternating
+
+
+@pytest.mark.parametrize("g", [parse_salamon(t) for t in CATALOG + NILPOTENT + ["0,12,-1.13"]]
+                         + [builtin("abelian:4")], ids=lambda g: g.to_salamon())
+def test_codim_one_invariants_from_betti(g):
+    _check_codim_one_invariants(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(torus_algebras(), shuffled_sums(budget=7).map(lambda case: case[1])))
+def test_codim_one_invariants_from_betti_random(g):
+    _check_codim_one_invariants(g)
 
 
 @pytest.mark.parametrize("make,torus,expect", [

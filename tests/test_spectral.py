@@ -1,15 +1,17 @@
 """Ideal splittings, invariant cohomology, low-degree spectral pages,
 structure verdicts for algebras with trivial degree-3/4 cohomology."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from lmmt.claims import CATALOG, NILPOTENT
-from lmmt.cohomology import betti, coboundary_matrix, d_form, is_exact
+from lmmt.cohomology import betti, coboundary_matrix, cohomology_basis, d_form, is_exact
 from lmmt.exterior import KVector, basis_masks, contract
-from lmmt.liealg import builtin, parse_salamon
+from lmmt.liealg import LieAlgebra, builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
-from lmmt.spectral import (IdealSplit, SplitError, _lift, _restrict,
+from lmmt.spectral import (IdealSplit, SplitError, _complement_for, _lift,
+                           _quotient_functional_ideals, _reduce_onto, _restrict,
                            abelian_eigen_criterion, diagonal_extension, hs_page,
                            invariant_cohomology, search_34_extensions,
                            verify_34_structure)
@@ -18,16 +20,23 @@ from lmmt.spectral import (IdealSplit, SplitError, _lift, _restrict,
 def test_split_validates_ideal():
     g = parse_salamon("0,12,2.13")
     IdealSplit.from_indices(g, [2, 3])
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="not an ideal"):
         # span(e1, e2) is not an ideal: [e1, e3] = -2 e3
         IdealSplit.from_indices(g, [1, 2])
 
 
 def test_split_requires_derived_in_ideal():
     g = parse_salamon("0,12,2.13")
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="misses g'"):
         # abelian quotient needed: g' = span(e2, e3) must sit inside the ideal
         IdealSplit.from_indices(g, [3])
+
+
+def test_split_rejects_a_basis_of_wrong_size():
+    g = parse_salamon("0,12,2.13")
+    e = Matrix.identity(3).to_rows()
+    with pytest.raises(SplitError, match="do not span"):
+        IdealSplit(g, [e[1], e[2]], [e[0], e[1]])  # four vectors spanning R^3
 
 
 def test_ideal_algebra_and_codim():
@@ -147,3 +156,66 @@ def test_search_34_extensions():
     for cert in found:
         assert cert["criterion"] and cert["agrees"]
         assert cert["betti"][3] == 0
+
+
+# -- hyperplane ideals containing g', and the batched solves on them --------
+
+FIXED = ([parse_salamon(t) for t in CATALOG + NILPOTENT + ["0,12,-1.13"]]
+         + [builtin("abelian:4")])
+
+
+def _hyperplane_splits(g):
+    ideals = _quotient_functional_ideals(g, structural_report(g).derived_basis)
+    return [IdealSplit(g, ideal, _complement_for(g, ideal)) for ideal in ideals]
+
+
+def _adapted_by_pairs(split):
+    """The adapted brackets, one Matrix.solve per bracket pair."""
+    g, n = split.g, split.g.n
+    basis = [list(v) for v in split.ideal_basis + split.complement_basis]
+    mat = Matrix.from_columns(basis, nrows=n)
+    brackets = {}
+    for i, j in combinations(range(n), 2):
+        w = mat.solve(g.bracket(basis[i], basis[j]))
+        brackets[(i + 1, j + 1)] = {k + 1: x for k, x in enumerate(w) if x}
+    return LieAlgebra(n, brackets, validate=False).brackets
+
+
+def _operators_by_vector(split, q):
+    """The quotient operators on H^q(k), one Matrix.solve per acted vector
+    in a basis of the coboundaries followed by the representatives."""
+    m, n = split.m, split.g.n
+    gt, k = split.adapted(), split.ideal_algebra()
+    masks = basis_masks(m, q)
+    reps = cohomology_basis(k, q)
+    span = coboundary_matrix(k, q).column_space_basis() + [r.to_vector(masks) for r in reps]
+    mat = Matrix.from_columns(span, nrows=len(masks))
+    ops = []
+    for a in range(m + 1, n + 1):
+        cols = []
+        for rep in reps:
+            acted = _restrict(contract(KVector.basis(n, [a]), d_form(gt, _lift(rep, n))), m)
+            cols.append(mat.solve(acted.to_vector(masks))[len(span) - len(reps):])
+        ops.append(Matrix.from_columns(cols, nrows=len(reps)))
+    return ops
+
+
+@pytest.mark.parametrize("g", FIXED, ids=lambda g: g.to_salamon())
+def test_batched_solves_match_one_solve_per_vector(g):
+    splits = _hyperplane_splits(g)
+    # with dim g/g' >= 2 the grid's sum and difference hyperplanes are not
+    # coordinate splits
+    if len(splits) > 1:
+        assert any(sum(1 for x in v if x) > 1 for s in splits for v in s.ideal_basis)
+    for split in splits:
+        assert split.adapted().brackets == _adapted_by_pairs(split)
+        for q in range(min(split.m, 4) + 1):
+            assert invariant_cohomology(split, q).operators == _operators_by_vector(split, q)
+
+
+def test_reduce_onto_coordinates_and_escape():
+    one, zero = Fraction(1), Fraction(0)
+    rows = _reduce_onto([[one, one, zero], [zero, one, zero]], [[2 * one, 3 * one, zero]], 3)
+    assert [row.get(2, zero) for row in rows] == [2, 1]  # (2, 3, 0) = 2 (1, 1, 0) + (0, 1, 0)
+    with pytest.raises(SplitError, match="escapes"):
+        _reduce_onto([[one, zero, zero]], [[zero, zero, one]], 3)
