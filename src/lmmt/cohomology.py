@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks, contract,
-                       contract_sign, dim_lambda, indices_of, wedge_sign)
+from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulate, basis_masks,
+                       contract, contract_sign, dim_lambda, indices_of, wedge_sign)
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, extend_basis
 from .scalars import ONE, ZERO, Elem, Scalar
@@ -26,7 +26,7 @@ def ce_differential(g: LieAlgebra, k: int,
     col_index = {m: i for i, m in enumerate(src)}
     entries: Dict[Tuple[int, int], Elem] = {}
     for row, mj in enumerate(dst):
-        image = g.lie_L(KVector(g.n, k + 1, {mj: ONE}))
+        image = g.lie_L(KVector._of(g.n, k + 1, {mj: ONE}))
         for mask, c in image.terms.items():
             col = col_index.get(mask)
             if col is not None:
@@ -57,10 +57,9 @@ def d_form(g: LieAlgebra, a: KForm) -> KForm:
             for pair, c in de.get(i, ()):
                 if pair & rest:
                     continue
-                m = pair | rest
-                v = lead * c if wedge_sign(pair, rest) > 0 else -(lead * c)
-                acc[m] = acc[m] + v if m in acc else v
-    return KForm(g.n, a.degree + 1, acc)  # drops the sums that cancelled
+                v = lead * c
+                accumulate(acc, pair | rest, v if wedge_sign(pair, rest) > 0 else -v)
+    return KForm._of(g.n, a.degree + 1, acc)
 
 
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:
@@ -103,7 +102,7 @@ def _weight_codes(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[int]:
             row += (x.a, x.b) if isinstance(x, Scalar) else (x, ZERO)
         digits.append(row)
     den = lcm(*(c.denominator for row in digits for c in row))
-    digits = [[int(c * den) for c in row] for row in digits]
+    digits = [[c.numerator * (den // c.denominator) for c in row] for row in digits]
     base = 2 * sum(abs(c) for row in digits for c in row) + 1
     return [sum(c * base ** j for j, c in enumerate(row)) for row in digits]
 

@@ -102,8 +102,26 @@ def basis_masks(n: int, k: int) -> List[int]:
 _E = TypeVar("_E", bound="AltElement")
 
 
+def accumulate(acc: Dict[int, Elem], m: int, c: Elem) -> None:
+    """acc[m] += c, dropping the entry when the sum cancels."""
+    if m in acc:
+        c = acc[m] + c
+        if not c:
+            del acc[m]
+            return
+    acc[m] = c
+
+
 class AltElement:
-    """Common sparse container for forms and multivectors."""
+    """Common sparse container for forms and multivectors.
+
+    An element is checked once, where it enters the program: ``__init__``
+    coerces every coefficient with ``sc``, drops the zeros and rejects a mask
+    of the wrong degree, and it is the only public way in (``from_json``,
+    ``basis``, ``from_terms``, ``from_vector`` and user code go through it).
+    The products of checked elements (``wedge``, ``+``, ``-``, ``scale``,
+    ``contract``, ``hodge_star``, ``d_form``, ``lie_L``) drop the sums that
+    cancel as they go and return through ``_of``, which checks nothing."""
 
     __slots__ = ("n", "degree", "terms")
 
@@ -121,6 +139,16 @@ class AltElement:
         self.n = n
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _of(cls: Type[_E], n: int, degree: int, terms: Dict[int, Elem]) -> _E:
+        """The element with these terms, unchecked: every coefficient must
+        already be a nonzero field element on a mask of popcount degree."""
+        self = object.__new__(cls)
+        self.n = n
+        self.degree = degree
+        self.terms = terms
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -162,18 +190,19 @@ class AltElement:
             raise DegreeError("degree mismatch in sum")
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, ZERO) + c
-        return type(self)(self.n, self.degree, acc)
+            accumulate(acc, m, c)
+        return type(self)._of(self.n, self.degree, acc)
 
     def __neg__(self: _E) -> _E:
-        return type(self)(self.n, self.degree, {m: -c for m, c in self.terms.items()})
+        return type(self)._of(self.n, self.degree, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self: _E, other: _E) -> _E:
         return self + (-other)
 
     def scale(self: _E, c) -> _E:
         c = sc(c)
-        return type(self)(self.n, self.degree, {m: c * v for m, v in self.terms.items()})
+        terms = {m: c * v for m, v in self.terms.items()} if c else {}
+        return type(self)._of(self.n, self.degree, terms)
 
     def wedge(self: _E, other: _E) -> _E:
         """Graded-commutative product; zero when degrees overflow n."""
@@ -186,11 +215,9 @@ class AltElement:
             for mb, cb in other.terms.items():
                 if ma & mb:
                     continue
-                s = wedge_sign(ma, mb)
-                m = ma | mb
-                c = ca * cb if s > 0 else -(ca * cb)
-                acc[m] = acc.get(m, ZERO) + c
-        return type(self)(self.n, deg, acc)
+                c = ca * cb
+                accumulate(acc, ma | mb, c if wedge_sign(ma, mb) > 0 else -c)
+        return type(self)._of(self.n, deg, acc)
 
     def __eq__(self, other):
         return (
@@ -213,7 +240,7 @@ class AltElement:
 
     @classmethod
     def from_vector(cls: Type[_E], n: int, degree: int, masks: Sequence[int], v: Sequence) -> _E:
-        return cls(n, degree, dict(zip(masks, v)))
+        return cls(n, degree, {m: x for m, x in zip(masks, v) if x})
 
     # -- serialization -----------------------------------------------------
 
@@ -282,21 +309,20 @@ def contract(p: KVector, a: KForm) -> KForm:
             for i in indices_of(mp):
                 sign *= contract_sign(i, rest)
                 rest ^= 1 << (i - 1)
-            c = cp * ca if sign > 0 else -(cp * ca)
-            acc[rest] = acc.get(rest, ZERO) + c
-    return KForm(a.n, a.degree - p.degree, acc)
+            c = cp * ca
+            accumulate(acc, rest, c if sign > 0 else -c)
+    return KForm._of(a.n, a.degree - p.degree, acc)
 
 
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the standard orthonormal basis and orientation."""
     n = a.n
+    if a.degree > n:
+        raise DegreeError(f"degree {a.degree} out of range for n={n}")
     full = (1 << n) - 1
-    acc: Dict[int, Elem] = {}
-    for m, c in a.terms.items():
-        comp = full ^ m
-        s = wedge_sign(m, comp)
-        acc[comp] = acc.get(comp, ZERO) + (c if s > 0 else -c)
-    return KForm(n, n - a.degree, acc)
+    # m -> full ^ m is one-to-one, so no two terms meet
+    terms = {full ^ m: c if wedge_sign(m, full ^ m) > 0 else -c for m, c in a.terms.items()}
+    return KForm._of(n, n - a.degree, terms)
 
 
 def volume_form(n: int) -> KForm:

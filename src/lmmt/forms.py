@@ -134,16 +134,6 @@ class NormalFormResult:
         }
 
 
-def _gram(omega: KForm) -> List[Vector]:
-    n = omega.n
-    g = [[ZERO] * n for _ in range(n)]
-    for mask, c in omega.terms.items():
-        i, j = indices_of(mask)
-        g[i - 1][j - 1] = c
-        g[j - 1][i - 1] = -c
-    return g
-
-
 def two_form_normal_form(omega: KForm) -> NormalFormResult:
     """Darboux basis: omega pulls back to e12 + e34 + ... (k terms).
 
@@ -153,10 +143,12 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
     if omega.degree != 2:
         raise ValueError("normal form wants a two-form")
     n = omega.n
-    g = _gram(omega)
+    pairs = [(indices_of(mask), c) for mask, c in omega.terms.items()]
 
     def ev(u: Vector, v: Vector) -> Elem:
-        return sum((u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)), ZERO)
+        # omega(u, v) = sum over the terms c e^{ij} of c (u_i v_j - u_j v_i)
+        return sum((c * (u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) for (i, j), c in pairs),
+                   ZERO)
 
     working = Matrix.identity(n).to_rows()
     paired: List[Vector] = []

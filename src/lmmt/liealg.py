@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, indices_of, json_as
+from .exterior import KVector, accumulate, json_as
 from .linalg import Matrix, Vector, row_space_basis
 from .scalars import ONE, ZERO, Elem, FieldError, Scalar, sc
 
@@ -197,29 +197,30 @@ class LieAlgebra:
     # -- the bracket-extension map L --------------------------------------
 
     def lie_L(self, p: KVector) -> KVector:
-        """L(Q) = sum_{i<j} [X_i, X_j] wedge Q_{^ij}, extended linearly."""
+        """L(Q) = sum_{i<j} [X_i, X_j] wedge Q_{^ij}, extended linearly.
+
+        Walks the stored brackets, not every pair of indices in a mask: a
+        bracket (i, j) acts on a mask that holds both bits, with the sign
+        (-1)^{pos(i)+pos(j)} of their positions, read off two popcounts."""
         if p.n != self.n:
             raise ValueError("multivector dimension mismatch")
-        acc: Dict[int, Elem] = {}  # one sum for all pairs, validated once
+        n, deg = self.n, p.degree - 2
+        acc: Dict[int, Elem] = {}
         for mask, coeff in p.terms.items():
-            idx = indices_of(mask)
-            s = len(idx)
-            for a in range(s):
-                for b in range(a + 1, s):
-                    sign = -1 if (a + b) % 2 else 1  # (-1)^{(a+1)+(b+1)}
-                    rest = mask ^ (1 << (idx[a] - 1)) ^ (1 << (idx[b] - 1))
-                    br = self.bracket_basis(idx[a], idx[b])
-                    if not br:
-                        continue
-                    vec = KVector(self.n, 1, {1 << (k - 1): c for k, c in br.items()})
-                    rest_v = KVector(self.n, s - 2, {rest: coeff if sign > 0 else -coeff})
-                    for m, c in vec.wedge(rest_v).terms.items():
-                        c = acc[m] + c if m in acc else c
-                        if not c:
-                            del acc[m]
-                        else:
-                            acc[m] = c
-        return KVector(self.n, max(p.degree - 1, 0), acc)
+            for (i, j), br in self.brackets.items():
+                bi, bj = 1 << (i - 1), 1 << (j - 1)
+                if not (mask & bi and mask & bj):
+                    continue
+                rest = mask ^ bi ^ bj
+                # components already in rest wedge to zero
+                vec = {b: c for k, c in br.items() if not rest & (b := 1 << (k - 1))}
+                if not vec:
+                    continue
+                odd = ((mask & (bi - 1)).bit_count() + (mask & (bj - 1)).bit_count()) & 1
+                rest_v = KVector._of(n, deg, {rest: -coeff if odd else coeff})
+                for m, c in KVector._of(n, 1, vec).wedge(rest_v).terms.items():
+                    accumulate(acc, m, c)
+        return KVector._of(n, max(p.degree - 1, 0), acc)
 
     # -- constructions -----------------------------------------------------
 

@@ -34,14 +34,14 @@ class Matrix:
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         ncols = max((len(r) for r in rows), default=0)
         return cls(len(rows), ncols, {
-            (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+            (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
         if nrows is None:
             nrows = max((len(c) for c in cols), default=0)
         return cls(nrows, len(cols), {
-            (i, j): x for j, col in enumerate(cols) for i, x in enumerate(col)})
+            (i, j): x for j, col in enumerate(cols) for i, x in enumerate(col) if x})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

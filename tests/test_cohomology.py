@@ -2,13 +2,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
-from lmmt.cohomology import (CohomologyReport, betti, cartan_identity_check, cocycle_basis,
+from lmmt.cohomology import (CohomologyReport, _weight_codes, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
@@ -300,6 +300,97 @@ def test_shuffled_sum_betti_equals_direct_ranks(case):
     count, g = case
     assert len(g.components()) >= count
     assert betti(g) == _report_from_all_ranks(g)
+
+
+def _pair_walk_lie_L(g, p):
+    """lie_L as first written: every pair a < b of positions in each mask,
+    sign (-1)^(a+b), [e_i, e_j] from bracket_basis, a checked KVector for
+    each temporary and for the sum.  The reference the bracket walk must
+    equal."""
+    acc = {}
+    for mask, coeff in p.terms.items():
+        idx = indices_of(mask)
+        s = len(idx)
+        for a in range(s):
+            for b in range(a + 1, s):
+                sign = -1 if (a + b) % 2 else 1
+                rest = mask ^ (1 << (idx[a] - 1)) ^ (1 << (idx[b] - 1))
+                br = g.bracket_basis(idx[a], idx[b])
+                if not br:
+                    continue
+                vec = KVector(g.n, 1, {1 << (k - 1): c for k, c in br.items()})
+                rest_v = KVector(g.n, s - 2, {rest: coeff if sign > 0 else -coeff})
+                for m, c in vec.wedge(rest_v).terms.items():
+                    acc[m] = acc.get(m, 0) + c
+    return KVector(g.n, max(p.degree - 1, 0), acc)
+
+
+def _filiform(n):
+    return parse_salamon(",".join(["0", "0"] + [f"[1,{i}]" for i in range(2, n)]))
+
+
+SQRT3_COEFFS = [Scalar(1, 1, 3), Scalar(0, -2, 3), Scalar(Fraction(1, 2), 1, 3)]
+
+
+def _random_multivector(rng, n, k, terms):
+    masks = basis_masks(n, k)
+    coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+              for _ in masks] + SQRT3_COEFFS
+    return KVector(n, k, {m: rng.choice(coeffs) for m in rng.sample(masks, min(terms, len(masks)))})
+
+
+def _check_lie_L_against_pair_walk(g, rng, tries):
+    for k in range(g.n + 1):
+        for _ in range(tries):
+            p = _random_multivector(rng, g.n, k, rng.randint(2, 6))
+            image = g.lie_L(p)
+            assert image == _pair_walk_lie_L(g, p)
+            assert image.degree == max(k - 1, 0)
+
+
+def test_lie_L_equals_the_pair_walk():
+    rng = random.Random(12)
+    for g in ([parse_salamon(s) for s in CATALOG + NILPOTENT]
+              + [builtin("su2"), builtin("su3"), _filiform(11)]):
+        _check_lie_L_against_pair_walk(g, rng, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(torus_algebras(), shuffled_sums().map(lambda case: case[1])),
+       st.integers(0, 2 ** 32))
+def test_lie_L_equals_the_pair_walk_random(g, seed):
+    _check_lie_L_against_pair_walk(g, random.Random(seed), 2)
+
+
+@pytest.mark.parametrize("g", [builtin("su3"), _filiform(11)], ids=["su3", "L11"])
+def test_ce_differential_equals_the_pair_walk_build(g):
+    for k in range(-1, g.n + 1):
+        src, dst = basis_masks(g.n, k), basis_masks(g.n, k + 1)
+        col_index = {m: i for i, m in enumerate(src)}
+        entries = {}
+        for row, mj in enumerate(dst):
+            for mask, c in _pair_walk_lie_L(g, KVector(g.n, k + 1, {mj: 1})).terms.items():
+                entries[(row, col_index[mask])] = c
+        assert ce_differential(g, k) == Matrix(len(dst), len(src), entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_algebras())
+def test_weight_codes_equal_the_fraction_digits(g):
+    """The integer digits from numerator and denominator equal int(c * den)."""
+    torus = g.inner_torus()
+    digits = []
+    for o in range(1, g.n + 1):
+        row = []
+        for w in torus.values():
+            x = w.get(o, Fraction(0))
+            row += (x.a, x.b) if isinstance(x, Scalar) else (x, Fraction(0))
+        digits.append(row)
+    den = lcm(*(c.denominator for row in digits for c in row))
+    digits = [[int(c * den) for c in row] for row in digits]
+    base = 2 * sum(abs(c) for row in digits for c in row) + 1
+    assert _weight_codes(g.n, torus) == [sum(c * base ** j for j, c in enumerate(row))
+                                         for row in digits]
 
 
 def _check_codim_one_invariants(g):

@@ -1,5 +1,6 @@
 """Exterior algebra over bitmask bases."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from lmmt.exterior import (DegreeError, KForm, KVector,
                            basis_masks, contract, dim_lambda, hodge_star,
                            indices_of, mask_of, volume_form, wedge_sign)
+from lmmt.claims import CATALOG, NILPOTENT
+from lmmt.cohomology import d_form
+from lmmt.liealg import builtin, parse_salamon
 from lmmt.scalars import Scalar
 
 
@@ -137,3 +141,60 @@ def test_linearity_of_wedge(u, v):
     b = KForm.from_vector(n, 1, basis_masks(n, 1), [Scalar(x) for x in v])
     assert (a + b).wedge(a) == b.wedge(a)
     assert a.wedge(a + b) == a.wedge(b)
+
+
+def _assert_checked(x):
+    """x is what the checking constructor makes of its own terms: nonzero
+    field elements (a Scalar only with b != 0) on masks of popcount degree."""
+    for m, c in x.terms.items():
+        assert c and isinstance(c, (Fraction, Scalar)) and (not isinstance(c, Scalar) or c.b)
+        assert m.bit_count() == x.degree
+    assert x == type(x)(x.n, x.degree, dict(x.terms))
+
+
+PRODUCER_ALGEBRAS = ([parse_salamon(s) for s in CATALOG[:4] + NILPOTENT[:3]]
+                     + [builtin("su2"), builtin("abelian:3")])
+# few values, opposite pairs among them, so sums cancel often
+cancelling = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                              Scalar(0, 1, 3), Scalar(0, -1, 3), Scalar(1, -1, 3)])
+
+
+@st.composite
+def elements(draw, kind, n, degree=None):
+    k = draw(st.integers(0, n)) if degree is None else degree
+    masks = draw(st.lists(st.sampled_from(basis_masks(n, k)), max_size=6, unique=True))
+    coeffs = draw(st.lists(cancelling, min_size=len(masks), max_size=len(masks)))
+    return kind(n, k, dict(zip(masks, coeffs)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_products_are_checked_elements(data):
+    """Every producer that skips the checks returns what the checks would
+    have made: no cancelled sum left as a zero, no mask of another degree."""
+    g = data.draw(st.sampled_from(PRODUCER_ALGEBRAS))
+    n = g.n
+    a, b = data.draw(elements(KForm, n)), data.draw(elements(KForm, n))
+    a2 = data.draw(elements(KForm, n, a.degree))
+    p, q = data.draw(elements(KVector, n)), data.draw(elements(KVector, n))
+    c = data.draw(st.one_of(cancelling, st.just(0)))
+    results = [a.wedge(b), p.wedge(q), a.wedge(a), a + a2, a - a2, a - a, -a, -p,
+               a.scale(c), p.scale(c), hodge_star(a), d_form(g, a), g.lie_L(p), g.lie_L(p - p)]
+    if p.degree <= a.degree:
+        results.append(contract(p, a))
+    for x in results:
+        _assert_checked(x)
+    assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+def test_from_vector_skips_zeros_and_coerces():
+    masks = basis_masks(5, 2)
+    v = [0, "0", 3, Fraction(0), "1/2", Scalar(0), Scalar(1, 1, 3), Scalar(2, 0, 3), 0, -1]
+    for kind in (KForm, KVector):
+        x = kind.from_vector(5, 2, masks, v)
+        assert x == kind(5, 2, dict(zip(masks, v)))
+        assert x.terms == {masks[2]: Fraction(3), masks[4]: Fraction(1, 2),
+                           masks[6]: Scalar(1, 1, 3), masks[7]: Fraction(2), masks[9]: Fraction(-1)}
+        assert all(type(c) in (Fraction, Scalar) for c in x.terms.values())
+        _assert_checked(x)
+        assert kind.from_vector(5, 2, masks, [0] * len(masks)).is_zero()

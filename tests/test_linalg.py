@@ -57,6 +57,24 @@ def test_transpose_hstack_scale():
     assert a.scale(Scalar(2)).to_rows() == M([[2, 4], [6, 8]]).to_rows()
 
 
+def test_dense_builders_skip_zeros_and_coerce():
+    # mostly zero, with int, str, Fraction and Scalar entries and zeros of each kind
+    rows = [[0, "0", 0, 3, 0],
+            [Fraction(0), 0, "1/2", 0, Scalar(0)],
+            [0, 0, 0, 0, 0],
+            [Scalar(1, 1, 3), 0, Scalar(2, 0, 3), 0, -1]]
+    dense = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    by_rows = Matrix.from_rows(rows)
+    assert by_rows == Matrix(4, 5, dense)
+    assert by_rows.entries == {(0, 3): 3, (1, 2): Fraction(1, 2), (3, 0): Scalar(1, 1, 3),
+                               (3, 2): 2, (3, 4): -1}
+    assert all(type(x) in (Fraction, Scalar) for x in by_rows.entries.values())
+    cols = [list(col) for col in zip(*rows)]
+    assert Matrix.from_columns(cols) == by_rows
+    assert Matrix.from_columns(cols, nrows=4) == by_rows
+    assert Matrix.from_rows([[0, "0"], [0, 0]]) == Matrix.zero(2, 2)
+
+
 def test_span_helpers():
     e1 = [Scalar(1), Scalar(0), Scalar(0)]
     e2 = [Scalar(0), Scalar(1), Scalar(0)]
