@@ -238,8 +238,7 @@ def claim_properties() -> Dict[str, object]:
                     ok_ll = False
             if k + 1 <= g.n:
                 d2 = ce_differential(g, k + 1)
-                prod_cols = [d2.mul_vec(d1.column(j)) for j in range(d1.cols)]
-                if any(any(col) for col in prod_cols):
+                if (d2 @ d1).entries:
                     ok_dd = False
                 d1 = d2
     checks["LL_zero"] = ok_ll

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulate, basis_masks,
                        contract, contract_sign, dim_lambda, indices_of, wedge_sign)
 from .liealg import LieAlgebra
-from .linalg import Matrix, Vector, extend_basis
+from .linalg import Matrix
 from .scalars import ONE, ZERO, Elem, Scalar
 
 
@@ -65,9 +65,8 @@ def d_form(g: LieAlgebra, a: KForm) -> KForm:
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:
     """Basis of ker(L) on degree-k multivectors (domain degree); L there is
     the transpose of d on degree k - 1."""
-    src = basis_masks(g.n, k)
-    mat = ce_differential(g, k - 1).transpose()
-    return [KVector.from_vector(g.n, k, src, v) for v in mat.kernel_basis()]
+    kernel = ce_differential(g, k - 1).transpose().kernel()
+    return KVector.from_matrix(g.n, k, basis_masks(g.n, k), kernel)
 
 
 @dataclass
@@ -220,11 +219,7 @@ def direct_betti(g: LieAlgebra) -> CohomologyReport:
 
 
 def cocycle_basis(g: LieAlgebra, k: int) -> List[KForm]:
-    masks = basis_masks(g.n, k)
-    return [
-        KForm.from_vector(g.n, k, masks, v)
-        for v in ce_differential(g, k).kernel_basis()
-    ]
+    return KForm.from_matrix(g.n, k, basis_masks(g.n, k), ce_differential(g, k).kernel())
 
 
 def coboundary_matrix(g: LieAlgebra, k: int) -> Matrix:
@@ -243,14 +238,13 @@ def cohomology_basis(g: LieAlgebra, k: int) -> List[KForm]:
     return coboundaries_and_cohomology(g, k)[1]
 
 
-def coboundaries_and_cohomology(g: LieAlgebra, k: int) -> Tuple[List[Vector], List[KForm]]:
-    """The columns of ``coboundary_matrix(g, k)``, which span B^k, and
-    ``cohomology_basis(g, k)``, from one build of that matrix."""
-    masks = basis_masks(g.n, k)
-    bmat = coboundary_matrix(g, k)
-    b_cols = [bmat.column(j) for j in range(bmat.cols)]
-    reps = extend_basis(b_cols, ce_differential(g, k).kernel_basis(), len(masks))
-    return b_cols, [KForm.from_vector(g.n, k, masks, v) for v in reps]
+def coboundaries_and_cohomology(g: LieAlgebra, k: int) -> Tuple[Matrix, List[KForm]]:
+    """``coboundary_matrix(g, k)``, whose columns span B^k, and
+    ``cohomology_basis(g, k)``, from one build of that matrix: the cocycle
+    basis vectors that are pivot columns of [B | Z] past B."""
+    bmat, kernel = coboundary_matrix(g, k), ce_differential(g, k).kernel()
+    cocycles = KForm.from_matrix(g.n, k, basis_masks(g.n, k), kernel)
+    return bmat, [cocycles[j - bmat.cols] for j in bmat.hstack(kernel).pivots() if j >= bmat.cols]
 
 
 def is_trivial(
@@ -307,15 +301,15 @@ def lie_derivative(g: LieAlgebra, x: KVector, a: KForm) -> KForm:
 def _hook_L(g: LieAlgebra, p: KVector, a: KForm) -> KForm:
     """The operator sum_i Q_{^i} . (L_{X_i} a), basis monomial by monomial."""
     s = p.degree
-    out = KForm.zero(g.n, a.degree - s + 1)
+    acc: Dict[int, Elem] = {}
     for mask, coeff in p.terms.items():
-        idx = [i for i in range(1, g.n + 1) if mask & (1 << (i - 1))]
-        for pos, i in enumerate(idx):
+        for pos, i in enumerate(indices_of(mask)):
             rest = mask ^ (1 << (i - 1))
             deriv = lie_derivative(g, KVector.basis(g.n, [i]), a)
-            hooked = contract(KVector(g.n, s - 1, {rest: ONE}), deriv)
-            out = out + hooked.scale(coeff if pos % 2 == 0 else -coeff)
-    return out
+            signed = coeff if pos % 2 == 0 else -coeff
+            for m, c in contract(KVector._of(g.n, s - 1, {rest: ONE}), deriv).terms.items():
+                accumulate(acc, m, signed * c)
+    return KForm._of(g.n, a.degree - s + 1, acc)
 
 
 def cartan_identity_check(g: LieAlgebra, p: KVector, a: KForm) -> bool:

@@ -13,8 +13,8 @@ import json
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
-from .linalg import Vector
-from .scalars import ZERO, Elem, Scalar, sc
+from .linalg import Matrix, Vector
+from .scalars import ZERO, Elem, Scalar, radicand, sc
 
 
 class DimensionMismatch(ValueError):
@@ -242,6 +242,17 @@ class AltElement:
     def from_vector(cls: Type[_E], n: int, degree: int, masks: Sequence[int], v: Sequence) -> _E:
         return cls(n, degree, {m: x for m, x in zip(masks, v) if x})
 
+    @classmethod
+    def from_matrix(cls: Type[_E], n: int, degree: int, masks: Sequence[int],
+                    mat: Matrix) -> List[_E]:
+        """One element per column of mat, whose row i is the coefficient of
+        masks[i]; a Matrix holds only nonzero field elements, so nothing is
+        checked again."""
+        cols: List[Dict[int, Elem]] = [{} for _ in range(mat.cols)]
+        for (i, j), x in mat.entries.items():
+            cols[j][masks[i]] = x
+        return [cls._of(n, degree, terms) for terms in cols]
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -266,6 +277,7 @@ class AltElement:
             if bad:
                 raise ValueError(f"index {bad[0]} in term {key!r} is outside 1..{n}")
             terms[mask_of(idx)] = Scalar.parse(json_as(val, str, f"coefficient of term {key!r}"))
+        radicand(terms.values(), "form coefficients")
         return cls(n, json_as(data["degree"], int, "degree"), terms)
 
     def __str__(self) -> str:
@@ -288,6 +300,14 @@ class KForm(AltElement):
 
 class KVector(AltElement):
     """Multivector on the basis E_1..E_n."""
+
+
+def coordinate_matrix(elements: Sequence[AltElement], masks: Sequence[int]) -> Matrix:
+    """The matrix whose column j holds the coefficients of elements[j], row i
+    that of masks[i]; terms on masks not listed are left out."""
+    row = {m: i for i, m in enumerate(masks)}
+    return Matrix(len(masks), len(elements), {
+        (row[m], j): c for j, a in enumerate(elements) for m, c in a.terms.items() if m in row})
 
 
 def contract(p: KVector, a: KForm) -> KForm:

@@ -10,8 +10,10 @@ from typing import Dict, List, Optional
 from .exterior import (
     KForm,
     KVector,
+    accumulate,
     basis_masks,
     contract,
+    coordinate_matrix,
     dim_lambda,
     hodge_star,
     indices_of,
@@ -79,12 +81,8 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
 def contraction_kernel(alpha: KForm) -> List[Vector]:
     """Null space of v -> v . alpha."""
     n = alpha.n
-    masks = basis_masks(n, alpha.degree - 1)
-    cols = [
-        contract(KVector.basis(n, [i]), alpha).to_vector(masks)
-        for i in range(1, n + 1)
-    ]
-    return Matrix.from_columns(cols, nrows=len(masks)).kernel_basis()
+    hooks = [contract(KVector.basis(n, [i]), alpha) for i in range(1, n + 1)]
+    return coordinate_matrix(hooks, basis_masks(n, alpha.degree - 1)).kernel_basis()
 
 
 def weak_nondegenerate(alpha: KForm) -> bool:
@@ -186,14 +184,9 @@ def pullback(alpha: KForm, change: Matrix) -> KForm:
     """alpha composed with the column basis of change."""
     n = alpha.n
     cols = [change.column(j) for j in range(change.cols)]
-    out = KForm.zero(n, alpha.degree)
-    for mask in basis_masks(n, alpha.degree):
-        idx = indices_of(mask)
-        vecs = [cols[i - 1] for i in idx]
-        val = _evaluate(alpha, vecs)
-        if val:
-            out = out + KForm(n, alpha.degree, {mask: val})
-    return out
+    return KForm(n, alpha.degree, {
+        mask: _evaluate(alpha, [cols[i - 1] for i in indices_of(mask)])
+        for mask in basis_masks(n, alpha.degree)})
 
 
 def _evaluate(alpha: KForm, vecs: List[Vector]) -> Elem:
@@ -214,43 +207,36 @@ def _act_elementary(alpha: KForm, a: int, b: int) -> KForm:
 
     E_ab sends the covector e^a to e^b; extend as a derivation of the
     exterior algebra."""
-    n = alpha.n
-    out = KForm.zero(n, alpha.degree)
+    acc: Dict[int, Elem] = {}
     abit = 1 << (a - 1)
     for mask, c in alpha.terms.items():
         if not (mask & abit):
             continue
         if a == b:
-            out = out + KForm(n, alpha.degree, {mask: c})
+            accumulate(acc, mask, c)
             continue
         rest = mask ^ abit
         if rest & (1 << (b - 1)):
             continue
         pos = bin(mask & (abit - 1)).count("1")  # slot of a in the term
         sign = (-1) ** pos * wedge_sign(1 << (b - 1), rest)
-        coeff = c if sign > 0 else -c
-        out = out + KForm(n, alpha.degree, {rest | (1 << (b - 1)): coeff})
-    return out
+        accumulate(acc, rest | (1 << (b - 1)), c if sign > 0 else -c)
+    return KForm._of(alpha.n, alpha.degree, acc)
 
 
 def stabilizer_algebra(alpha: KForm) -> List[Matrix]:
     """Basis of the annihilating matrix algebra inside gl(n)."""
     n = alpha.n
-    masks = basis_masks(n, alpha.degree)
-    cols = []
     keys = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    for a, b in keys:
-        cols.append(_act_elementary(alpha, a, b).to_vector(masks))
-    system = Matrix.from_columns(cols, nrows=len(masks))
-    out = []
-    for vec in system.kernel_basis():
-        entries = {}
-        for t, (a, b) in enumerate(keys):
-            if vec[t]:
-                # E_ab has matrix entry (b, a): it maps the vector e_a to e_b
-                entries[(b - 1, a - 1)] = vec[t]
-        out.append(Matrix(n, n, entries))
-    return out
+    system = coordinate_matrix([_act_elementary(alpha, a, b) for a, b in keys],
+                               basis_masks(n, alpha.degree))
+    kernel = system.kernel()
+    entries: List[Dict] = [{} for _ in range(kernel.cols)]
+    for (t, j), x in kernel.entries.items():
+        a, b = keys[t]
+        # E_ab has matrix entry (b, a): it maps the vector e_a to e_b
+        entries[j][(b - 1, a - 1)] = x
+    return [Matrix(n, n, e) for e in entries]
 
 
 @dataclass

@@ -8,14 +8,15 @@ opposite convention.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, accumulate, json_as
-from .linalg import Matrix, Vector, row_space_basis
-from .scalars import ONE, ZERO, Elem, FieldError, Scalar, sc
+from .exterior import KVector, accumulate, basis_masks, json_as
+from .linalg import Matrix, Vector
+from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc
 
 Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
 
@@ -42,7 +43,7 @@ class LieAlgebra:
     brackets maps (i, j) with i < j to the sparse component vector of
     [e_i, e_j]; antisymmetry is implicit in the storage.  Component indices
     lie in 1..n, and the constants lie in one field, Q or one Q(sqrt d)
-    (else FieldError).
+    (else FieldError); ``radicand`` is that d, None for Q.
     """
 
     def __init__(self, n: int, brackets: Brackets, validate: bool = True):
@@ -50,7 +51,6 @@ class LieAlgebra:
             raise ValueError(f"dimension {n} is negative")
         self.n = n
         clean: Brackets = {}
-        radicand = None
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad bracket key ({i},{j})")
@@ -60,16 +60,13 @@ class LieAlgebra:
                     raise ValueError(f"bad component index {k} in bracket ({i},{j}), "
                                      f"expected 1..{n}")
                 x = sc(c)
-                if isinstance(x, Scalar):
-                    if radicand not in (None, x.d):
-                        raise FieldError(f"structure constants mix Q(sqrt {radicand}) "
-                                         f"and Q(sqrt {x.d})")
-                    radicand = x.d
                 if x:
                     kept[k] = x
             if kept:
                 clean[(i, j)] = kept
         self.brackets = clean
+        self.radicand = radicand((c for comp in clean.values() for c in comp.values()),
+                                 "structure constants")
         if validate:
             bad = self.jacobi_check()
             if bad is not None:
@@ -95,6 +92,20 @@ class LieAlgebra:
                 for k, c in self.bracket_basis(i, j).items():
                     out[k - 1] = out[k - 1] + ui * vj * c
         return out
+
+    def bracket_columns(self, us: Matrix, vs: Matrix, pairs: Sequence[Tuple[int, int]]) -> Matrix:
+        """Column t holds the coordinates of [u_i, v_j] for the t-th pair
+        (i, j), u_i a column of us and v_j one of vs; the columns are read as
+        vectors, whose term on E_k has the mask with bit k - 1."""
+        masks = basis_masks(self.n, 1)
+        xs, ys = KVector.from_matrix(self.n, 1, masks, us), KVector.from_matrix(self.n, 1, masks, vs)
+        entries: Dict[Tuple[int, int], Elem] = {}
+        for t, (i, j) in enumerate(pairs):
+            for mi, ci in xs[i].terms.items():
+                for mj, cj in ys[j].terms.items():
+                    for k, c in self.bracket_basis(mi.bit_length(), mj.bit_length()).items():
+                        entries[(k - 1, t)] = entries.get((k - 1, t), ZERO) + ci * cj * c
+        return Matrix(self.n, len(pairs), entries)
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad(e_i) acting on basis vectors."""
@@ -521,39 +532,42 @@ class StructuralReport:
         }
 
 
-def _span_brackets(g: LieAlgebra, basis1: List[Vector], basis2: List[Vector]) -> List[Vector]:
-    prods = [g.bracket(u, v) for u in basis1 for v in basis2]
-    return row_space_basis(prods, g.n)
+def _span_brackets(g: LieAlgebra, basis1: Matrix, basis2: Matrix) -> Matrix:
+    """The RREF basis of the span of [u, v] over the columns u of basis1 and
+    v of basis2, as the columns of a matrix."""
+    pairs = list(itertools.product(range(basis1.cols), range(basis2.cols)))
+    rows, _ = g.bracket_columns(basis1, basis2, pairs).transpose().rref()
+    return Matrix(g.n, len(rows), {(j, r): x for r, row in enumerate(rows) for j, x in row.items()})
 
 
 def structural_report(g: LieAlgebra) -> StructuralReport:
-    full = Matrix.identity(g.n).to_rows()
+    full = Matrix.identity(g.n)
     derived = [full]
     while True:
         nxt = _span_brackets(g, derived[-1], derived[-1])
-        if len(nxt) == len(derived[-1]):
+        if nxt.cols == derived[-1].cols:
             break
         derived.append(nxt)
-        if not nxt:
+        if not nxt.cols:
             break
     lower = [full]
     while True:
         nxt = _span_brackets(g, full, lower[-1])
-        if len(nxt) == len(lower[-1]):
+        if nxt.cols == lower[-1].cols:
             break
         lower.append(nxt)
-        if not nxt:
+        if not nxt.cols:
             break
     dprime = derived[1] if len(derived) > 1 else _span_brackets(g, full, full)
     return StructuralReport(
         n=g.n,
-        derived_series_dims=[len(b) for b in derived],
-        lower_central_dims=[len(b) for b in lower],
-        solvable=len(derived[-1]) == 0,
-        nilpotent=len(lower[-1]) == 0,
+        derived_series_dims=[b.cols for b in derived],
+        lower_central_dims=[b.cols for b in lower],
+        solvable=derived[-1].cols == 0,
+        nilpotent=lower[-1].cols == 0,
         unimodular=g.is_unimodular(),
-        codim_derived=g.n - len(dprime),
-        derived_basis=dprime,
+        codim_derived=g.n - dprime.cols,
+        derived_basis=[dprime.column(j) for j in range(dprime.cols)],
     )
 
 

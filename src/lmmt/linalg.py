@@ -7,10 +7,11 @@ b != 0.  Every rank, kernel, solve and span runs one elimination routine,
 matrix never touches Q(sqrt(d)) arithmetic.  ``_rref`` is a forward pass
 that keeps each waiting row in a bucket keyed by its leading column, so a
 pivot step touches only the rows that hold its column, followed by optional
-back-substitution, which ``rank`` and ``column_space_basis`` skip.  Each
-span query (``in_span``, ``extend_basis``) is one elimination without
-back-substitution: a column of [base | candidates] is a pivot column exactly
-when it is not in the span of the columns before it.
+back-substitution.  ``Matrix.pivots`` skips it, and ``rank``,
+``column_space_basis`` and the span queries (``in_span``, ``extend_basis``)
+read its answer: a column of [base | candidates] is a pivot column exactly
+when it is not in the span of the columns before it.  ``Matrix.kernel``
+reads the null space off the RREF as the columns of a sparse matrix.
 """
 
 from __future__ import annotations
@@ -66,11 +67,17 @@ class Matrix:
     def mul_vec(self, v: Sequence[Elem]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = [ZERO] * self.rows
+        return (self @ Matrix.from_columns([v], nrows=self.cols)).column(0)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise ValueError(f"cols {self.cols} != rows {other.rows}")
+        rows = other._sparse_rows()
+        out: Dict[Tuple[int, int], Elem] = {}
         for (i, j), x in self.entries.items():
-            if v[j]:
-                out[i] = out[i] + x * v[j]
-        return out
+            for t, y in rows[j].items():
+                out[(i, t)] = out.get((i, t), ZERO) + x * y
+        return Matrix(self.rows, other.cols, out)
 
     def scale(self, c: Elem) -> "Matrix":
         return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
@@ -111,24 +118,34 @@ class Matrix:
         """Reduced row echelon form; returns (rows, pivot column list)."""
         return _rref(self._sparse_rows(), self.cols)
 
-    def rank(self) -> int:
-        _, pivots = _rref(self._sparse_rows(), self.cols, reduce=False)
-        return len(pivots)
+    def pivots(self) -> List[int]:
+        """The pivot columns of the echelon form, with no back-substitution:
+        column j is one exactly when it is outside the span of the columns
+        before it."""
+        return _rref(self._sparse_rows(), self.cols, reduce=False)[1]
 
-    def kernel_basis(self) -> List[Vector]:
-        """Exact basis of the null space; length == cols - rank."""
+    def rank(self) -> int:
+        return len(self.pivots())
+
+    def kernel(self) -> "Matrix":
+        """Exact basis of the null space, as the columns of a cols x
+        (cols - rank) matrix: one column per free column f, in increasing
+        order, with 1 at f and minus the RREF entries of column f at the
+        pivot columns."""
         rows, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.cols
-            for r, p in enumerate(pivots):
-                if f in rows[r]:
-                    v[p] = -rows[r][f]
-            v[f] = ONE
-            basis.append(v)
-        return basis
+        free = {f: t for t, f in enumerate(j for j in range(self.cols) if j not in pivot_set)}
+        entries = {(f, t): ONE for f, t in free.items()}
+        for p, row in zip(pivots, rows):
+            for j, x in row.items():
+                if j in free:
+                    entries[(p, free[j])] = -x
+        return Matrix(self.cols, len(free), entries)
+
+    def kernel_basis(self) -> List[Vector]:
+        """The columns of ``kernel()`` as dense vectors."""
+        ker = self.kernel()
+        return [ker.column(t) for t in range(ker.cols)]
 
     def solve(self, rhs: Sequence[Elem]) -> Optional[Vector]:
         """One exact solution of m*x = rhs, or None if inconsistent."""
@@ -145,8 +162,7 @@ class Matrix:
 
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
-        _, piv_cols = _rref(self._sparse_rows(), self.cols, reduce=False)
-        return [self.column(j) for j in piv_cols]
+        return [self.column(j) for j in self.pivots()]
 
 
 def _bits(x: Elem) -> int:
@@ -242,7 +258,5 @@ def extend_basis(
 ) -> List[Vector]:
     """The candidates outside the span of base and of the candidates before
     them, in order: the pivot columns of [base | candidates] past base."""
-    cols = list(base) + list(candidates)
-    mat = Matrix.from_columns(cols, nrows=dim)
-    _, pivots = _rref(mat._sparse_rows(), mat.cols, reduce=False)
+    pivots = Matrix.from_columns(list(base) + list(candidates), nrows=dim).pivots()
     return [list(candidates[j - len(base)]) for j in pivots if j >= len(base)]

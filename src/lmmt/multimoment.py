@@ -12,10 +12,10 @@ from .cohomology import (
     d_form,
     is_exact,
 )
-from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract
+from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract, coordinate_matrix
 from .liealg import LieAlgebra
-from .linalg import Matrix, Vector, row_space_basis
-from .scalars import ZERO, Elem, sc
+from .linalg import Matrix, Vector
+from .scalars import ZERO, Elem, FieldError, radicand, sc
 
 
 @dataclass(frozen=True)
@@ -118,24 +118,24 @@ def orbit_stab_condition(g: LieAlgebra, beta: PDualElement) -> OrbitStabReport:
     stab = {X : X . d(rep) is a coboundary}; ker = {X : X . d(rep) = 0}.
     Equality means the closed geometry is realised on the orbit.
     """
-    if beta.representative.n != g.n:
+    n, k = g.n, beta.degree
+    if beta.representative.n != n:
         raise DimensionMismatch(
-            f"form is on R^{beta.representative.n}, the algebra has dimension {g.n}")
-    k = beta.degree
+            f"form is on R^{beta.representative.n}, the algebra has dimension {n}")
+    form_field = radicand(beta.representative.terms.values(), "form coefficients")
+    if form_field is not None and g.radicand not in (None, form_field):
+        raise FieldError(f"the form is over Q(sqrt {form_field}), "
+                         f"the algebra over Q(sqrt {g.radicand})")
     dbeta = d_P(g, beta)
-    masks_k = basis_masks(g.n, k)
-    cols: List[Vector] = []
-    for i in range(1, g.n + 1):
-        hooked = contract(KVector.basis(g.n, [i]), dbeta)
-        cols.append(hooked.to_vector(masks_k))
-    hook = Matrix.from_columns(cols, nrows=len(masks_k))
+    hooks = [contract(KVector.basis(n, [i]), dbeta) for i in range(1, n + 1)]
+    hook = coordinate_matrix(hooks, basis_masks(n, k))
     ker = hook.kernel_basis()
-    # stab: solve X . d(rep) = d(gamma) jointly in (X, gamma)
-    bmat = coboundary_matrix(g, k)
-    joint = hook.hstack(bmat.scale(-1))
-    stab = row_space_basis([v[: g.n] for v in joint.kernel_basis()], g.n)
-    holds = len(stab) == len(ker)
-    return OrbitStabReport(stab, ker, holds)
+    # stab: solve X . d(rep) = d(gamma) jointly in (X, gamma); its basis is
+    # the RREF of the X parts (the first n rows) of the joint kernel
+    joint = hook.hstack(coboundary_matrix(g, k).scale(-1)).kernel()
+    xs = Matrix(joint.cols, n, {(j, i): x for (i, j), x in joint.entries.items() if i < n})
+    stab = [[row.get(j, ZERO) for j in range(n)] for row in xs.rref()[0]]
+    return OrbitStabReport(stab, ker, len(stab) == len(ker))
 
 
 def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:

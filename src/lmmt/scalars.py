@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -215,6 +215,18 @@ class Scalar:
 
 
 Elem = Union[Fraction, Scalar]
+
+
+def radicand(values: Iterable[Elem], what: str) -> Optional[int]:
+    """The d of the one Q(sqrt d) that holds every value, None when all are
+    rational; FieldError naming what when two fields mix."""
+    d = None
+    for x in values:
+        if isinstance(x, Scalar):
+            if d not in (None, x.d):
+                raise FieldError(f"{what} mix Q(sqrt {d}) and Q(sqrt {x.d})")
+            d = x.d
+    return d
 
 
 def sc(x: Union[Scalar, RationalLike]) -> Elem:

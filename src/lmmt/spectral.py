@@ -9,25 +9,31 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import betti, coboundaries_and_cohomology, d_form
-from .exterior import KForm, KVector, basis_masks, contract, dim_lambda
+from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
 from .linalg import Matrix, Vector, extend_basis
-from .scalars import ZERO, Elem
+from .scalars import Elem
 
 
 class SplitError(ValueError):
     pass
 
 
-def _reduce_onto(span: List[Vector], vectors: List[Vector], dim: int) -> List[Dict[int, Elem]]:
+def _reduce_onto(span: Matrix, vectors: Matrix) -> List[Dict[int, Elem]]:
     """The reduced rows of [span | vectors], from one elimination; SplitError
-    if a vector is outside the span of ``span``.  Row r belongs to the r-th
-    pivot column of ``span`` and holds, at column len(span) + t, the
-    coordinate of vector t on that column."""
-    rows, pivots = Matrix.from_columns(span + vectors, nrows=dim).rref()
-    if pivots and pivots[-1] >= len(span):
+    if a column of ``vectors`` is outside the column span of ``span``.  Row r
+    belongs to the r-th pivot column of ``span`` and holds, at column
+    span.cols + t, the coordinate of column t of ``vectors`` on that column."""
+    rows, pivots = span.hstack(vectors).rref()
+    if pivots and pivots[-1] >= span.cols:
         raise SplitError("vector escapes the chosen basis")
     return rows
+
+
+def _outside(span: Matrix, vectors: Matrix) -> bool:
+    """True when a column of ``vectors`` is outside the column span of ``span``."""
+    pivots = span.hstack(vectors).pivots()
+    return bool(pivots) and pivots[-1] >= span.cols
 
 
 @dataclass
@@ -45,14 +51,15 @@ class IdealSplit:
 
     def __post_init__(self):
         g, n = self.g, self.g.n
-        cols = [list(v) for v in self.ideal_basis + self.complement_basis]
-        if len(cols) != n or Matrix.from_columns(cols, nrows=n).rank() != n:
+        basis = Matrix.from_columns(self.ideal_basis + self.complement_basis, nrows=n)
+        if basis.cols != n or basis.rank() != n:
             raise SplitError("ideal and complement do not span")
-        derived = [[c.get(k, ZERO) for k in range(1, n + 1)] for c in g.brackets.values()]
-        if extend_basis(self.ideal_basis, derived, n):
-            e = Matrix.identity(n).to_rows()
-            brackets = [g.bracket(x, list(v)) for x in e for v in self.ideal_basis]
-            if extend_basis(self.ideal_basis, brackets, n):
+        ideal = Matrix.from_columns(self.ideal_basis, nrows=n)
+        derived = Matrix(n, len(g.brackets), {
+            (k - 1, t): c for t, comp in enumerate(g.brackets.values()) for k, c in comp.items()})
+        if _outside(ideal, derived):
+            pairs = list(itertools.product(range(n), range(ideal.cols)))
+            if _outside(ideal, g.bracket_columns(Matrix.identity(n), ideal, pairs)):
                 raise SplitError("subspace is not an ideal")
             raise SplitError("quotient is not abelian: ideal misses g'")
 
@@ -77,9 +84,9 @@ class IdealSplit:
         of all n(n-1)/2 brackets come from one elimination."""
         if self._adapted is None:
             g, n = self.g, self.g.n
-            basis = [list(v) for v in self.ideal_basis + self.complement_basis]
+            basis = Matrix.from_columns(self.ideal_basis + self.complement_basis, nrows=n)
             pairs = list(itertools.combinations(range(n), 2))
-            rows = _reduce_onto(basis, [g.bracket(basis[i], basis[j]) for i, j in pairs], n)
+            rows = _reduce_onto(basis, g.bracket_columns(basis, basis, pairs))
             brackets: Brackets = {
                 (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
                 for t, (i, j) in enumerate(pairs)
@@ -129,28 +136,25 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     m, n = split.m, split.g.n
     gt, k = split.adapted(), split.ideal_algebra()
     masks_q = basis_masks(m, q)
-    b_cols, h_reps = coboundaries_and_cohomology(k, q)
+    bmat, h_reps = coboundaries_and_cohomology(k, q)
     dim_h = len(h_reps)
-    rep_cols = [rep.to_vector(masks_q) for rep in h_reps]
+    reps = coordinate_matrix(h_reps, masks_q)
     d_reps = [d_form(gt, _lift(rep, n)) for rep in h_reps]
-    acted = [
-        _restrict(contract(KVector.basis(n, [a]), d_rep), m).to_vector(masks_q)
-        for a in range(m + 1, n + 1) for d_rep in d_reps
-    ]
-    span = b_cols + rep_cols
+    acted = coordinate_matrix([_restrict(contract(KVector.basis(n, [a]), d_rep), m)
+                               for a in range(m + 1, n + 1) for d_rep in d_reps], masks_q)
+    span = bmat.hstack(reps)
     # the representatives are independent modulo the coboundaries, so they
     # are the last dim_h pivot columns of span and own the last dim_h rows
-    rows = _reduce_onto(span, acted, len(masks_q))
+    rows = _reduce_onto(span, acted)
     h_rows = rows[len(rows) - dim_h:]
     ops = [
         Matrix(dim_h, dim_h, {(r, j - lo): x for r, row in enumerate(h_rows)
                               for j, x in row.items() if lo <= j < lo + dim_h})
-        for lo in (len(span) + s * dim_h for s in range(split.codim))
+        for lo in (span.cols + s * dim_h for s in range(split.codim))
     ]
-    kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel_basis()
-    rep_mat = Matrix.from_columns(rep_cols, nrows=len(masks_q))
-    inv_forms = [KForm.from_vector(m, q, masks_q, rep_mat.mul_vec(v)) for v in kernel]
-    return InvariantCohomology(q, dim_h, len(kernel), ops, inv_forms)
+    kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel()
+    inv_forms = KForm.from_matrix(m, q, masks_q, reps @ kernel)
+    return InvariantCohomology(q, dim_h, kernel.cols, ops, inv_forms)
 
 
 @dataclass
@@ -210,15 +214,14 @@ def _quotient_functional_ideals(g: LieAlgebra, dprime: List[Vector]) -> List[Lis
     comp = _complement_for(g, dprime)
     p = len(comp)
     lift = Matrix.from_columns(comp, nrows=g.n)  # quotient coordinates -> g
-    unit = Matrix.identity(p).to_rows()
-    funcs = unit + [
-        [x + s * y for x, y in zip(unit[i], unit[j])]
+    funcs = [Matrix(1, p, {(0, i): 1}) for i in range(p)] + [
+        Matrix(1, p, {(0, i): 1, (0, j): s})
         for i in range(p) for j in range(i + 1, p) for s in (1, -1)
     ]
     ideals = []
     for f in funcs:
-        ker = Matrix.from_rows([f]).kernel_basis()  # vectors in quotient coordinates
-        ideals.append([list(b) for b in dprime] + [lift.mul_vec(v) for v in ker])
+        ker = lift @ f.kernel()
+        ideals.append([list(b) for b in dprime] + [ker.column(t) for t in range(ker.cols)])
     return ideals
 
 

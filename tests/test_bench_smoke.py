@@ -1,10 +1,9 @@
-"""Smoke tests of the benchmark harness: short traced betti-ladder,
-verify-paper and diag-ext runs and short untraced verify-paper,
-quadratic-field and diag-ext runs.
+"""Smoke tests of the benchmark harness: a short traced and a short
+untraced run of every workload but betti-ladder, which runs traced only.
 
 A traced run fails when an entry point it wraps is renamed or no longer
-called (its per-layer count reads 0); the traced workloads together
-reach every entry point the harness requires.  Every job's payload is checked
+called (its per-layer count reads 0); each workload's traced run checks
+every entry point the harness requires of it.  Every job's payload is checked
 against the recorded reference (for verify-paper, every claim payload), so
 this catches both before a full benchmark run does.  The quadratic-field
 run is the exact payload check of elimination over Q(sqrt 3): the su3 and
@@ -46,6 +45,10 @@ def test_untraced_verify_paper_run():
 
 def test_untraced_quadratic_field_run():
     _run("quadratic-field", "0")
+
+
+def test_traced_quadratic_field_run():
+    _run("quadratic-field", "1")
 
 
 def test_untraced_diag_ext_run():

@@ -51,6 +51,10 @@ def test_jacobi_failure_exit_code(capsys):
 # structure constants from Q(sqrt 2) and from Q(sqrt 3)
 MIXED_FIELDS = ('{"dim":3,"brackets":[{"i":1,"j":2,"c":{"3":"sqrt(2)"}},'
                 '{"i":1,"j":3,"c":{"2":"sqrt(3)"}}]}')
+# a two-form with one coefficient from each of Q(sqrt 2) and Q(sqrt 3)
+MIXED_FORM = '{"n":4,"degree":2,"terms":{"1,2":"sqrt(2)","3,4":"sqrt(3)"}}'
+# a Q(sqrt 2) form for su3, whose structure constants lie in Q(sqrt 3)
+SQRT2_FORM_ON_8 = '{"n":8,"degree":1,"terms":{"3":"sqrt(2)"}}'
 
 BAD_INPUT = [
     (["parse", "0,0,x"], 2),
@@ -110,6 +114,12 @@ BAD_INPUT = [
     (["parse", "0,12,a.13", "--param", "a=1/0"], 2),
     (["invariant-cohomology", "0,12,2.13", "--ideal", "1,2", "--degree", "1"], 2),
     (["invariant-cohomology", "0,12,2.13", "--ideal", "3", "--degree", "1"], 2),
+    (["nondeg", "--form", MIXED_FORM], 2),
+    (["normal-form", "--form", MIXED_FORM], 2),
+    (["stable", "--form", MIXED_FORM], 2),
+    (["--json", "stabilizer", "--form", MIXED_FORM], 2),
+    (["orbit-check", "0,0,12,13,14,15,16,17", "--form", MIXED_FORM], 2),
+    (["orbit-check", "builtin:su3", "--form", SQRT2_FORM_ON_8], 2),
 ]
 
 
@@ -162,6 +172,17 @@ def test_bad_input_message_names_the_input(capsys):
     assert "zero denominator in '1/0' (at position 2)" in capsys.readouterr().err
     main(["parse", "0,12,a.13", "--param", "a=1/0"])
     assert "bad rational in --param 'a=1/0'" in capsys.readouterr().err
+    for command in ("nondeg", "normal-form", "stable"):
+        main([command, "--form", MIXED_FORM])
+        assert capsys.readouterr().err == "error: form coefficients mix Q(sqrt 2) and Q(sqrt 3)\n"
+    main(["orbit-check", "builtin:su3", "--form", SQRT2_FORM_ON_8])
+    assert capsys.readouterr().err == "error: the form is over Q(sqrt 2), the algebra over Q(sqrt 3)\n"
+
+
+def test_a_quadratic_form_on_a_rational_algebra_runs(capsys):
+    """Q(sqrt 2) coefficients on a rational algebra mix no fields."""
+    assert main(["orbit-check", "builtin:abelian:8", "--form", SQRT2_FORM_ON_8]) == 0
+    assert capsys.readouterr().out == "stab dim 8, ker dim 8, holds=True\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -530,6 +530,66 @@ def test_lie_kernel_is_a_basis_of_ker_lie_L():
             assert not ker or Matrix.from_rows([v.to_vector(src) for v in ker]).rank() == len(ker)
 
 
+def _dense_kernel_basis(mat):
+    """Matrix.kernel_basis as first written: one dense vector per free
+    column, read off the RREF."""
+    rows, pivots = mat.rref()
+    pivot_set = set(pivots)
+    basis = []
+    for f in (j for j in range(mat.cols) if j not in pivot_set):
+        v = [Fraction(0)] * mat.cols
+        for r, p in enumerate(pivots):
+            if f in rows[r]:
+                v[p] = -rows[r][f]
+        v[f] = Fraction(1)
+        basis.append(v)
+    return basis
+
+
+def _dense_lie_kernel(g, k):
+    kernel = _dense_kernel_basis(ce_differential(g, k - 1).transpose())
+    return [KVector.from_vector(g.n, k, basis_masks(g.n, k), v) for v in kernel]
+
+
+def _dense_cocycle_basis(g, k):
+    kernel = _dense_kernel_basis(ce_differential(g, k))
+    return [KForm.from_vector(g.n, k, basis_masks(g.n, k), v) for v in kernel]
+
+
+def _dense_cohomology_basis(g, k):
+    """The cocycle-basis vectors that are pivot columns of [B | Z] past B,
+    with every column a dense list."""
+    masks = basis_masks(g.n, k)
+    bmat = coboundary_matrix(g, k)
+    b_cols = [bmat.column(j) for j in range(bmat.cols)]
+    z_cols = _dense_kernel_basis(ce_differential(g, k))
+    _, pivots = Matrix.from_columns(b_cols + z_cols, nrows=len(masks)).rref()
+    return [KForm.from_vector(g.n, k, masks, z_cols[j - len(b_cols)])
+            for j in pivots if j >= len(b_cols)]
+
+
+def _check_dense_bases(g):
+    """Same elements in the same order: the order is the trivial witness and
+    the mm-solve kernel payload."""
+    for k in range(g.n + 2):
+        for new, dense in ((lie_kernel, _dense_lie_kernel), (cocycle_basis, _dense_cocycle_basis),
+                           (cohomology_basis, _dense_cohomology_basis)):
+            assert [x.to_json() for x in new(g, k)] == [x.to_json() for x in dense(g, k)]
+
+
+@pytest.mark.parametrize("g", [parse_salamon(s) for s in CATALOG + NILPOTENT]
+                         + [builtin("su2"), builtin("su3"), _filiform(11)],
+                         ids=CATALOG + NILPOTENT + ["su2", "su3", "L11"])
+def test_sparse_bases_equal_the_dense_ones(g):
+    _check_dense_bases(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(torus_algebras(), shuffled_sums().map(lambda case: case[1])))
+def test_sparse_bases_equal_the_dense_ones_random(g):
+    _check_dense_bases(g)
+
+
 def test_ce_differential_shape_and_rank():
     g = parse_salamon("0,0,12")
     d1 = ce_differential(g, 1)

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmmt.exterior import (DegreeError, KForm, KVector,
-                           basis_masks, contract, dim_lambda, hodge_star,
+from lmmt.exterior import (DegreeError, KForm, KVector, basis_masks, contract,
+                           coordinate_matrix, dim_lambda, hodge_star,
                            indices_of, mask_of, volume_form, wedge_sign)
 from lmmt.claims import CATALOG, NILPOTENT
-from lmmt.cohomology import d_form
+from lmmt.cohomology import _hook_L, d_form
+from lmmt.forms import _act_elementary, pullback
 from lmmt.liealg import builtin, parse_salamon
+from lmmt.linalg import Matrix
 from lmmt.scalars import Scalar
 
 
@@ -180,11 +182,36 @@ def test_products_are_checked_elements(data):
     c = data.draw(st.one_of(cancelling, st.just(0)))
     results = [a.wedge(b), p.wedge(q), a.wedge(a), a + a2, a - a2, a - a, -a, -p,
                a.scale(c), p.scale(c), hodge_star(a), d_form(g, a), g.lie_L(p), g.lie_L(p - p)]
+    i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    results.append(_act_elementary(a, i, j))
+    change = data.draw(st.lists(st.one_of(cancelling, st.just(0)), min_size=n * n, max_size=n * n))
+    results.append(pullback(a, Matrix.from_rows([change[r * n:(r + 1) * n] for r in range(n)])))
     if p.degree <= a.degree:
         results.append(contract(p, a))
+    if 1 <= p.degree <= a.degree:
+        results.append(_hook_L(g, p, a))
+    masks = basis_masks(n, a.degree)
+    coords = data.draw(st.lists(st.one_of(cancelling, st.just(0)),
+                                min_size=3 * len(masks), max_size=3 * len(masks)))
+    mat = Matrix.from_columns([coords[t::3] for t in range(3)], nrows=len(masks))
+    for kind in (KForm, KVector):
+        results += kind.from_matrix(n, a.degree, masks, mat)
+        assert coordinate_matrix(results[-3:], masks) == mat
     for x in results:
         _assert_checked(x)
     assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+def test_coordinate_matrix_and_from_matrix():
+    masks = basis_masks(4, 2)
+    a = KForm(4, 2, {masks[0]: 1, masks[3]: Scalar(1, 1, 3)})
+    b = KForm(4, 2, {masks[5]: -2})
+    mat = coordinate_matrix([a, b, KForm.zero(4, 2)], masks)
+    assert (mat.rows, mat.cols) == (6, 3)
+    assert mat.entries == {(0, 0): 1, (3, 0): Scalar(1, 1, 3), (5, 1): -2}
+    assert KForm.from_matrix(4, 2, masks, mat) == [a, b, KForm.zero(4, 2)]
+    # terms on masks that are not listed are left out
+    assert coordinate_matrix([a], masks[1:]).entries == {(2, 0): Scalar(1, 1, 3)}
 
 
 def test_from_vector_skips_zeros_and_coerces():

@@ -1,4 +1,5 @@
 """Lie algebra structures, the structure-constant string notation, derivations."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.liealg import (Derivation, JacobiError, LeibnizError, LieAlgebra,
                          SalamonSyntaxError, builtin, extend_by_derivations,
                          grading_derivation, parse_salamon, structural_report)
+from lmmt.linalg import Matrix, row_space_basis
 from lmmt.scalars import ZERO, FieldError, Scalar
 from lmmt.spectral import diagonal_extension
 
@@ -114,6 +116,46 @@ def test_structural_report_oracles():
     assert not su2.solvable and su2.codim_derived == 0
     aff = structural_report(parse_salamon("0,12"))
     assert aff.solvable and not aff.nilpotent and not aff.unimodular
+
+
+STRUCTURE_ALGEBRAS = ([parse_salamon(s) for s in CATALOG + NILPOTENT]
+                      + [builtin("su2"), builtin("su3"), parse_salamon("0,12,-1.13")])
+
+
+def test_bracket_columns_equal_dense_brackets():
+    rng = random.Random(3)
+    for g in STRUCTURE_ALGEBRAS:
+        vecs = [[rng.choice([0, 0, 1, -2, Fraction(1, 2), Scalar(1, 1, 3)]) for _ in range(g.n)]
+                for _ in range(4)]
+        us, vs = vecs[:3], vecs[1:]
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        mat = g.bracket_columns(Matrix.from_columns(us, nrows=g.n),
+                                Matrix.from_columns(vs, nrows=g.n), pairs)
+        assert [mat.column(t) for t in range(mat.cols)] == [g.bracket(us[i], vs[j]) for i, j in pairs]
+
+
+def _dense_series(g, lower):
+    """The derived (or lower central) series as first written: dense bracket
+    vectors and one row-space basis per step."""
+    full = Matrix.identity(g.n).to_rows()
+    series = [full]
+    while series[-1]:
+        nxt = row_space_basis([g.bracket(u, v) for u in (full if lower else series[-1])
+                               for v in series[-1]], g.n)
+        if len(nxt) == len(series[-1]):
+            break
+        series.append(nxt)
+    return series
+
+
+def test_structural_report_equals_the_dense_series():
+    for g in STRUCTURE_ALGEBRAS:
+        rep = structural_report(g)
+        derived, lower = _dense_series(g, False), _dense_series(g, True)
+        assert rep.derived_series_dims == [len(b) for b in derived]
+        assert rep.lower_central_dims == [len(b) for b in lower]
+        dprime = row_space_basis([g.bracket(u, v) for u in derived[0] for v in derived[0]], g.n)
+        assert rep.derived_basis == dprime
 
 
 # tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,

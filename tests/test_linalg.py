@@ -187,6 +187,16 @@ def check_against_sympy(domain, rows, rhs):
     assert all(is_field_element(x) for v in ker for x in v)
     assert all(not y for v in ker for y in a.mul_vec(v))
     assert ker == [] or Matrix.from_rows(ker).rank() == len(ker)
+    # kernel() is the sparse form of the same basis, and spans sympy's null space
+    kernel = a.kernel()
+    assert (kernel.rows, kernel.cols) == (a.cols, len(ker))
+    assert [kernel.column(t) for t in range(kernel.cols)] == ker
+    null = ref.nullspace()
+    assert null.shape[0] == len(ker)
+    assert ker == [] or to_sympy(domain, ker).vstack(null).rank() == len(ker)
+    assert a.pivots() == list(ref_pivots)
+    assert a @ kernel == Matrix.zero(a.rows, len(ker))
+    assert to_sympy(domain, (a @ a.transpose()).to_rows()) == ref * ref.transpose()
     b = to_sympy(domain, [[y] for y in rhs])
     x = a.solve(rhs)
     assert (x is not None) == (ref.hstack(b).rank() == ref.rank())

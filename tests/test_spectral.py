@@ -215,7 +215,9 @@ def test_batched_solves_match_one_solve_per_vector(g):
 
 def test_reduce_onto_coordinates_and_escape():
     one, zero = Fraction(1), Fraction(0)
-    rows = _reduce_onto([[one, one, zero], [zero, one, zero]], [[2 * one, 3 * one, zero]], 3)
+    rows = _reduce_onto(Matrix.from_columns([[one, one, zero], [zero, one, zero]]),
+                        Matrix.from_columns([[2 * one, 3 * one, zero]]))
     assert [row.get(2, zero) for row in rows] == [2, 1]  # (2, 3, 0) = 2 (1, 1, 0) + (0, 1, 0)
     with pytest.raises(SplitError, match="escapes"):
-        _reduce_onto([[one, zero, zero]], [[zero, zero, one]], 3)
+        _reduce_onto(Matrix.from_columns([[one, zero, zero]]),
+                     Matrix.from_columns([[zero, zero, one]]))
