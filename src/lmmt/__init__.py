@@ -16,7 +16,14 @@ from .liealg import (
     structural_report,
 )
 from .cohomology import betti, ce_differential, d_form, is_trivial, kunneth_check, lie_kernel
-from .multimoment import Cocycle, PDualElement, orbit_stab_condition, solve_multimoment, triple_form
+from .multimoment import (
+    Cocycle,
+    PDualElement,
+    orbit_stab_condition,
+    solve_multimoment,
+    solve_multimoments,
+    triple_form,
+)
 from .spectral import (
     IdealSplit,
     abelian_eigen_criterion,

@@ -42,7 +42,7 @@ from .liealg import (
     parse_salamon,
     structural_report,
 )
-from .multimoment import Cocycle, PDualElement, orbit_stab_condition, solve_multimoment
+from .multimoment import Cocycle, PDualElement, orbit_stab_condition, solve_multimoments
 from .scalars import FieldError
 from .spectral import IdealSplit, hs_page, invariant_cohomology, search_34_extensions, verify_34_structure
 
@@ -252,10 +252,9 @@ def _dispatch(args) -> int:
 
     if cmdname == "mm-solve":
         g = _load_algebra(args.algebra, params)
-        results = []
-        for z in cocycle_basis(g, args.degree):
-            sol = solve_multimoment(g, Cocycle(args.degree, z))
-            results.append({"psi": z.to_json(), **sol.to_json()})
+        cocycles = cocycle_basis(g, args.degree)
+        sols = solve_multimoments(g, [Cocycle(args.degree, z) for z in cocycles])
+        results = [{"psi": z.to_json(), **sol.to_json()} for z, sol in zip(cocycles, sols)]
         payload = {"degree": args.degree, "solutions": results}
         _emit(args, payload,
               "\n".join(f"{r['status']}" for r in results) or "empty cocycle space")

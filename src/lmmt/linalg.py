@@ -10,12 +10,18 @@ pivot step touches only the rows that hold its column, followed by optional
 back-substitution.  ``Matrix.pivots`` skips it, and ``rank``,
 ``column_space_basis`` and the span queries (``in_span``, ``extend_basis``)
 read its answer: a column of [base | candidates] is a pivot column exactly
-when it is not in the span of the columns before it.  ``Matrix.kernel``
-reads the null space off the RREF as the columns of a sparse matrix.
+when it is not in the span of the columns before it.  On a rational matrix
+that forward pass runs over Z, fraction-free, on machine-size ``int`` rows;
+every reduced RREF, and every matrix with a ``Scalar``, takes the field step.
+``Matrix.kernel`` reads the null space off the RREF as the columns of a
+sparse matrix, and ``Matrix.solve_columns`` reads one solution per right-hand
+side off a single RREF.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Elem, Scalar, sc
@@ -151,14 +157,27 @@ class Matrix:
         """One exact solution of m*x = rhs, or None if inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError(f"rhs length {len(rhs)} != rows {self.rows}")
-        aug = self.hstack(Matrix.from_columns([rhs], nrows=self.rows))
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = red[r].get(self.cols, ZERO)
-        return x
+        x = self.solve_columns(Matrix.from_columns([rhs], nrows=self.rows))[0]
+        return None if x is None else [x.get(j, ZERO) for j in range(self.cols)]
+
+    def solve_columns(self, rhs: "Matrix") -> List[Optional[Dict[int, Elem]]]:
+        """For each column b of rhs, the exact solution of m*x = b that is 0
+        off the pivot columns of m (sparse: col -> entry), or None if there
+        is none; all from one RREF of [m | rhs].  b is in the column span
+        exactly when no pivot row past those of m holds it."""
+        if rhs.rows != self.rows:
+            raise ValueError(f"rhs rows {rhs.rows} != rows {self.rows}")
+        red, pivots = self.hstack(rhs).rref()
+        rank = sum(p < self.cols for p in pivots)
+        xs: List[Optional[Dict[int, Elem]]] = [{} for _ in range(rhs.cols)]
+        for p, row in zip(pivots[:rank], red):
+            for j, v in row.items():
+                if j >= self.cols:
+                    xs[j - self.cols][p] = v
+        for row in red[rank:]:
+            for j in row:
+                xs[j - self.cols] = None
+        return xs
 
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
@@ -182,35 +201,59 @@ def _rref(
     back-substitution is skipped, which is all a rank or pivot query needs.
 
     The elements are ``Fraction``s and ``Scalar``s (b != 0), mixed freely;
-    only ``+ - *``, ``1 / x``, truthiness and ``_bits`` are used, so any
-    exact field type with those works unchanged.  The forward pass keeps
-    every waiting row in a bucket keyed by its leading column.  Columns are
-    processed left to right; once those left of ``col`` are cleared, a row
-    holds ``col`` exactly when it sits in bucket ``col``, so each pivot step
-    touches only that bucket and re-buckets each updated row by its new
-    leading column.  The pivot is the bucket row of least ``_bits`` (ties by
-    bucket position)."""
+    the field step uses only ``+ - *``, ``1 / x``, truthiness and ``_bits``,
+    so any exact field type with those works unchanged.  The forward pass
+    keeps every waiting row in a bucket keyed by its leading column.
+    Columns are processed left to right; once those left of ``col`` are
+    cleared, a row holds ``col`` exactly when it sits in bucket ``col``, so
+    each pivot step touches only that bucket and re-buckets each updated row
+    by its new leading column.  The pivot is the bucket row of least
+    ``_bits`` (ties by bucket position).
+
+    A pivot query (no ``reduce``) on rows with no ``Scalar`` runs over Z,
+    fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled in
+    place by the lcm of its denominators to a primitive ``int`` row, the
+    pivot is the bucket row of least |value|, and ``_clear_col`` combines
+    with integers only.  Pivot columns do not depend on the pivot rows, so
+    the answer is the field step's; each pivot row is returned normalised to
+    ``Fraction``s with a leading 1."""
+    integral = not reduce and not any(
+        isinstance(v, Scalar) for r in rows for v in r.values())
     buckets: Dict[int, List[Dict[int, Elem]]] = {}
     for r in rows:
-        if r:
-            buckets.setdefault(min(r), []).append(r)
+        if not r:
+            continue
+        if integral:
+            # a list, not a generator: a tuple sized from a generator is
+            # resized, which leaves a block on the interpreter's free list
+            den = lcm(*[v.denominator for v in r.values()])
+            for j, v in r.items():
+                r[j] = v.numerator * (den // v.denominator)
+            _divide_content(r)
+        buckets.setdefault(min(r), []).append(r)
+    size = abs if integral else _bits
     pivots: List[int] = []
     done: List[Dict[int, Elem]] = []
     for col in range(ncols):
         bucket = buckets.pop(col, None)
         if bucket is None:
             continue
-        best = min(range(len(bucket)), key=lambda i: _bits(bucket[i][col]))
+        best = min(range(len(bucket)), key=lambda i: size(bucket[i][col]))
         # by position: equal rows are == as dicts, so list.remove could
         # take out another object than the chosen one
         piv_row = bucket.pop(best)
         piv_val = piv_row[col]
-        if piv_val != 1:
+        if not integral and piv_val != 1:
             inv = 1 / piv_val
             piv_row = {j: v * inv for j, v in piv_row.items()}
         tail = [(j, v) for j, v in piv_row.items() if j != col]
+        if integral:
+            # the int tail clears the bucket; the row is returned over Q
+            for j, v in tail:
+                piv_row[j] = Fraction(v, piv_val)
+            piv_row[col] = ONE
         for r in bucket:
-            _clear_col(r, col, tail)
+            _clear_col(r, col, tail, piv_val if integral else None)
             if r:
                 buckets.setdefault(min(r), []).append(r)
         done.append(piv_row)
@@ -227,16 +270,38 @@ def _rref(
     return done, pivots
 
 
-def _clear_col(r: Dict[int, Elem], col: int, tail: List[Tuple[int, Elem]]) -> None:
-    """r -= r[col] * pivot row, given the pivot row's entries other than its
-    leading 1 at ``col``; the difference at ``col`` itself is exactly 0."""
+def _clear_col(r: Dict[int, Elem], col: int, tail: List[Tuple[int, Elem]],
+               piv_val: Optional[int] = None) -> None:
+    """Clear ``col`` from r with the pivot row, given as its entries other
+    than the one at ``col``.  Over a field (no ``piv_val``) that entry is 1
+    and r -= r[col] * pivot row.  Over Z it is the int ``piv_val``: with
+    x = r[col] and g = gcd(piv_val, x) signed like ``piv_val``, r becomes
+    (piv_val/g) * r - (x/g) * pivot row, and its content is divided out
+    when piv_val/g != 1.  Either way the difference at ``col`` is exactly 0."""
     x = r.pop(col)
+    scale = 1
+    if piv_val is not None:
+        g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
+        scale, x = piv_val // g, x // g
+        if scale != 1:
+            for j in r:
+                r[j] *= scale
     for j, v in tail:
         nv = r.get(j, 0) - x * v
         if nv:
             r[j] = nv
         else:
             r.pop(j, None)
+    if scale != 1:
+        _divide_content(r)
+
+
+def _divide_content(r: Dict[int, int]) -> None:
+    """Divide an int row by the gcd of its entries."""
+    c = gcd(*r.values())
+    if c > 1:
+        for j in r:
+            r[j] //= c
 
 
 # -- subspace utilities ----------------------------------------------------

@@ -82,18 +82,34 @@ def solve_multimoment(g: LieAlgebra, psi: Cocycle) -> MultimomentSolution:
     affine solution set is a particular nu plus the span of the
     returned kernel classes, which are a basis of H^{r-1}.
     """
-    r = psi.degree
+    return solve_multimoments(g, [psi])[0]
+
+
+def solve_multimoments(g: LieAlgebra, psis: Sequence[Cocycle]) -> List[MultimomentSolution]:
+    """``solve_multimoment`` for each of several cocycles of one degree r,
+    from one elimination of [d | Z] (d on (r-1)-forms, Z the cocycles as
+    columns) and, if any solution exists, one basis of H^{r-1}."""
+    if not psis:
+        return []
+    r = psis[0].degree
+    if any(psi.degree != r for psi in psis):
+        raise ValueError("cocycles of different degrees")
     if not 1 <= r <= g.n:
         raise ValueError("degree out of range")
-    masks_r = basis_masks(g.n, r)
-    sol = ce_differential(g, r - 1).solve(psi.form.to_vector(masks_r))
-    if sol is None:
-        return MultimomentSolution("no-existence", obstruction=psi.form)
+    rhs = coordinate_matrix([psi.form for psi in psis], basis_masks(g.n, r))
     masks = basis_masks(g.n, r - 1)
-    nu = PDualElement(r - 1, KForm.from_vector(g.n, r - 1, masks, sol))
-    kernel = [PDualElement(r - 1, z) for z in cohomology_basis(g, r - 1)]
-    status = "unique" if not kernel else "non-unique"
-    return MultimomentSolution(status, nu=nu, kernel=kernel)
+    kernel: Optional[List[PDualElement]] = None
+    out = []
+    for psi, x in zip(psis, ce_differential(g, r - 1).solve_columns(rhs)):
+        if x is None:
+            out.append(MultimomentSolution("no-existence", obstruction=psi.form))
+            continue
+        if kernel is None:
+            kernel = [PDualElement(r - 1, z) for z in cohomology_basis(g, r - 1)]
+        nu = PDualElement(r - 1, KForm._of(g.n, r - 1, {masks[j]: v for j, v in x.items()}))
+        status = "unique" if not kernel else "non-unique"
+        out.append(MultimomentSolution(status, nu=nu, kernel=list(kernel)))
+    return out
 
 
 @dataclass

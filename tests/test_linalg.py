@@ -1,4 +1,5 @@
 """Exact sparse linear algebra."""
+import math
 from fractions import Fraction
 
 import sympy
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lmmt.linalg import Matrix, extend_basis, in_span, row_space_basis
+from lmmt.linalg import Matrix, _clear_col, _rref, extend_basis, in_span, row_space_basis
 from lmmt.scalars import Scalar, sc
 
 
@@ -203,6 +204,10 @@ def check_against_sympy(domain, rows, rhs):
     if x is not None:
         assert all(is_field_element(y) for y in x)
         assert ref * to_sympy(domain, [[y] for y in x]) == b
+    # every column of a is solvable; all columns at once solve as one by one
+    columns = [rhs] + [a.column(j) for j in range(a.cols)]
+    xs = a.solve_columns(Matrix.from_columns(columns, nrows=a.rows))
+    assert [None if y is None else dense(y, a.cols) for y in xs] == [a.solve(c) for c in columns]
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,3 +246,119 @@ def test_spans_against_sympy_over_q_sqrt3(system):
     rows, _ = system
     assume(any(isinstance(x, Scalar) and x.b for r in rows for x in r))
     check_spans_against_sympy(QQ_SQRT3, rows)
+
+
+# -- the fraction-free pass: pivot queries on rational rows run over Z --------
+
+mixed_rationals = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])),
+    st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40)))
+
+
+@st.composite
+def pivot_matrices(draw):
+    """Rational rows of a tall, square or wide shape, with mixed denominators
+    and entries up to 2**40; sometimes a zero row, a duplicate row, a
+    multiple of a row, and (if ``sqrt3``) one Scalar entry, which puts the
+    whole matrix on the field step."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(mixed_rationals, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        c = draw(mixed_rationals)
+        rows.append([c * x for x in draw(st.sampled_from(rows))])
+    sqrt3 = draw(st.booleans())
+    if sqrt3:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, ncols - 1))
+        rows[i][j] = Scalar(rows[i][j], draw(st.integers(1, 3)), 3)
+    return rows, sqrt3
+
+
+@settings(max_examples=150, deadline=None)
+@given(pivot_matrices())
+def test_pivots_and_rank_against_sympy(matrix):
+    rows, sqrt3 = matrix
+    a, ref = Matrix.from_rows(rows), to_sympy(QQ_SQRT3 if sqrt3 else QQ, rows)
+    assert a.pivots() == list(ref.rref()[1])
+    assert a.rank() == ref.rank() == sympy.Matrix(ref.to_Matrix()).rank()
+
+
+def check_rref_rows(rows, ncols, reduce):
+    """_rref's rows: field elements with a leading 1 at their pivot, in an
+    echelon form whose rows span the input's row space."""
+    before = [dict(r) for r in rows]
+    red, pivots = _rref(rows, ncols, reduce=reduce)
+    assert all(is_field_element(x) for r in red for x in r.values())
+    assert [min(r) for r in red] == pivots and all(r[p] == 1 for r, p in zip(red, pivots))
+    if reduce:
+        assert all(p not in r for k, r in enumerate(red) for p in pivots if p != pivots[k])
+    if red:
+        span = Matrix.from_rows([dense(r, ncols) for r in red])
+        both = Matrix.from_rows([dense(r, ncols) for r in red + before])
+        assert span.rank() == both.rank() == len(red)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pivot_matrices())
+def test_float_free_guard(matrix):
+    """Every element rref, kernel, solve and _rref return is a Fraction or
+    an irrational Scalar: the int rows of the pivot pass never leak, and no
+    1 / int turns into a float."""
+    rows, _ = matrix
+    a = Matrix.from_rows(rows)
+    red, _ = a.rref()
+    assert all(is_field_element(x) for r in red for x in r.values())
+    assert all(is_field_element(x) for x in a.kernel().entries.values())
+    x = a.solve(a.column(a.cols - 1))
+    assert x is not None and all(is_field_element(y) for y in x)
+    for reduce in (False, True):
+        check_rref_rows(a._sparse_rows(), a.cols, reduce)
+
+
+def test_integer_pass_keeps_big_entries_exact():
+    # 2**40 + 1 and 2**40 - 1 are coprime: the rows are independent only exactly
+    big = 2**40
+    rows = [[Fraction(big + 1, 3), Fraction(big, 7)], [Fraction(big, 3), Fraction(big - 1, 7)]]
+    assert Matrix.from_rows(rows).rank() == 2
+    rows[1] = [Fraction(big + 1, 6), Fraction(big, 14)]
+    assert Matrix.from_rows(rows).rank() == 1
+
+
+int_rows = st.dictionaries(st.integers(0, 5), st.integers(-30, 30).filter(bool), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows, int_rows, st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool))
+def test_integer_clear_col_step(r, tail, piv_val, x):
+    """One integer step on column 6: with g = gcd(piv_val, x) signed like
+    piv_val, r becomes (piv_val/g) r - (x/g) pivot row; the content is divided
+    out exactly when piv_val/g != 1, so an unscaled row keeps its content."""
+    col = 6
+    row = {**r, col: x}
+    _clear_col(row, col, list(tail.items()), piv_val)
+    g = math.gcd(piv_val, x) * (1 if piv_val > 0 else -1)
+    scale, mult = piv_val // g, x // g
+    combo = {j: scale * r.get(j, 0) - mult * tail.get(j, 0) for j in set(r) | set(tail)}
+    combo = {j: v for j, v in combo.items() if v}
+    content = math.gcd(*combo.values()) if scale != 1 else 1
+    assert row == {j: v // content for j, v in combo.items()}
+
+
+def test_integer_clear_col_examples():
+    # the pivot value divides x: r - 2 * pivot row, content 2 kept
+    row = {0: 4, 1: 4}
+    _clear_col(row, 0, [(1, 1)], 2)
+    assert row == {1: 2}
+    # 3 does not divide 2: 3 r - 2 * pivot row = {1: 6, 2: -2}, divided by its content 2
+    row = {0: 2, 1: 2}
+    _clear_col(row, 0, [(2, 1)], 3)
+    assert row == {1: 3, 2: -1}
+    # a negative pivot value: r + x * pivot row, no scaling
+    row = {0: 5, 1: 1}
+    _clear_col(row, 0, [(1, 1)], -1)
+    assert row == {1: 6}

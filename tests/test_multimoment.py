@@ -5,7 +5,7 @@ from lmmt.cohomology import betti, cocycle_basis, d_form, is_exact
 from lmmt.exterior import KForm
 from lmmt.liealg import builtin, parse_salamon
 from lmmt.multimoment import (Cocycle, PDualElement, d_P, orbit_stab_condition,
-                              solve_multimoment, triple_form)
+                              solve_multimoment, solve_multimoments, triple_form)
 from lmmt.scalars import Scalar
 
 
@@ -70,6 +70,28 @@ def test_kernel_is_a_basis_of_H_r_minus_1():
     sol = solve_multimoment(g, Cocycle(4, psi))
     assert sol.status == "non-unique"
     assert len(sol.kernel) == betti(g).betti[3] == 4
+
+
+@pytest.mark.parametrize("salamon", ["0,0,12", "0,0,12,13", "0,12,13,14,1.15", "0,0,13+24,14"])
+def test_batched_solutions_equal_single_solves(salamon):
+    """One elimination of [d | Z] per degree gives, cocycle by cocycle, what
+    one solve per cocycle gives: statuses, particular solutions, kernels."""
+    g = parse_salamon(salamon)
+    for r in range(1, g.n + 1):
+        psis = [Cocycle(r, z) for z in cocycle_basis(g, r)]
+        batch = solve_multimoments(g, psis)
+        assert [s.to_json() for s in batch] == [solve_multimoment(g, p).to_json() for p in psis]
+
+
+def test_batched_solutions_edge_cases():
+    g = parse_salamon("0,0,12")
+    # e12 = d(-e3) is exact, e13 and e23 are not: one batch, both outcomes
+    psis = [Cocycle(2, KForm.basis(3, m)) for m in ((1, 2), (1, 3), (2, 3))]
+    assert [s.status for s in solve_multimoments(g, psis)] == [
+        "non-unique", "no-existence", "no-existence"]
+    assert solve_multimoments(g, []) == []
+    with pytest.raises(ValueError):
+        solve_multimoments(g, [Cocycle(1, KForm.basis(3, (1,))), Cocycle(2, KForm.basis(3, (1, 2)))])
 
 
 def test_solution_json():
