@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 algebra validation failure (Jacobi/Leibniz),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,7 +43,8 @@ from .liealg import (
     parse_salamon,
     structural_report,
 )
-from .multimoment import Cocycle, PDualElement, orbit_stab_condition, solve_multimoments
+from .multimoment import (Cocycle, PDualElement, orbit_stab_condition, solutions_to_json,
+                          solve_multimoments)
 from .scalars import FieldError
 from .spectral import IdealSplit, hs_page, invariant_cohomology, search_34_extensions, verify_34_structure
 
@@ -123,7 +125,11 @@ def _emit(args, payload: Dict[str, object], human: str) -> None:
         print(human)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call of each process and not at
+    import.  Parsing leaves it unchanged: each ``parse_args`` returns a fresh
+    Namespace, and argparse looks up sys.stdout/sys.stderr as it prints."""
     top = argparse.ArgumentParser(prog="lmmt", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON output")
     sub = top.add_subparsers(dest="command", required=True)
@@ -254,7 +260,8 @@ def _dispatch(args) -> int:
         g = _load_algebra(args.algebra, params)
         cocycles = cocycle_basis(g, args.degree)
         sols = solve_multimoments(g, [Cocycle(args.degree, z) for z in cocycles])
-        results = [{"psi": z.to_json(), **sol.to_json()} for z, sol in zip(cocycles, sols)]
+        results = [{"psi": z.to_json(), **sol}
+                   for z, sol in zip(cocycles, solutions_to_json(sols))]
         payload = {"degree": args.degree, "solutions": results}
         _emit(args, payload,
               "\n".join(f"{r['status']}" for r in results) or "empty cocycle space")

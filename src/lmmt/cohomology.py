@@ -110,23 +110,33 @@ def _weight_zero_masks(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[List[i
     """The masks of joint torus weight zero, by degree 0..n+1 (degree n+1 is
     empty: the rows of the degree-n block), each list increasing.
 
-    One pass over the 2^n masks in Gray-code order: consecutive masks differ
-    in one bit, so each weight code is the previous one plus or minus that
-    bit's code, and no table of weights is kept."""
+    Meet in the middle, in O(2^(n/2) + output) steps: a mask is H + L with L
+    on the low h = n // 2 bits and H on the others, and as the weight codes
+    are additive it has weight zero exactly when code(L) = -code(H).  The
+    low subsets are hashed by code, in increasing order; the high subsets
+    are walked in increasing order and each looks up its negated code.  A
+    hit H + L sorts by H first and then by L, so every degree list comes out
+    increasing."""
     codes = _weight_codes(n, torus)
-    zero: List[List[int]] = [[0]] + [[] for _ in range(n + 1)]
-    weight = mask = 0
-    for i in range(1, 1 << n):
-        low = i & -i
-        mask ^= low
-        if mask & low:
-            weight += codes[low.bit_length() - 1]
-        else:
-            weight -= codes[low.bit_length() - 1]
-        if not weight:
-            zero[mask.bit_count()].append(mask)
-    for masks in zero:
-        masks.sort()
+    h = n // 2
+
+    def subset_codes(part: List[int]) -> List[int]:
+        # the code of every subset of part, indexed by its mask over part
+        out = [0]
+        for c in part:
+            out += [x + c for x in out]
+        return out
+
+    low: Dict[int, List[Tuple[int, int]]] = {}
+    for mask, code in enumerate(subset_codes(codes[:h])):
+        low.setdefault(code, []).append((mask, mask.bit_count()))
+    zero: List[List[int]] = [[] for _ in range(n + 2)]
+    for high, code in enumerate(subset_codes(codes[h:])):
+        hits = low.get(-code)
+        if hits:
+            top, deg = high << h, high.bit_count()
+            for mask, k in hits:
+                zero[deg + k].append(top | mask)
     return zero
 
 
@@ -242,7 +252,13 @@ def coboundaries_and_cohomology(g: LieAlgebra, k: int) -> Tuple[Matrix, List[KFo
     """``coboundary_matrix(g, k)``, whose columns span B^k, and
     ``cohomology_basis(g, k)``, from one build of that matrix: the cocycle
     basis vectors that are pivot columns of [B | Z] past B."""
-    bmat, kernel = coboundary_matrix(g, k), ce_differential(g, k).kernel()
+    return _coboundaries_and_cohomology(g, k, ce_differential(g, k))
+
+
+def _coboundaries_and_cohomology(g: LieAlgebra, k: int, d: Matrix) -> Tuple[Matrix, List[KForm]]:
+    """``coboundaries_and_cohomology(g, k)`` with d = ``ce_differential(g, k)``
+    already built by the caller."""
+    bmat, kernel = coboundary_matrix(g, k), d.kernel()
     cocycles = KForm.from_matrix(g.n, k, basis_masks(g.n, k), kernel)
     return bmat, [cocycles[j - bmat.cols] for j in bmat.hstack(kernel).pivots() if j >= bmat.cols]
 

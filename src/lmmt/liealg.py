@@ -191,19 +191,32 @@ class LieAlgebra:
         return LieAlgebra(len(pos), brackets, validate=False)
 
     def jacobi_check(self) -> Optional[Tuple[int, int, int]]:
-        """None if Jacobi holds; else the first failing basis triple."""
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                for k in range(j + 1, self.n + 1):
-                    acc = [ZERO] * self.n
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(a, b)
-                        for m, cm in inner.items():
-                            for p, cp in self.bracket_basis(m, c).items():
-                                acc[p - 1] = acc[p - 1] + cm * cp
-                    if any(acc):
-                        return (i, j, k)
-        return None
+        """None if Jacobi holds; else the least failing basis triple i < j < k.
+
+        The Jacobiator of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+        - [[e_i, e_k], e_j], and a term can be non-zero only when its inner
+        pair is a stored bracket.  So one pass over the stored brackets (a, b)
+        and the stored brackets [e_m, e_c] of each component m adds every
+        non-zero term, with sign - when c lies between a and b (and again
+        when [e_m, e_c] is stored as -[e_c, e_m]); every other triple has
+        Jacobiator 0.  The least triple left non-zero is the one a loop over
+        all i < j < k would meet first."""
+        # m -> (c, stored bracket of m and c, whether [e_m, e_c] is its negative)
+        ad: Dict[int, List[Tuple[int, Dict[int, Elem], bool]]] = {}
+        for (i, j), comp in self.brackets.items():
+            ad.setdefault(i, []).append((j, comp, False))
+            ad.setdefault(j, []).append((i, comp, True))
+        jacobiator: Dict[Tuple[int, int, int], Dict[int, Elem]] = {}
+        for (a, b), comp in self.brackets.items():
+            for m, cm in comp.items():
+                for c, outer, flip in ad.get(m, ()):
+                    if c == a or c == b:
+                        continue
+                    acc = jacobiator.setdefault(tuple(sorted((a, b, c))), {})
+                    s = -cm if (a < c < b) != flip else cm
+                    for p, cp in outer.items():
+                        accumulate(acc, p, s * cp)
+        return min((t for t, acc in jacobiator.items() if acc), default=None)
 
     # -- the bracket-extension map L --------------------------------------
 
@@ -606,8 +619,36 @@ def _su3() -> LieAlgebra:
     return LieAlgebra(8, brackets)
 
 
+def _upper_triangular(k: int, cartan: bool) -> LieAlgebra:
+    """n+(sl_k), the strictly upper triangular k x k matrices, or with
+    cartan the Borel subalgebra b = h + n+ of sl_k, from matrix units.
+
+    The basis is H_a = E_aa - E_{a+1,a+1} for a = 1..k-1 (with cartan),
+    then E_ij for i < j in lexicographic order; [E_ij, E_lm] =
+    d_jl E_im - d_mi E_lj and [H_a, E_ij] = (H_a(i) - H_a(j)) E_ij.  With
+    E_ij before E_lm only d_jl can be non-zero (m = i would put (l, m)
+    before (i, j)), so the stored brackets are [E_ij, E_jm] = E_im."""
+    if k < 1:
+        raise ValueError(f"sl_k needs k >= 1, got {k}")
+    h = k - 1 if cartan else 0
+    unit = {(i, j): t for t, (i, j) in enumerate(
+        ((i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)), start=h + 1)}
+    brackets: Brackets = {}
+    for a in range(1, h + 1):
+        for (i, j), t in unit.items():
+            w = (i == a) - (i == a + 1) - (j == a) + (j == a + 1)
+            if w:
+                brackets[(a, t)] = {t: Fraction(w)}
+    for (i, j), s in unit.items():
+        for m in range(j + 1, k + 1):
+            brackets[(s, unit[(j, m)])] = {unit[(i, m)]: ONE}
+    return LieAlgebra(h + len(unit), brackets)
+
+
 def builtin(name: str) -> LieAlgebra:
-    """Named algebras: su2, su3, heisenberg, abelian:n."""
+    """Named algebras: su2, su3, heisenberg, abelian:n, nplus:k (n+(sl_k),
+    the strictly upper triangular k x k matrices) and borel:k (the Borel
+    subalgebra h + n+ of sl_k, traceless upper triangular matrices)."""
     if name == "su2":
         return _su2()
     if name == "su3":
@@ -617,4 +658,7 @@ def builtin(name: str) -> LieAlgebra:
     if name.startswith("abelian:"):
         n = int(name.split(":", 1)[1])
         return LieAlgebra(n, {})
+    if name.startswith(("nplus:", "borel:")):
+        kind, k = name.split(":", 1)
+        return _upper_triangular(int(k), kind == "borel")
     raise ValueError(f"unknown builtin algebra {name!r}")

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import (
-    ce_differential,
-    coboundary_matrix,
-    cohomology_basis,
-    d_form,
-    is_exact,
-)
+from .cohomology import (_coboundaries_and_cohomology, ce_differential, coboundary_matrix, d_form,
+                         is_exact)
 from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract, coordinate_matrix
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector
@@ -64,11 +59,15 @@ class MultimomentSolution:
     obstruction: Optional[KForm] = None
 
     def to_json(self) -> dict:
-        out = {"status": self.status}
+        return self._json([k.to_json() for k in self.kernel])
+
+    def _json(self, kernel: List[dict]) -> dict:
+        """to_json with the kernel classes already serialised."""
+        out: dict = {"status": self.status}
         if self.nu is not None:
             out["nu"] = self.nu.to_json()
-        if self.kernel:
-            out["kernel"] = [k.to_json() for k in self.kernel]
+        if kernel:
+            out["kernel"] = kernel
         if self.obstruction is not None:
             out["obstruction"] = self.obstruction.to_json()
         return out
@@ -98,17 +97,32 @@ def solve_multimoments(g: LieAlgebra, psis: Sequence[Cocycle]) -> List[Multimome
         raise ValueError("degree out of range")
     rhs = coordinate_matrix([psi.form for psi in psis], basis_masks(g.n, r))
     masks = basis_masks(g.n, r - 1)
+    d = ce_differential(g, r - 1)
     kernel: Optional[List[PDualElement]] = None
     out = []
-    for psi, x in zip(psis, ce_differential(g, r - 1).solve_columns(rhs)):
+    for psi, x in zip(psis, d.solve_columns(rhs)):
         if x is None:
             out.append(MultimomentSolution("no-existence", obstruction=psi.form))
             continue
         if kernel is None:
-            kernel = [PDualElement(r - 1, z) for z in cohomology_basis(g, r - 1)]
+            kernel = [PDualElement(r - 1, z) for z in _coboundaries_and_cohomology(g, r - 1, d)[1]]
         nu = PDualElement(r - 1, KForm._of(g.n, r - 1, {masks[j]: v for j, v in x.items()}))
         status = "unique" if not kernel else "non-unique"
         out.append(MultimomentSolution(status, nu=nu, kernel=list(kernel)))
+    return out
+
+
+def solutions_to_json(sols: Sequence[MultimomentSolution]) -> List[dict]:
+    """``[sol.to_json() for sol in sols]``, serialising each kernel once:
+    ``solve_multimoments`` hands every solvable cocycle the same H^{r-1}
+    basis, which can run to thousands of forms."""
+    shared: Dict[Tuple[int, ...], List[dict]] = {}
+    out = []
+    for sol in sols:
+        key = tuple(map(id, sol.kernel))
+        if key not in shared:
+            shared[key] = [k.to_json() for k in sol.kernel]
+        out.append(sol._json(shared[key]))
     return out
 
 

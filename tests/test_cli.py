@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lmmt.cli import main
+from lmmt.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -302,3 +302,73 @@ def test_verify_paper(capsys):
 def test_verify_paper_filter(capsys):
     code, out = run(capsys, "verify-paper", "--filter", "c03")
     assert code == 0 and "[PASS]" in out
+
+
+# -- one parser per process ------------------------------------------------
+
+
+def test_repeated_calls_do_not_share_params(capsys):
+    """--param is an append action: a second call starts from no params."""
+    assert main(["--json", "parse", "0,12,t.13", "--param", "t=2"]) == 0
+    capsys.readouterr()
+    assert main(["parse", "0,12,t.13"]) == 2
+    assert capsys.readouterr().err == "error: cannot read algebra: unbound parameter 't' (at position 5)\n"
+    assert main(["parse", "0,12,t.13", "--param", "t=3"]) == 0
+    assert capsys.readouterr().out.startswith("dim 3: 0,12,3.13\n")
+
+
+def test_repeated_calls_do_not_share_json(capsys):
+    assert run(capsys, "--json", "betti", "0,0,12")[1].startswith("{")
+    assert run(capsys, "betti", "0,0,12") == (0, "betti [1, 2, 2, 1]\n")
+
+
+def test_argparse_rejection_between_successes(capsys):
+    """An exit 2 from argparse leaves the parser as it was."""
+    first = run(capsys, "betti", "0,0,12")
+    with pytest.raises(SystemExit) as exc:
+        main(["betti"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lmmt betti") and "required: algebra" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["hs-page", "0,0,12", "--level", "3"])
+    assert exc.value.code == 2 and "invalid choice: 3" in capsys.readouterr().err
+    assert run(capsys, "betti", "0,0,12") == first == (0, "betti [1, 2, 2, 1]\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["betti", "--help"], ["mm-solve", "--help"]])
+def test_help_is_that_of_a_fresh_parser(capsys, argv):
+    """--help, asked twice, prints what a newly built parser prints."""
+    fresh = _build_parser.__wrapped__()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(argv)
+    want = capsys.readouterr().out
+    assert want.startswith("usage: lmmt")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == want
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    code = ("import lmmt.cli as cli\n"
+            "assert cli._build_parser.cache_info().misses == 0\n"
+            "assert cli.main(['betti', '0,0,12']) == 0\n"
+            "assert cli.main(['--json', 'betti', 'builtin:su2']) == 0\n"
+            "info = cli._build_parser.cache_info()\n"
+            "assert (info.misses, info.hits) == (1, 1), info\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_non_jacobi_error_line(capsys):
+    """A non-Jacobi algebra exits 1 with the least failing triple."""
+    bad = ('{"dim":4,"brackets":[{"i":1,"j":2,"c":{"3":"1"}},{"i":2,"j":3,"c":{"4":"1"}},'
+           '{"i":1,"j":4,"c":{"4":"1"}}]}')
+    assert main(["betti", bad]) == 1
+    assert capsys.readouterr().err == "error: Jacobi identity fails on basis triple (1, 2, 3)\n"
+    assert main(["betti", "0,12,13+23"]) == 1
+    assert capsys.readouterr().err == "error: Jacobi identity fails on basis triple (1, 2, 3)\n"

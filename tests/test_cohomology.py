@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
-from lmmt.cohomology import (CohomologyReport, _weight_codes, betti, cartan_identity_check, cocycle_basis,
+from lmmt.cohomology import (CohomologyReport, _weight_codes, _weight_zero_masks, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
@@ -391,6 +391,91 @@ def test_weight_codes_equal_the_fraction_digits(g):
     base = 2 * sum(abs(c) for row in digits for c in row) + 1
     assert _weight_codes(g.n, torus) == [sum(c * base ** j for j, c in enumerate(row))
                                          for row in digits]
+
+
+def _gray_code_zero_masks(n, torus):
+    """The weight-zero masks by degree 0..n+1 from one Gray-code walk over
+    all 2^n masks, each code the previous one plus or minus one bit's."""
+    codes = _weight_codes(n, torus)
+    zero = [[0]] + [[] for _ in range(n + 1)]
+    weight = mask = 0
+    for i in range(1, 1 << n):
+        low = i & -i
+        mask ^= low
+        weight += codes[low.bit_length() - 1] if mask & low else -codes[low.bit_length() - 1]
+        if not weight:
+            zero[mask.bit_count()].append(mask)
+    return [sorted(masks) for masks in zero]
+
+
+@st.composite
+def weight_tori(draw):
+    """(n, t -> {o: w_t(o)}) for n = 0..12 and 1-3 weight vectors with
+    rational or Q(sqrt 3) values, drawn from a small set so that many
+    masks have joint weight zero."""
+    n = draw(st.integers(0, 12))
+    value = small_rationals
+    if draw(st.booleans()):
+        value = st.one_of(small_rationals, st.builds(lambda a, b: Scalar(a, b, 3),
+                                                     small_rationals, small_rationals))
+    torus = {}
+    for t in range(draw(st.integers(1, 3))):
+        ws = draw(st.lists(value, min_size=n, max_size=n))
+        torus[t] = {o: w for o, w in enumerate(ws, start=1) if w}
+    return n, torus
+
+
+@settings(max_examples=120, deadline=None)
+@given(weight_tori())
+def test_weight_zero_masks_equal_the_gray_code_walk(case):
+    """Meet in the middle against the walk over all 2^n masks: the same
+    masks in each degree, each list increasing, degree n + 1 empty."""
+    n, torus = case
+    zero = _weight_zero_masks(n, torus)
+    assert zero == _gray_code_zero_masks(n, torus)
+    assert len(zero) == n + 2 and not zero[n + 1]
+    assert all(masks == sorted(set(masks)) for masks in zero)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+def test_weight_zero_masks_of_the_zero_weight(n):
+    """A torus whose weights all vanish puts every mask at weight zero."""
+    assert _weight_zero_masks(n, {1: {}}) == [basis_masks(n, k) for k in range(n + 1)] + [[]]
+
+
+def _mahonian(k):
+    """Permutations of S_k by number of inversions: the coefficients of
+    prod_{m <= k} (1 + t + ... + t^(m-1))."""
+    table = [1]
+    for m in range(2, k + 1):
+        table = [sum(table[i - s] for s in range(m) if 0 <= i - s < len(table))
+                 for i in range(len(table) + m - 1)]
+    return table
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_nplus_betti_are_the_mahonian_numbers(k):
+    """Kostant (Ann. of Math. 74, 1961): b_j(n+(sl_k)) is the number of
+    permutations of S_k with j inversions."""
+    g = builtin(f"nplus:{k}")
+    assert g.n == k * (k - 1) // 2
+    assert betti(g).betti == _mahonian(k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_borel_betti_are_binomial(k):
+    """H*(h + n+) = Lambda h* for the Borel subalgebra of sl_k (Kostant), so
+    b_j = C(k - 1, j); k = 7, 8 are n = 27, 35, on the torus path."""
+    g = builtin(f"borel:{k}")
+    assert g.n == (k - 1) + k * (k - 1) // 2
+    assert len(g.inner_torus()) == k - 1
+    assert betti(g).betti == [comb(k - 1, j) for j in range(g.n + 1)]
+
+
+@pytest.mark.parametrize("name", ["nplus:3", "nplus:4", "borel:2", "borel:3", "borel:4"])
+def test_upper_triangular_betti_equal_direct_ranks(name):
+    g = builtin(name)
+    assert betti(g) == direct_betti(g)
 
 
 def _check_codim_one_invariants(g):

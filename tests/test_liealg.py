@@ -1,10 +1,12 @@
 """Lie algebra structures, the structure-constant string notation, derivations."""
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from lmmt.claims import CATALOG, NILPOTENT
+from lmmt.cli import main
 from lmmt.liealg import (Derivation, JacobiError, LeibnizError, LieAlgebra,
                          SalamonSyntaxError, builtin, extend_by_derivations,
                          grading_derivation, parse_salamon, structural_report)
@@ -57,6 +59,80 @@ def test_jacobi_error_carries_triple():
     with pytest.raises(JacobiError) as exc:
         LieAlgebra(3, bad)
     assert exc.value.triple == (1, 2, 3)
+
+
+def _triple_loop_jacobi_check(g):
+    """The first i < j < k whose Jacobiator, summed over all three cyclic
+    terms through bracket_basis, is non-zero; None if there is none."""
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            for k in range(j + 1, g.n + 1):
+                acc = [ZERO] * g.n
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cm in g.bracket_basis(a, b).items():
+                        for p, cp in g.bracket_basis(m, c).items():
+                            acc[p - 1] = acc[p - 1] + cm * cp
+                if any(acc):
+                    return (i, j, k)
+    return None
+
+
+def _random_brackets(rng, n, sqrt3):
+    """Random sparse structure constants in -2..2 (plus b sqrt 3 when
+    sqrt3); most of them break Jacobi somewhere."""
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.3:
+                comp = {}
+                for k in rng.sample(range(1, n + 1), rng.randint(1, 2)):
+                    c = Fraction(rng.randint(-2, 2))
+                    comp[k] = Scalar(c, rng.randint(-1, 1), 3) if sqrt3 else c
+                brackets[(i, j)] = comp
+    return brackets
+
+
+def test_jacobi_check_equals_the_triple_loop(capsys):
+    """The walk over stored brackets against the loop over all triples, on
+    random (mostly non-Jacobi) algebras and on the catalog: the same first
+    failing triple, the same JacobiError and CLI error line, or None for
+    both."""
+    rng = random.Random(7)
+    failing = 0
+    for trial in range(300):
+        n = rng.randint(0, 8)
+        g = LieAlgebra(n, _random_brackets(rng, n, trial % 2 == 1), validate=False)
+        want = _triple_loop_jacobi_check(g)
+        assert g.jacobi_check() == want
+        if want is None:
+            assert LieAlgebra(n, g.brackets).brackets == g.brackets
+            continue
+        failing += 1
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra(n, g.brackets)
+        assert exc.value.triple == want
+        assert str(exc.value) == f"Jacobi identity fails on basis triple {want}"
+        assert main(["betti", json.dumps(g.to_json())]) == 1
+        assert capsys.readouterr().err == f"error: Jacobi identity fails on basis triple {want}\n"
+    assert failing > 100
+    for g in ([parse_salamon(t) for t in CATALOG + NILPOTENT]
+              + [builtin(name) for name in ("su2", "su3", "nplus:4", "borel:4")]):
+        assert g.jacobi_check() is None and _triple_loop_jacobi_check(g) is None
+
+
+def test_upper_triangular_builtins():
+    """n+(sl_3) is h3 on E_12, E_13, E_23; borel:k adds the k - 1 diagonal
+    elements H_a, which act on E_ij by the root H_a(i) - H_a(j)."""
+    g = builtin("nplus:3")
+    assert g.n == 3 and g.brackets == {(1, 3): {2: Scalar(1)}}
+    b = builtin("borel:3")
+    assert b.n == 5 and b.inner_torus() == {
+        1: {3: Scalar(2), 4: Scalar(1), 5: Scalar(-1)},
+        2: {3: Scalar(-1), 4: Scalar(1), 5: Scalar(2)}}
+    assert builtin("nplus:1").n == builtin("borel:1").n == 0
+    for bad in ("nplus:0", "borel:-2", "borel:x"):
+        with pytest.raises(ValueError):
+            builtin(bad)
 
 
 def test_round_trips():

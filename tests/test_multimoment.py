@@ -1,11 +1,13 @@
 """Multi-moment solving, orbit-stabilizer condition, inner-product three-forms."""
 import pytest
 
-from lmmt.cohomology import betti, cocycle_basis, d_form, is_exact
+from lmmt import cohomology, multimoment
+from lmmt.cohomology import betti, ce_differential, cocycle_basis, d_form, is_exact
 from lmmt.exterior import KForm
 from lmmt.liealg import builtin, parse_salamon
 from lmmt.multimoment import (Cocycle, PDualElement, d_P, orbit_stab_condition,
-                              solve_multimoment, solve_multimoments, triple_form)
+                              solutions_to_json, solve_multimoment, solve_multimoments,
+                              triple_form)
 from lmmt.scalars import Scalar
 
 
@@ -81,6 +83,40 @@ def test_batched_solutions_equal_single_solves(salamon):
         psis = [Cocycle(r, z) for z in cocycle_basis(g, r)]
         batch = solve_multimoments(g, psis)
         assert [s.to_json() for s in batch] == [solve_multimoment(g, p).to_json() for p in psis]
+
+
+@pytest.mark.parametrize("salamon", ["0,0,12", "0,0,12,13", "0,12,13,14,1.15", "0,0,13+24,14"])
+def test_solutions_to_json_equals_each_to_json(salamon):
+    """The kernel shared by a batch is serialised once, into equal entries;
+    solutions of several batches keep their own kernels."""
+    g = parse_salamon(salamon)
+    every = []
+    for r in range(1, g.n + 1):
+        batch = solve_multimoments(g, [Cocycle(r, z) for z in cocycle_basis(g, r)])
+        assert solutions_to_json(batch) == [s.to_json() for s in batch]
+        every += batch
+    assert solutions_to_json(every) == [s.to_json() for s in every]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_one_degree_builds_each_differential_once(monkeypatch, r):
+    """A batch builds d on (r-1)-forms once, for its solve and for the basis
+    of H^(r-1), and d on (r-2)-forms for the coboundaries when r >= 2 and
+    some cocycle is solvable."""
+    calls = []
+
+    def counted(g, k, block=None):
+        calls.append(k)
+        return ce_differential(g, k, block)
+
+    g = parse_salamon("0,12,13,14,15")
+    psis = [Cocycle(r, z) for z in cocycle_basis(g, r)]
+    monkeypatch.setattr(cohomology, "ce_differential", counted)
+    monkeypatch.setattr(multimoment, "ce_differential", counted)
+    sols = solve_multimoments(g, psis)
+    solvable = any(s.status != "no-existence" for s in sols)
+    assert solvable == (r > 1)
+    assert calls == [r - 1] + ([r - 2] if solvable else [])
 
 
 def test_batched_solutions_edge_cases():
