@@ -8,7 +8,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulate, basis_masks,
-                       contract, contract_sign, dim_lambda, indices_of, wedge_sign)
+                       contract, contract_sign, coordinate_matrix, dim_lambda, indices_of,
+                       wedge_sign)
 from .liealg import LieAlgebra
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Elem, Scalar
@@ -238,8 +239,8 @@ def coboundary_matrix(g: LieAlgebra, k: int) -> Matrix:
 
 
 def is_exact(g: LieAlgebra, a: KForm) -> bool:
-    mat = coboundary_matrix(g, a.degree)
-    return mat.solve(a.to_vector(basis_masks(g.n, a.degree))) is not None
+    rhs = coordinate_matrix([a], basis_masks(g.n, a.degree))
+    return coboundary_matrix(g, a.degree).solve_columns(rhs)[0] is not None
 
 
 def cohomology_basis(g: LieAlgebra, k: int) -> List[KForm]:

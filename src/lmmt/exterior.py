@@ -13,7 +13,7 @@ import json
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .scalars import ZERO, Elem, Scalar, radicand, sc
 
 
@@ -234,9 +234,6 @@ class AltElement:
         return self.terms.get(mask_of(indices), ZERO)
 
     # -- coordinates -------------------------------------------------------
-
-    def to_vector(self, masks: Sequence[int]) -> Vector:
-        return [self.terms.get(m, ZERO) for m in masks]
 
     @classmethod
     def from_vector(cls: Type[_E], n: int, degree: int, masks: Sequence[int], v: Sequence) -> _E:

@@ -17,6 +17,7 @@ from .exterior import (
     dim_lambda,
     hodge_star,
     indices_of,
+    mask_of,
     volume_form,
     wedge_sign,
 )
@@ -71,22 +72,23 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
         k, n = int(m.group(1)), int(m.group(2))
         if 2 * k > n:
             raise ValueError(f"symplectic({k},{n}) needs n >= 2k")
-        return KForm.from_terms(n, [((2 * i - 1, 2 * i), 1) for i in range(1, k + 1)])
+        # degree 2 even with no terms: symplectic(0,n) is the zero two-form
+        return KForm(n, 2, {mask_of((2 * i - 1, 2 * i)): 1 for i in range(1, k + 1)})
     raise ValueError(f"unknown builtin form {name!r}")
 
 
 # -- degeneracy ------------------------------------------------------------
 
 
-def contraction_kernel(alpha: KForm) -> List[Vector]:
-    """Null space of v -> v . alpha."""
+def contraction_kernel(alpha: KForm) -> Matrix:
+    """Null space of v -> v . alpha, as the columns of a matrix."""
     n = alpha.n
     hooks = [contract(KVector.basis(n, [i]), alpha) for i in range(1, n + 1)]
-    return coordinate_matrix(hooks, basis_masks(n, alpha.degree - 1)).kernel_basis()
+    return coordinate_matrix(hooks, basis_masks(n, alpha.degree - 1)).kernel()
 
 
 def weak_nondegenerate(alpha: KForm) -> bool:
-    return not contraction_kernel(alpha)
+    return not contraction_kernel(alpha).cols
 
 
 def construct_nondegenerate(r: int, n: int) -> Optional[KForm]:
@@ -183,18 +185,17 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
 def pullback(alpha: KForm, change: Matrix) -> KForm:
     """alpha composed with the column basis of change."""
     n = alpha.n
-    cols = [change.column(j) for j in range(change.cols)]
+    cols = KVector.from_matrix(n, 1, basis_masks(n, 1), change)
     return KForm(n, alpha.degree, {
         mask: _evaluate(alpha, [cols[i - 1] for i in indices_of(mask)])
         for mask in basis_masks(n, alpha.degree)})
 
 
-def _evaluate(alpha: KForm, vecs: List[Vector]) -> Elem:
+def _evaluate(alpha: KForm, vecs: List[KVector]) -> Elem:
     """alpha(v_1, ..., v_r) by iterated contraction."""
-    n = alpha.n
     acc = alpha
     for v in vecs:
-        acc = contract(KVector(n, 1, {1 << i: c for i, c in enumerate(v)}), acc)
+        acc = contract(v, acc)
     # after contracting all slots we hold a 0-form
     return acc.terms.get(0, ZERO)
 
@@ -242,7 +243,7 @@ def stabilizer_algebra(alpha: KForm) -> List[Matrix]:
 @dataclass
 class FormAnalysis:
     form: KForm
-    kernel_basis: List[Vector]
+    kernel: Matrix  # the contraction kernel, as columns
     weakly_nondegenerate: bool
     stabilizer_dim: int
     orbit_dim: int
@@ -252,7 +253,7 @@ class FormAnalysis:
         return {
             "n": self.form.n,
             "degree": self.form.degree,
-            "kernel_dim": len(self.kernel_basis),
+            "kernel_dim": self.kernel.cols,
             "weakly_nondegenerate": self.weakly_nondegenerate,
             "stabilizer_dim": self.stabilizer_dim,
             "orbit_dim": self.orbit_dim,
@@ -267,8 +268,8 @@ def analyze(alpha: KForm) -> FormAnalysis:
     orbit = n * n - stab
     return FormAnalysis(
         form=alpha,
-        kernel_basis=kernel,
-        weakly_nondegenerate=not kernel,
+        kernel=kernel,
+        weakly_nondegenerate=not kernel.cols,
         stabilizer_dim=stab,
         orbit_dim=orbit,
         stable=orbit == dim_lambda(n, alpha.degree),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import KVector, accumulate, basis_masks, json_as
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc
 
 Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
@@ -28,7 +28,9 @@ class JacobiError(ValueError):
 
 
 class LeibnizError(ValueError):
-    pass
+    def __init__(self, pair: Tuple[int, int]):
+        self.pair = pair
+        super().__init__(f"Leibniz rule fails on basis pair {pair}")
 
 
 class SalamonSyntaxError(ValueError):
@@ -81,18 +83,6 @@ class LieAlgebra:
             return self.brackets.get((i, j), {})
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket(self, u: Sequence[Elem], v: Sequence[Elem]) -> Vector:
-        out = [ZERO] * self.n
-        for i, ui in enumerate(u, start=1):
-            if not ui:
-                continue
-            for j, vj in enumerate(v, start=1):
-                if not vj:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k - 1] = out[k - 1] + ui * vj * c
-        return out
-
     def bracket_columns(self, us: Matrix, vs: Matrix, pairs: Sequence[Tuple[int, int]]) -> Matrix:
         """Column t holds the coordinates of [u_i, v_j] for the t-th pair
         (i, j), u_i a column of us and v_j one of vs; the columns are read as
@@ -106,14 +96,6 @@ class LieAlgebra:
                     for k, c in self.bracket_basis(mi.bit_length(), mj.bit_length()).items():
                         entries[(k - 1, t)] = entries.get((k - 1, t), ZERO) + ci * cj * c
         return Matrix(self.n, len(pairs), entries)
-
-    def ad_matrix(self, i: int) -> Matrix:
-        """Matrix of ad(e_i) acting on basis vectors."""
-        entries = {}
-        for j in range(1, self.n + 1):
-            for k, c in self.bracket_basis(i, j).items():
-                entries[(k - 1, j - 1)] = c
-        return Matrix(self.n, self.n, entries)
 
     def is_unimodular(self) -> bool:
         """True when tr ad(e_i) = sum_j c^j_{ij} vanishes for every i.
@@ -426,57 +408,42 @@ def _parse_expr(expr, offset, n, params):
 
 @dataclass(frozen=True)
 class Derivation:
-    """A derivation of parent, as the matrix with T(e_j) = sum_i M[i][j] e_i."""
+    """A derivation of parent, as the n x n matrix whose column j is T(e_j)."""
 
     parent: LieAlgebra
-    matrix: Tuple[Tuple[Elem, ...], ...]
+    matrix: Matrix
 
     def __post_init__(self):
         n = self.parent.n
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+        if (self.matrix.rows, self.matrix.cols) != (n, n):
             raise ValueError("derivation matrix has wrong shape")
         bad = self._leibniz_violation()
         if bad is not None:
-            raise LeibnizError(f"Leibniz rule fails on basis pair {bad}")
+            raise LeibnizError(bad)
 
     @classmethod
     def from_rows(cls, parent: LieAlgebra, rows: Sequence[Sequence]) -> "Derivation":
-        return cls(parent, tuple(tuple(sc(x) for x in r) for r in rows))
-
-    def apply(self, v: Sequence[Elem]) -> Vector:
-        n = self.parent.n
-        return [sum((self.matrix[i][j] * v[j] for j in range(n)), ZERO) for i in range(n)]
-
-    def _basis_image(self, j: int) -> Vector:
-        return [self.matrix[i][j - 1] for i in range(self.parent.n)]
+        if len(rows) != parent.n or any(len(r) != parent.n for r in rows):
+            raise ValueError("derivation matrix has wrong shape")
+        return cls(parent, Matrix.from_rows(rows))
 
     def _leibniz_violation(self) -> Optional[Tuple[int, int]]:
-        g = self.parent
-        e = Matrix.identity(g.n).to_rows()
-        for i in range(1, g.n + 1):
-            for j in range(i + 1, g.n + 1):
-                lhs = self.apply(_comp_vec(g.n, g.bracket_basis(i, j)))
-                rhs1 = g.bracket(self._basis_image(i), e[j - 1])
-                rhs2 = g.bracket(e[i - 1], self._basis_image(j))
-                if any(lhs[k] - rhs1[k] - rhs2[k] for k in range(g.n)):
-                    return (i, j)
-        return None
+        """The least basis pair i < j with T[e_i, e_j] != [Te_i, e_j] +
+        [e_i, Te_j], or None: column t of each side is the t-th pair of
+        ``combinations``, so the least failing column is the pair an i < j
+        loop meets first."""
+        g, mat = self.parent, self.matrix
+        e = Matrix.identity(g.n)
+        pairs = list(itertools.combinations(range(g.n), 2))
+        diff = dict((mat @ g.bracket_columns(e, e, pairs)).entries)
+        for side in (g.bracket_columns(mat, e, pairs), g.bracket_columns(e, mat, pairs)):
+            for key, x in side.entries.items():
+                accumulate(diff, key, -x)
+        first = min((col for _, col in diff), default=None)
+        return None if first is None else (pairs[first][0] + 1, pairs[first][1] + 1)
 
     def commutes_with(self, other: "Derivation") -> bool:
-        n = self.parent.n
-        for j in range(1, n + 1):
-            ab = self.apply(other._basis_image(j))
-            ba = other.apply(self._basis_image(j))
-            if any(ab[k] - ba[k] for k in range(n)):
-                return False
-        return True
-
-
-def _comp_vec(n: int, comp: Dict[int, Elem]) -> Vector:
-    v = [ZERO] * n
-    for k, c in comp.items():
-        v[k - 1] = c
-    return v
+        return self.matrix @ other.matrix == other.matrix @ self.matrix
 
 
 def grading_derivation(k: LieAlgebra, weights: Sequence[int]) -> Derivation:
@@ -490,8 +457,7 @@ def grading_derivation(k: LieAlgebra, weights: Sequence[int]) -> Derivation:
                     f"weights incompatible: [e{i},e{j}] has component e{m} "
                     f"of weight {weights[m - 1]} != {weights[i - 1] + weights[j - 1]}"
                 )
-    rows = [[weights[i] if i == j else 0 for j in range(k.n)] for i in range(k.n)]
-    return Derivation.from_rows(k, rows)
+    return Derivation(k, Matrix(k.n, k.n, {(i, i): w for i, w in enumerate(weights)}))
 
 
 def extend_by_derivations(k: LieAlgebra, ds: Sequence[Derivation]) -> LieAlgebra:
@@ -512,11 +478,10 @@ def extend_by_derivations(k: LieAlgebra, ds: Sequence[Derivation]) -> LieAlgebra
     for (i, j), comp in k.brackets.items():
         brackets[(i + p, j + p)] = {m + p: c for m, c in comp.items()}
     for a, d in enumerate(ds, start=1):
-        for j in range(1, k.n + 1):
-            col = d._basis_image(j)
-            comp = {m + p: col[m - 1] for m in range(1, k.n + 1) if col[m - 1]}
-            if comp:
-                brackets[(a, j + p)] = comp
+        # column j of the matrix is [e_a, e_j] in k's numbering; by column,
+        # so the brackets are stored in the order of a loop over j
+        for (m, j), c in sorted(d.matrix.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            brackets.setdefault((a, j + 1 + p), {})[m + 1 + p] = c
     return LieAlgebra(n, brackets, validate=True)
 
 
@@ -532,7 +497,7 @@ class StructuralReport:
     nilpotent: bool
     unimodular: bool
     codim_derived: int
-    derived_basis: List[Vector] = field(repr=False, default_factory=list)
+    derived_basis: Matrix = field(repr=False)  # g' as the columns of its RREF basis
 
     def to_json(self) -> dict:
         return {
@@ -580,7 +545,7 @@ def structural_report(g: LieAlgebra) -> StructuralReport:
         nilpotent=lower[-1].cols == 0,
         unimodular=g.is_unimodular(),
         codim_derived=g.n - dprime.cols,
-        derived_basis=[dprime.column(j) for j in range(dprime.cols)],
+        derived_basis=dprime,
     )
 
 

@@ -70,11 +70,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def mul_vec(self, v: Sequence[Elem]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return (self @ Matrix.from_columns([v], nrows=self.cols)).column(0)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cols {self.cols} != rows {other.rows}")
@@ -314,14 +309,16 @@ def row_space_basis(vectors: Iterable[Sequence], dim: int) -> List[Vector]:
     return [[r.get(j, ZERO) for j in range(dim)] for r in red]
 
 
-def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
-    return not extend_basis(basis, [v], len(v))
+def in_span(basis: Matrix, vectors: Matrix) -> bool:
+    """True when every column of vectors lies in the column span of basis."""
+    return not extend_basis(basis, vectors).cols
 
 
-def extend_basis(
-    base: Sequence[Sequence], candidates: Sequence[Sequence], dim: int
-) -> List[Vector]:
-    """The candidates outside the span of base and of the candidates before
-    them, in order: the pivot columns of [base | candidates] past base."""
-    pivots = Matrix.from_columns(list(base) + list(candidates), nrows=dim).pivots()
-    return [list(candidates[j - len(base)]) for j in pivots if j >= len(base)]
+def extend_basis(base: Matrix, candidates: Matrix) -> Matrix:
+    """The columns of candidates outside the span of base and of the
+    candidates before them, in order: the pivot columns of
+    [base | candidates] past base."""
+    pivots = base.hstack(candidates).pivots()
+    keep = {j - base.cols: t for t, j in enumerate(j for j in pivots if j >= base.cols)}
+    return Matrix(candidates.rows, len(keep), {
+        (i, keep[j]): x for (i, j), x in candidates.entries.items() if j in keep})

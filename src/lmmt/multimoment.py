@@ -179,23 +179,19 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
             if m[i][j] != m[j][i]:
                 raise ValueError("inner product not symmetric")
 
-    def pair(u: Vector, j: int) -> Elem:
-        return sum((u[i] * m[i][j] for i in range(n)), ZERO)
+    def pair(br: Dict[int, Elem], k: int) -> Elem:
+        # <sum_q c_q e_q, e_k> for the components {q: c_q} of a bracket
+        return sum((c * m[q - 1][k - 1] for q, c in br.items()), ZERO)
 
-    e = Matrix.identity(n).to_rows()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                lhs = pair(g.bracket(e[i - 1], e[j - 1]), k - 1)
-                rhs = pair(g.bracket(e[i - 1], e[k - 1]), j - 1)
-                if lhs + rhs:
+                if pair(g.bracket_basis(i, j), k) + pair(g.bracket_basis(i, k), j):
                     raise ValueError("inner product is not ad-invariant")
     terms = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            br = g.bracket(e[i - 1], e[j - 1])
-            for k in range(j + 1, n + 1):
-                c = pair(br, k - 1)
-                if c:
-                    terms.append(((i, j, k), c))
+    for (i, j), br in sorted(g.brackets.items()):
+        for k in range(j + 1, n + 1):
+            c = pair(br, k)
+            if c:
+                terms.append(((i, j, k), c))
     return KForm.from_terms(n, terms) if terms else KForm.zero(n, 3)

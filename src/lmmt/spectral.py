@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cohomology import betti, coboundaries_and_cohomology, d_form
 from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
-from .linalg import Matrix, Vector, extend_basis
-from .scalars import Elem
+from .linalg import Matrix, extend_basis, in_span
+from .scalars import ONE, Elem
 
 
 class SplitError(ValueError):
@@ -30,63 +30,61 @@ def _reduce_onto(span: Matrix, vectors: Matrix) -> List[Dict[int, Elem]]:
     return rows
 
 
-def _outside(span: Matrix, vectors: Matrix) -> bool:
-    """True when a column of ``vectors`` is outside the column span of ``span``."""
-    pivots = span.hstack(vectors).pivots()
-    return bool(pivots) and pivots[-1] >= span.cols
-
-
 @dataclass
 class IdealSplit:
-    """An ideal k of g containing g' together with a lifted complement.
+    """An ideal k of g containing g' together with a lifted complement: the
+    columns of ``basis`` are a basis of g, the first m of them one of k.
 
     One span test checks both conditions: a k that holds every [e_i, e_j]
     holds g', so [g, k] lies in g' and hence in k, and k is an ideal.  The
     ideal test runs only when that fails, to name the condition that broke."""
 
     g: LieAlgebra
-    ideal_basis: List[Vector]
-    complement_basis: List[Vector]
+    basis: Matrix
+    m: int
     _adapted: Optional[LieAlgebra] = field(default=None, repr=False)
 
     def __post_init__(self):
         g, n = self.g, self.g.n
-        basis = Matrix.from_columns(self.ideal_basis + self.complement_basis, nrows=n)
-        if basis.cols != n or basis.rank() != n:
+        if (self.basis.rows, self.basis.cols) != (n, n) or self.basis.rank() != n:
             raise SplitError("ideal and complement do not span")
-        ideal = Matrix.from_columns(self.ideal_basis, nrows=n)
+        if not 0 <= self.m <= n:
+            raise SplitError(f"ideal dimension {self.m} is outside 0..{n}")
+        ideal = Matrix(n, self.m, {(i, j): x for (i, j), x in self.basis.entries.items()
+                                   if j < self.m})
         derived = Matrix(n, len(g.brackets), {
             (k - 1, t): c for t, comp in enumerate(g.brackets.values()) for k, c in comp.items()})
-        if _outside(ideal, derived):
+        if not in_span(ideal, derived):
             pairs = list(itertools.product(range(n), range(ideal.cols)))
-            if _outside(ideal, g.bracket_columns(Matrix.identity(n), ideal, pairs)):
+            if not in_span(ideal, g.bracket_columns(Matrix.identity(n), ideal, pairs)):
                 raise SplitError("subspace is not an ideal")
             raise SplitError("quotient is not abelian: ideal misses g'")
 
     @classmethod
     def from_indices(cls, g: LieAlgebra, ideal: Sequence[int]) -> "IdealSplit":
-        if not set(ideal) <= set(range(1, g.n + 1)):
-            raise SplitError("ideal and complement do not span")
-        e = Matrix.identity(g.n).to_rows()
-        comp = [i for i in range(1, g.n + 1) if i not in set(ideal)]
-        return cls(g, [e[i - 1] for i in ideal], [e[i - 1] for i in comp])
-
-    @property
-    def m(self) -> int:
-        return len(self.ideal_basis)
+        """The split whose ideal is spanned by e_i for i in ideal, in that
+        order, and whose complement is the other e_i in increasing order."""
+        seen = set()
+        for i in ideal:
+            if not 1 <= i <= g.n:
+                raise SplitError(f"ideal index {i} is outside 1..{g.n}")
+            if i in seen:
+                raise SplitError(f"repeated index {i} in the ideal")
+            seen.add(i)
+        order = list(ideal) + [i for i in range(1, g.n + 1) if i not in seen]
+        return cls(g, Matrix(g.n, g.n, {(i - 1, t): ONE for t, i in enumerate(order)}), len(seen))
 
     @property
     def codim(self) -> int:
-        return len(self.complement_basis)
+        return self.g.n - self.m
 
     def adapted(self) -> LieAlgebra:
-        """g in a basis whose first m vectors span the ideal; the coordinates
-        of all n(n-1)/2 brackets come from one elimination."""
+        """g in the basis ``basis``; the coordinates of all n(n-1)/2 brackets
+        come from one elimination."""
         if self._adapted is None:
             g, n = self.g, self.g.n
-            basis = Matrix.from_columns(self.ideal_basis + self.complement_basis, nrows=n)
             pairs = list(itertools.combinations(range(n), 2))
-            rows = _reduce_onto(basis, g.bracket_columns(basis, basis, pairs))
+            rows = _reduce_onto(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
             brackets: Brackets = {
                 (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
                 for t, (i, j) in enumerate(pairs)
@@ -203,26 +201,22 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
 # -- structure-theorem verification ---------------------------------------
 
 
-def _quotient_functional_ideals(g: LieAlgebra, dprime: List[Vector]) -> List[List[Vector]]:
-    """Codimension-one ideals containing g', via a hyperplane grid on g/g'.
+def _quotient_functional_ideals(g: LieAlgebra, dprime: Matrix) -> List[Matrix]:
+    """Codimension-one ideals containing g', via a hyperplane grid on g/g';
+    each is the matrix [g' | a basis of the hyperplane, lifted to g].
 
     The grid takes kernels of the dual quotient-basis functionals and of
     their pairwise sums and differences; full projective enumeration is
     impossible over the rationals, and these hyperplanes are the ones the
     structure arguments are sensitive to.
     """
-    comp = _complement_for(g, dprime)
-    p = len(comp)
-    lift = Matrix.from_columns(comp, nrows=g.n)  # quotient coordinates -> g
+    lift = _complement_for(g, dprime)  # quotient coordinates -> g
+    p = lift.cols
     funcs = [Matrix(1, p, {(0, i): 1}) for i in range(p)] + [
         Matrix(1, p, {(0, i): 1, (0, j): s})
         for i in range(p) for j in range(i + 1, p) for s in (1, -1)
     ]
-    ideals = []
-    for f in funcs:
-        ker = lift @ f.kernel()
-        ideals.append([list(b) for b in dprime] + [ker.column(t) for t in range(ker.cols)])
-    return ideals
+    return [dprime.hstack(lift @ f.kernel()) for f in funcs]
 
 
 @dataclass
@@ -246,8 +240,9 @@ class StructureVerdict:
         }
 
 
-def _complement_for(g: LieAlgebra, ideal: List[Vector]) -> List[Vector]:
-    return extend_basis(ideal, Matrix.identity(g.n).to_rows(), g.n)
+def _complement_for(g: LieAlgebra, ideal: Matrix) -> Matrix:
+    """The unit columns e_i outside the span of ideal and of the e_i before them."""
+    return extend_basis(ideal, Matrix.identity(g.n))
 
 
 def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
@@ -267,9 +262,9 @@ def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     structural = True
     ideals = [(ideal, (2, 3, 4)) for ideal in _quotient_functional_ideals(g, srep.derived_basis)]
     if srep.codim_derived >= 2:
-        ideals.append(([list(v) for v in srep.derived_basis], (1, 2, 3, 4)))
+        ideals.append((srep.derived_basis, (1, 2, 3, 4)))
     for ideal, degrees in ideals:
-        split = IdealSplit(g, ideal, _complement_for(g, ideal))
+        split = IdealSplit(g, ideal.hstack(_complement_for(g, ideal)), ideal.cols)
         dims = {
             i: invariant_cohomology(split, i).dim_invariant
             for i in degrees

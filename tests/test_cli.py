@@ -120,6 +120,8 @@ BAD_INPUT = [
     (["--json", "stabilizer", "--form", MIXED_FORM], 2),
     (["orbit-check", "0,0,12,13,14,15,16,17", "--form", MIXED_FORM], 2),
     (["orbit-check", "builtin:su3", "--form", SQRT2_FORM_ON_8], 2),
+    (["invariant-cohomology", "0,0,12", "--ideal", "1,1,3", "--degree", "1"], 2),
+    (["invariant-cohomology", "0,0,12", "--ideal", "0,3", "--degree", "1"], 2),
 ]
 
 
@@ -177,6 +179,12 @@ def test_bad_input_message_names_the_input(capsys):
         assert capsys.readouterr().err == "error: form coefficients mix Q(sqrt 2) and Q(sqrt 3)\n"
     main(["orbit-check", "builtin:su3", "--form", SQRT2_FORM_ON_8])
     assert capsys.readouterr().err == "error: the form is over Q(sqrt 2), the algebra over Q(sqrt 3)\n"
+    main(["invariant-cohomology", "0,0,12", "--ideal", "1,1,3", "--degree", "1"])
+    assert capsys.readouterr().err == "error: repeated index 1 in the ideal\n"
+    main(["invariant-cohomology", "0,0,12", "--ideal", "0,3", "--degree", "1"])
+    assert capsys.readouterr().err == "error: ideal index 0 is outside 1..3\n"
+    main(["hs-page", "0,0,12,13", "--ideal", "4,5"])
+    assert capsys.readouterr().err == "error: ideal index 5 is outside 1..4\n"
 
 
 def test_a_quadratic_form_on_a_rational_algebra_runs(capsys):
@@ -266,6 +274,21 @@ def test_normal_form(capsys):
                     "symplectic(2,4)")
     assert code == 0
     assert json.loads(out)["k"] == 2
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_zero_symplectic_form_is_a_two_form(capsys, n):
+    """symplectic(0,n) is the zero two-form on R^n: normal form k = 0, weakly
+    non-degenerate only on R^0, every matrix stabilises it."""
+    form = f"symplectic(0,{n})"
+    code, out = run(capsys, "--json", "normal-form", "--form", form)
+    assert code == 0 and json.loads(out)["k"] == 0
+    assert run(capsys, "nondeg", "--form", form) == (0, "true\n" if n == 0 else "false\n")
+    code, out = run(capsys, "--json", "stable", "--form", form)
+    payload = json.loads(out)
+    assert code == 0 and payload["degree"] == 2
+    assert (payload["stabilizer_dim"], payload["orbit_dim"]) == (n * n, 0)
+    assert payload["kernel_dim"] == n
 
 
 def test_construct_nondeg_impossible(capsys):

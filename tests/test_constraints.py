@@ -1,0 +1,60 @@
+"""Static guards on the package source: the runtime stays stdlib-only and the
+core stays float-free.  Each source file under src/lmmt is parsed with ast;
+nothing is imported or run."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lmmt").glob("*.py"))
+
+
+def outside_imports(tree):
+    """The absolute imports whose top-level package is neither lmmt nor in
+    the standard library; relative imports are lmmt's own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] != "lmmt"
+                  and name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def float_uses(tree):
+    """Float (or complex) literals and uses of the name float."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {node.lineno}: name float")
+    return found
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "linalg.py", "liealg.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_lmmt_or_stdlib(path):
+    assert outside_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_literal_or_float_name(path):
+    assert float_uses(ast.parse(path.read_text())) == []
+
+
+def test_the_guards_flag_what_they_look_for():
+    tree = ast.parse("import numpy.linalg\nfrom sympy import QQ\nfrom .x import y\n"
+                     "import json, lmmt.cli\nx = 0.5 + float('1') + 2j\n")
+    assert outside_imports(tree) == ["line 1: numpy.linalg", "line 2: sympy"]
+    assert sorted(float_uses(tree)) == ["line 5: literal 0.5", "line 5: literal 2j",
+                                        "line 5: name float"]

@@ -74,7 +74,7 @@ def test_hodge_star_oracle():
 def test_vector_serialization_round_trip():
     masks = basis_masks(4, 2)
     a = KForm.basis(4, (1, 3), 2) + KForm.basis(4, (2, 4), -1)
-    v = a.to_vector(masks)
+    v = coordinate_matrix([a], masks).column(0)
     assert KForm.from_vector(4, 2, masks, v) == a
     assert KForm.from_json(a.to_json()) == a
 

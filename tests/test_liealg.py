@@ -163,18 +163,41 @@ def test_abelian_builtin():
     assert g.n == 4 and not g.brackets
 
 
+def _dense_bracket(g, u, v):
+    """[u, v] of two dense coordinate lists, summed over every pair of
+    basis indices: the bracket on vectors as first written."""
+    out = [ZERO] * g.n
+    for i, ui in enumerate(u, start=1):
+        for j, vj in enumerate(v, start=1):
+            for k, c in g.bracket_basis(i, j).items():
+                out[k - 1] += ui * vj * c
+    return out
+
+
+def _ad_matrix(g, i):
+    """The matrix of ad(e_i): column j holds [e_i, e_j]."""
+    return Matrix(g.n, g.n, {(k - 1, j - 1): c for j in range(1, g.n + 1)
+                             for k, c in g.bracket_basis(i, j).items()})
+
+
 def test_bracket_of_general_vectors():
     g = builtin("su2")
-    x = [Scalar(1), Scalar(0), Scalar(0)]
-    y = [Scalar(0), Scalar(1), Scalar(0)]
-    assert g.bracket(x, y) == [Scalar(0), Scalar(0), Scalar(-2)]
+    x = Matrix.from_columns([[Scalar(1), Scalar(0), Scalar(0)]])
+    y = Matrix.from_columns([[Scalar(0), Scalar(1), Scalar(0)]])
+    assert g.bracket_columns(x, y, [(0, 0)]).column(0) == [Scalar(0), Scalar(0), Scalar(-2)]
 
 
 def test_ad_matrix_oracle():
     g = parse_salamon("0,0,12")
-    ad1 = g.ad_matrix(1)
-    assert ad1.mul_vec([Scalar(0), Scalar(1), Scalar(0)]) == [
+    ad1 = _ad_matrix(g, 1)
+    assert (ad1 @ Matrix.from_columns([[Scalar(0), Scalar(1), Scalar(0)]])).column(0) == [
         Scalar(0), Scalar(0), Scalar(-1)]
+    # column j of ad(e_i) is the bracket column of the pair (e_i, e_j)
+    for h in STRUCTURE_ALGEBRAS:
+        e = Matrix.identity(h.n)
+        for i in range(1, h.n + 1):
+            pairs = [(i - 1, j) for j in range(h.n)]
+            assert _ad_matrix(h, i) == h.bracket_columns(e, e, pairs)
 
 
 def test_direct_sum():
@@ -207,7 +230,8 @@ def test_bracket_columns_equal_dense_brackets():
         pairs = [(i, j) for i in range(3) for j in range(3)]
         mat = g.bracket_columns(Matrix.from_columns(us, nrows=g.n),
                                 Matrix.from_columns(vs, nrows=g.n), pairs)
-        assert [mat.column(t) for t in range(mat.cols)] == [g.bracket(us[i], vs[j]) for i, j in pairs]
+        assert [mat.column(t) for t in range(mat.cols)] == [_dense_bracket(g, us[i], vs[j])
+                                                            for i, j in pairs]
 
 
 def _dense_series(g, lower):
@@ -216,7 +240,7 @@ def _dense_series(g, lower):
     full = Matrix.identity(g.n).to_rows()
     series = [full]
     while series[-1]:
-        nxt = row_space_basis([g.bracket(u, v) for u in (full if lower else series[-1])
+        nxt = row_space_basis([_dense_bracket(g, u, v) for u in (full if lower else series[-1])
                                for v in series[-1]], g.n)
         if len(nxt) == len(series[-1]):
             break
@@ -230,8 +254,10 @@ def test_structural_report_equals_the_dense_series():
         derived, lower = _dense_series(g, False), _dense_series(g, True)
         assert rep.derived_series_dims == [len(b) for b in derived]
         assert rep.lower_central_dims == [len(b) for b in lower]
-        dprime = row_space_basis([g.bracket(u, v) for u in derived[0] for v in derived[0]], g.n)
-        assert rep.derived_basis == dprime
+        dprime = row_space_basis([_dense_bracket(g, u, v) for u in derived[0] for v in derived[0]],
+                                 g.n)
+        basis = rep.derived_basis
+        assert [basis.column(j) for j in range(basis.cols)] == dprime
 
 
 # tr ad = 0 or not, beyond the catalog: "0,12" is not unimodular,
@@ -248,7 +274,7 @@ def test_is_unimodular_is_the_trace_of_ad():
                    for lam in ((1, -1), (1, 2), (1, 2, -3), (0, 1), (1, -1, 1))])
     verdicts = []
     for g in algebras:
-        traces = [sum((g.ad_matrix(i).entries.get((j, j), ZERO) for j in range(g.n)), ZERO)
+        traces = [sum((_ad_matrix(g, i).entries.get((j, j), ZERO) for j in range(g.n)), ZERO)
                   for i in range(1, g.n + 1)]
         verdicts.append(g.is_unimodular())
         assert verdicts[-1] == (not any(traces))
@@ -267,7 +293,7 @@ def test_inner_torus_is_the_diagonal_ad():
     for g in algebras:
         expect = {}
         for t in range(1, g.n + 1):
-            ad = g.ad_matrix(t).entries
+            ad = _ad_matrix(g, t).entries
             if ad and all(r == c for r, c in ad):
                 expect[t] = {c + 1: x for (r, c), x in ad.items()}
         assert g.inner_torus() == expect
@@ -336,6 +362,58 @@ def test_derivation_validation():
                                     [Scalar(0), Scalar(0), Scalar(1)]])
     with pytest.raises(ValueError):
         grading_derivation(heis, [1, 1, 3])
+
+
+def _dense_leibniz_violation(g, rows):
+    """The least basis pair i < j where T, given as dense rows with T(e_j)
+    in column j, breaks T[e_i, e_j] = [Te_i, e_j] + [e_i, Te_j]: the i < j
+    loop over dense brackets that the sparse check replaced."""
+    n = g.n
+    e = Matrix.identity(n).to_rows()
+
+    def image(v):
+        return [sum((rows[i][j] * v[j] for j in range(n)), ZERO) for i in range(n)]
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            comp = [g.bracket_basis(i, j).get(k, ZERO) for k in range(1, n + 1)]
+            lhs = image(comp)
+            rhs1 = _dense_bracket(g, image(e[i - 1]), e[j - 1])
+            rhs2 = _dense_bracket(g, e[i - 1], image(e[j - 1]))
+            if any(lhs[k] - rhs1[k] - rhs2[k] for k in range(n)):
+                return (i, j)
+    return None
+
+
+def test_leibniz_check_equals_the_dense_pair_loop():
+    """Random near-derivations: an inner derivation sum_t x_t ad(e_t), plus a
+    grading derivation where one is known, with up to two entries moved.
+    The sparse check gives the dense loop's verdict and first failing pair."""
+    rng = random.Random(7)
+    gradings = {"0,0,12": [1, 1, 2], "0,0,12,13": [1, 1, 2, 3], "0,0,12,13,14": [1, 1, 2, 3, 4]}
+    algebras = [(g, None) for g in STRUCTURE_ALGEBRAS] + [(builtin("abelian:3"), None)]
+    algebras += [(parse_salamon(s), w) for s, w in gradings.items()]
+    seen = []
+    for g, weights in algebras:
+        for _ in range(6):
+            rows = [[ZERO] * g.n for _ in range(g.n)]
+            for t in range(1, g.n + 1):
+                x = Fraction(rng.choice([0, 1, -2, 3]))
+                for (r, c), y in _ad_matrix(g, t).entries.items():
+                    rows[r][c] += x * y
+            if weights:
+                for i, w in enumerate(weights):
+                    rows[i][i] += w
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                rows[rng.randrange(g.n)][rng.randrange(g.n)] += rng.choice([1, -1, Fraction(1, 2)])
+            try:
+                Derivation.from_rows(g, rows)
+                got = None
+            except LeibnizError as exc:
+                got = exc.pair
+            assert got == _dense_leibniz_violation(g, rows)
+            seen.append(got)
+    assert None in seen and len(set(seen)) > 3
 
 
 def test_extension_by_grading_derivation():

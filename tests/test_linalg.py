@@ -15,6 +15,20 @@ def M(rows):
     return Matrix.from_rows([[Scalar(Fraction(x)) for x in r] for r in rows])
 
 
+def mul(a, v):
+    """a times the dense vector v, as a dense vector, through ``@``."""
+    return (a @ Matrix.from_columns([v], nrows=a.cols)).column(0)
+
+
+def cols(*vectors):
+    """The dense vectors as the columns of a matrix."""
+    return Matrix.from_columns(vectors, nrows=len(vectors[0]))
+
+
+def columns_of(a):
+    return [a.column(j) for j in range(a.cols)]
+
+
 def test_rank_oracles():
     assert M([[1, 2], [2, 4]]).rank() == 1
     assert M([[1, 0], [0, 1]]).rank() == 2
@@ -35,7 +49,7 @@ def test_solve_exact():
     a = M([[2, 1], [1, 3]])
     x = a.solve([Scalar(5), Scalar(10)])
     assert x == [Scalar(1), Scalar(3)]
-    assert a.mul_vec(x) == [Scalar(5), Scalar(10)]
+    assert mul(a, x) == [Scalar(5), Scalar(10)]
 
 
 def test_solve_inconsistent_returns_none():
@@ -80,11 +94,13 @@ def test_span_helpers():
     e1 = [Scalar(1), Scalar(0), Scalar(0)]
     e2 = [Scalar(0), Scalar(1), Scalar(0)]
     e3 = [Scalar(0), Scalar(0), Scalar(1)]
-    assert in_span([e1, e2], [Scalar(2), Scalar(-3), Scalar(0)])
-    assert not in_span([e1, e2], e3)
+    assert in_span(cols(e1, e2), cols([Scalar(2), Scalar(-3), Scalar(0)]))
+    assert not in_span(cols(e1, e2), cols(e3))
+    assert not in_span(cols(e1, e2), cols(e1, e3))
+    assert in_span(Matrix.zero(3, 0), Matrix.zero(3, 0))
     assert len(row_space_basis([e1, e2, [Scalar(1), Scalar(1), Scalar(0)]], 3)) == 2
-    ext = extend_basis([e1], [e1, e2, e3], 3)
-    assert len(ext) == 2
+    ext = extend_basis(cols(e1), cols(e1, e2, e3))
+    assert columns_of(ext) == [e2, e3] and ext.rows == 3
 
 
 small_matrices = st.lists(
@@ -104,7 +120,7 @@ def test_rank_plus_nullity(rows):
 def test_kernel_vectors_annihilate(rows):
     a = M(rows)
     for v in a.kernel_basis():
-        assert all(not x for x in a.mul_vec(v))
+        assert all(not x for x in mul(a, v))
 
 
 @settings(max_examples=40)
@@ -147,7 +163,7 @@ def systems(draw, entries):
         rows.append(list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
         x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
-        rhs = Matrix.from_rows(rows).mul_vec(x0)
+        rhs = mul(Matrix.from_rows(rows), x0)
     else:
         rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     return rows, rhs
@@ -186,7 +202,7 @@ def check_against_sympy(domain, rows, rhs):
     ker = a.kernel_basis()
     assert len(ker) == a.cols - rank
     assert all(is_field_element(x) for v in ker for x in v)
-    assert all(not y for v in ker for y in a.mul_vec(v))
+    assert all(not y for v in ker for y in mul(a, v))
     assert ker == [] or Matrix.from_rows(ker).rank() == len(ker)
     # kernel() is the sparse form of the same basis, and spans sympy's null space
     kernel = a.kernel()
@@ -229,9 +245,10 @@ def check_spans_against_sympy(domain, rows):
     before them; in_span holds exactly when adding v keeps the rank."""
     ranks = [to_sympy(domain, rows[:i]).rank() for i in range(1, len(rows) + 1)]
     picks = [rows[i] for i in range(1, len(rows)) if ranks[i] > ranks[i - 1]]
-    assert extend_basis(rows[:1], rows[1:], len(rows[0])) == picks
+    base, rest = cols(*rows[:1]), Matrix.from_columns(rows[1:], nrows=len(rows[0]))
+    assert columns_of(extend_basis(base, rest)) == picks
     for v in rows:
-        assert in_span(rows[:1], v) == (to_sympy(domain, rows[:1] + [v]).rank() == ranks[0])
+        assert in_span(base, cols(v)) == (to_sympy(domain, rows[:1] + [v]).rank() == ranks[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -178,3 +178,53 @@ def test_triple_form_validates_input():
     not_invariant[0][0] = Scalar(2)
     with pytest.raises(ValueError):
         triple_form(su2, not_invariant)
+
+
+def _dense_triple_form(g, inner):
+    """triple_form as first written: dense bracket vectors of the identity
+    rows, summed over every pair of basis indices; None when the pairing is
+    not ad-invariant."""
+    n = g.n
+    e = [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+
+    def bracket(u, v):
+        out = [Scalar(0)] * n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for k, c in g.bracket_basis(i, j).items():
+                    out[k - 1] = out[k - 1] + u[i - 1] * v[j - 1] * c
+        return out
+
+    def pair(u, j):
+        return sum((u[i] * inner[i][j] for i in range(n)), Scalar(0))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if pair(bracket(e[i], e[j]), k) + pair(bracket(e[i], e[k]), j):
+                    return None
+    terms = [((i + 1, j + 1, k + 1), c) for i in range(n) for j in range(i + 1, n)
+             for k in range(j + 1, n) if (c := pair(bracket(e[i], e[j]), k))]
+    return KForm.from_terms(n, terms) if terms else KForm.zero(n, 3)
+
+
+def test_triple_form_equals_the_dense_formula():
+    def diag(values):
+        return [[values[i] if i == j else 0 for j in range(len(values))]
+                for i in range(len(values))]
+
+    su2, su3 = builtin("su2"), builtin("su3")
+    cases = [(su2, diag([1, 1, 1])), (su2, diag([3, 3, 3])), (su2, diag([1, 2, 1])),
+             (su3, diag([1] * 8)), (su3, diag([Scalar(0, 1, 3)] * 8)),
+             (su3, diag([1] * 7 + [2])),
+             (su2.direct_sum(builtin("abelian:1")), diag([2, 2, 2, 5]))]
+    invariant = []
+    for g, inner in cases:
+        expect = _dense_triple_form(g, inner)
+        invariant.append(expect is not None)
+        if expect is None:
+            with pytest.raises(ValueError, match="not ad-invariant"):
+                triple_form(g, inner)
+        else:
+            assert triple_form(g, inner) == expect and not expect.is_zero()
+    assert invariant.count(False) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import betti, coboundary_matrix, cohomology_basis, d_form, is_exact
-from lmmt.exterior import KVector, basis_masks, contract
+from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix
 from lmmt.liealg import LieAlgebra, builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
 from lmmt.spectral import (IdealSplit, SplitError, _complement_for, _lift,
@@ -36,7 +36,42 @@ def test_split_rejects_a_basis_of_wrong_size():
     g = parse_salamon("0,12,2.13")
     e = Matrix.identity(3).to_rows()
     with pytest.raises(SplitError, match="do not span"):
-        IdealSplit(g, [e[1], e[2]], [e[0], e[1]])  # four vectors spanning R^3
+        # four vectors spanning R^3
+        IdealSplit(g, Matrix.from_columns([e[1], e[2], e[0], e[1]]), 2)
+    with pytest.raises(SplitError, match="do not span"):
+        IdealSplit(g, Matrix.from_columns([e[1], e[2], e[1]]), 2)  # rank 2
+    with pytest.raises(SplitError, match="ideal dimension 4 is outside 0..3"):
+        IdealSplit(g, Matrix.identity(3), 4)
+
+
+def test_from_indices_names_a_bad_index():
+    g = parse_salamon("0,0,12")
+    with pytest.raises(SplitError, match="^repeated index 1 in the ideal$"):
+        IdealSplit.from_indices(g, [1, 1, 3])
+    with pytest.raises(SplitError, match=r"^ideal index 0 is outside 1\.\.3$"):
+        IdealSplit.from_indices(g, [0, 3])
+    with pytest.raises(SplitError, match=r"^ideal index 4 is outside 1\.\.3$"):
+        IdealSplit.from_indices(g, [2, 4])
+
+
+def test_from_indices_equals_the_explicit_basis():
+    """from_indices against IdealSplit on the explicit matrix of unit
+    columns, ideal first in the given order and then the rest in increasing
+    order: the same adapted algebra, ideal and codimension."""
+    for text in CATALOG + NILPOTENT:
+        g = parse_salamon(text)
+        e = Matrix.identity(g.n).to_rows()
+        for ideal in ([*range(2, g.n + 1)], [*range(g.n, 1, -1)], [*range(3, g.n + 1)]):
+            try:
+                split = IdealSplit.from_indices(g, ideal)
+            except SplitError:
+                continue
+            rest = [i for i in range(1, g.n + 1) if i not in ideal]
+            explicit = IdealSplit(g, Matrix.from_columns([e[i - 1] for i in ideal + rest]),
+                                  len(ideal))
+            assert split.adapted().brackets == explicit.adapted().brackets
+            assert (split.m, split.codim) == (explicit.m, explicit.codim)
+            assert split.ideal_algebra().brackets == explicit.ideal_algebra().brackets
 
 
 def test_ideal_algebra_and_codim():
@@ -83,8 +118,7 @@ def test_invariant_basis_is_invariant():
                     assert is_exact(k, _restrict(acted, m))
             masks = basis_masks(m, q)
             bmat = coboundary_matrix(k, q)
-            joint = bmat.hstack(Matrix.from_columns([f.to_vector(masks) for f in forms],
-                                                    nrows=len(masks)))
+            joint = bmat.hstack(coordinate_matrix(forms, masks))
             assert joint.rank() == bmat.rank() + len(forms)
 
 
@@ -166,17 +200,27 @@ FIXED = ([parse_salamon(t) for t in CATALOG + NILPOTENT + ["0,12,-1.13"]]
 
 def _hyperplane_splits(g):
     ideals = _quotient_functional_ideals(g, structural_report(g).derived_basis)
-    return [IdealSplit(g, ideal, _complement_for(g, ideal)) for ideal in ideals]
+    return [IdealSplit(g, ideal.hstack(_complement_for(g, ideal)), ideal.cols) for ideal in ideals]
+
+
+def _dense_bracket(g, u, v):
+    """[u, v] of two dense coordinate lists, summed over every pair of
+    basis indices."""
+    out = [Fraction(0)] * g.n
+    for i, ui in enumerate(u, start=1):
+        for j, vj in enumerate(v, start=1):
+            for k, c in g.bracket_basis(i, j).items():
+                out[k - 1] += ui * vj * c
+    return out
 
 
 def _adapted_by_pairs(split):
     """The adapted brackets, one Matrix.solve per bracket pair."""
-    g, n = split.g, split.g.n
-    basis = [list(v) for v in split.ideal_basis + split.complement_basis]
-    mat = Matrix.from_columns(basis, nrows=n)
+    g, n, mat = split.g, split.g.n, split.basis
+    basis = [mat.column(j) for j in range(n)]
     brackets = {}
     for i, j in combinations(range(n), 2):
-        w = mat.solve(g.bracket(basis[i], basis[j]))
+        w = mat.solve(_dense_bracket(g, basis[i], basis[j]))
         brackets[(i + 1, j + 1)] = {k + 1: x for k, x in enumerate(w) if x}
     return LieAlgebra(n, brackets, validate=False).brackets
 
@@ -188,14 +232,16 @@ def _operators_by_vector(split, q):
     gt, k = split.adapted(), split.ideal_algebra()
     masks = basis_masks(m, q)
     reps = cohomology_basis(k, q)
-    span = coboundary_matrix(k, q).column_space_basis() + [r.to_vector(masks) for r in reps]
+    span = coboundary_matrix(k, q).column_space_basis() + [
+        coordinate_matrix([r], masks).column(0) for r in reps]
     mat = Matrix.from_columns(span, nrows=len(masks))
     ops = []
     for a in range(m + 1, n + 1):
         cols = []
         for rep in reps:
             acted = _restrict(contract(KVector.basis(n, [a]), d_form(gt, _lift(rep, n))), m)
-            cols.append(mat.solve(acted.to_vector(masks))[len(span) - len(reps):])
+            x = mat.solve(coordinate_matrix([acted], masks).column(0))
+            cols.append(x[len(span) - len(reps):])
         ops.append(Matrix.from_columns(cols, nrows=len(reps)))
     return ops
 
@@ -206,7 +252,8 @@ def test_batched_solves_match_one_solve_per_vector(g):
     # with dim g/g' >= 2 the grid's sum and difference hyperplanes are not
     # coordinate splits
     if len(splits) > 1:
-        assert any(sum(1 for x in v if x) > 1 for s in splits for v in s.ideal_basis)
+        assert any(sum(1 for i, j in s.basis.entries if j == t) > 1
+                   for s in splits for t in range(s.m))
     for split in splits:
         assert split.adapted().brackets == _adapted_by_pairs(split)
         for q in range(min(split.m, 4) + 1):
