@@ -36,6 +36,21 @@ def json_as(value, kind: type, name: str):
     return value
 
 
+def json_field(data: dict, key: str, kind: type, name: str):
+    """data[key] checked by json_as, or ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"missing {name}")
+    return json_as(data[key], kind, name)
+
+
+def parse_int(text: str, name: str) -> int:
+    """The integer text spells, or ValueError naming the input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 # -- mask utilities --------------------------------------------------------
 
 
@@ -264,18 +279,23 @@ class AltElement:
 
     @classmethod
     def from_json(cls: Type[_E], data: dict) -> _E:
-        n = json_as(json_as(data, dict, "a form")["n"], int, "n")
+        n = json_field(json_as(data, dict, "a form"), "n", int, "n")
         if n < 0:
             raise ValueError(f"dimension {n} is negative")
         terms = {}
         for key, val in json_as(data.get("terms", {}), dict, "terms").items():
-            idx = [int(t) for t in key.split(",")] if key else []
+            idx = [parse_int(t, f"index in term {key!r}") for t in key.split(",")] if key else []
             bad = [i for i in idx if not 1 <= i <= n]
             if bad:
                 raise ValueError(f"index {bad[0]} in term {key!r} is outside 1..{n}")
-            terms[mask_of(idx)] = Scalar.parse(json_as(val, str, f"coefficient of term {key!r}"))
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise ValueError(f"indices in term {key!r} must increase")
+            mask = mask_of(idx)
+            if mask in terms:
+                raise ValueError(f"term {key!r} repeats an earlier term")
+            terms[mask] = Scalar.parse(json_as(val, str, f"coefficient of term {key!r}"))
         radicand(terms.values(), "form coefficients")
-        return cls(n, json_as(data["degree"], int, "degree"), terms)
+        return cls(n, json_field(data, "degree", int, "degree"), terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -81,8 +81,11 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
 
 
 def contraction_kernel(alpha: KForm) -> Matrix:
-    """Null space of v -> v . alpha, as the columns of a matrix."""
+    """Null space of v -> v . alpha, as the columns of a matrix; all of R^n
+    for a 0-form, which has no slot to contract."""
     n = alpha.n
+    if not alpha.degree:
+        return Matrix.identity(n)
     hooks = [contract(KVector.basis(n, [i]), alpha) for i in range(1, n + 1)]
     return coordinate_matrix(hooks, basis_masks(n, alpha.degree - 1)).kernel()
 

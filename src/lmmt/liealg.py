@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, accumulate, basis_masks, json_as
+from .exterior import KVector, accumulate, basis_masks, json_as, json_field, parse_int
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc
 
@@ -239,28 +239,31 @@ class LieAlgebra:
         return LieAlgebra(n, brackets, validate=False)
 
     def to_json(self) -> dict:
-        d = 1
-        payload = []
-        for (i, j), comp in sorted(self.brackets.items()):
-            cdict = {}
-            for k, c in sorted(comp.items()):
-                cdict[str(k)] = str(c)
-                if isinstance(c, Scalar):
-                    d = c.d
-            payload.append({"i": i, "j": j, "c": cdict})
-        return {"dim": self.n, "brackets": payload, "field": {"sqrt": d}}
+        payload = [{"i": i, "j": j, "c": {str(k): str(c) for k, c in sorted(comp.items())}}
+                   for (i, j), comp in sorted(self.brackets.items())]
+        return {"dim": self.n, "brackets": payload, "field": {"sqrt": self.radicand or 1}}
 
     @classmethod
     def from_json(cls, data: dict) -> "LieAlgebra":
+        """The algebra of a to_json payload; a bracket (i, j) or a component
+        index listed twice, a missing field or a non-integer component index
+        is a ValueError that names it."""
+        data = json_as(data, dict, "an algebra")
         brackets: Brackets = {}
-        for entry in json_as(json_as(data, dict, "an algebra").get("brackets", []),
-                             list, "brackets"):
-            comp = json_as(json_as(entry, dict, "a bracket")["c"], dict, "bracket components c")
-            brackets[(json_as(entry["i"], int, "bracket index i"),
-                      json_as(entry["j"], int, "bracket index j"))] = {
-                int(k): Scalar.parse(json_as(v, str, f"structure constant c[{k}]"))
-                for k, v in comp.items()}
-        return cls(json_as(data["dim"], int, "dim"), brackets)
+        for entry in json_as(data.get("brackets", []), list, "brackets"):
+            entry = json_as(entry, dict, "a bracket")
+            i = json_field(entry, "i", int, "bracket index i")
+            j = json_field(entry, "j", int, "bracket index j")
+            if (i, j) in brackets:
+                raise ValueError(f"bracket ({i},{j}) is listed twice")
+            c = json_field(entry, "c", dict, "bracket components c")
+            brackets[(i, j)] = {
+                parse_int(k, f"component index in bracket ({i},{j})"):
+                    Scalar.parse(json_as(v, str, f"structure constant c[{k}]"))
+                for k, v in c.items()}
+            if len(brackets[(i, j)]) < len(c):
+                raise ValueError(f"bracket ({i},{j}) lists a component index twice")
+        return cls(json_field(data, "dim", int, "dim"), brackets)
 
     # -- Salamon notation --------------------------------------------------
 
@@ -297,10 +300,17 @@ class LieAlgebra:
 
 # -- Salamon parser --------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<pair>\d\d(?![\d./]))|(?P<bracket>\[\s*\d+\s*,\s*\d+\s*\])"
-    r"|(?P<rat>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[+\-.,]))"
+# One term of a de^k expression: [sign] [coefficient "."] pair, with
+# whitespace allowed between any two parts.  The first term (at \A) takes
+# only "-" signs, a later one "+" or "-" and then any further "-"; the
+# coefficient is a rational or a parameter name, the pair ij or [i,j].
+_TERM = re.compile(
+    r"(?P<sign>(?:\A|(?!\A)\s*[+-])(?:\s*-)*)\s*"
+    r"(?:(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*))\s*\.\s*)?"
+    r"(?P<pair>(?P<i>\d)(?P<j>\d)|\[\s*(?P<bi>\d+)\s*,\s*(?P<bj>\d+)\s*\])\s*"
 )
+# a parameter name, or a character that no term holds
+_STRAY = re.compile(r"(?P<name>[A-Za-z_]\w*)|[^\d\sA-Za-z_+\-./,\[\]]")
 
 
 def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> LieAlgebra:
@@ -308,30 +318,20 @@ def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> Li
 
     params binds identifiers to explicit rationals.
     """
-    params = params or {}
     exprs = _split_top(text)
-    n = len(exprs)
-    diffs: List[Dict[Tuple[int, int], Elem]] = []
-    for expr, offset in exprs:
-        diffs.append(_parse_expr(expr, offset, n, params))
     brackets: Brackets = {}
-    for k, two_form in enumerate(diffs, start=1):
-        for (i, j), c in two_form.items():
-            brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, ZERO) - c
-    alg = LieAlgebra(n, brackets, validate=True)
-    return alg
+    for k, (expr, offset) in enumerate(exprs, start=1):
+        for pair, c in _parse_expr(expr, offset, len(exprs), params or {}).items():
+            brackets.setdefault(pair, {})[k] = -c
+    return LieAlgebra(len(exprs), brackets)
 
 
 def _split_top(text: str) -> List[Tuple[str, int]]:
-    out = []
-    start = 0
-    depth = 0
+    """The parts of text between commas outside [...], with their offsets."""
+    out, start, depth = [], 0, 0
     for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and not depth:
             out.append((text[start:pos], start))
             start = pos + 1
     out.append((text[start:], start))
@@ -339,68 +339,47 @@ def _split_top(text: str) -> List[Tuple[str, int]]:
 
 
 def _parse_expr(expr, offset, n, params):
-    stripped = expr.strip()
-    if stripped == "0":
+    """The two-form {(i, j): c}, i < j, of one expression, read one _TERM
+    match at a time; a lone "0" is the empty expression."""
+    if expr.strip() == "0":
         return {}
-    if not stripped:
-        raise SalamonSyntaxError("empty expression", offset)
     terms: Dict[Tuple[int, int], Fraction] = {}
     pos = 0
-    sign = ONE
-    expect_term = True
-    coeff: Optional[Fraction] = None
-    pending_dot = False
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if not m or m.end() == pos:
-            if expr[pos:].strip() == "":
-                break
-            raise SalamonSyntaxError(f"unexpected character {expr[pos]!r}", offset + pos)
+    while pos < len(expr) or not terms:  # each term adds its pair to terms
+        m = _TERM.match(expr, pos)
+        if m is None:
+            raise _unreadable(expr, pos, offset, params)
+        if m["name"] and m["name"] not in params:
+            raise SalamonSyntaxError(f"unbound parameter {m['name']!r}", offset + m.start("name"))
+        try:
+            c = Fraction(m["rat"] or params.get(m["name"], 1))
+        except ZeroDivisionError:
+            raise SalamonSyntaxError(f"zero denominator in {m['rat']!r}",
+                                     offset + m.start("rat")) from None
+        i, j = int(m["i"] or m["bi"]), int(m["j"] or m["bj"])
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise SalamonSyntaxError(f"bad index pair {i}{j}", offset + m.start("pair"))
+        if (m["sign"].count("-") + (i > j)) % 2:
+            c = -c
+        pair = (min(i, j), max(i, j))
+        terms[pair] = terms.get(pair, ZERO) + c
         pos = m.end()
-        if m.group("op") in ("+", "-"):
-            if expect_term and m.group("op") == "-" and coeff is None:
-                sign = -sign
-                continue
-            if expect_term:
-                raise SalamonSyntaxError("misplaced sign", offset + m.start())
-            sign = ONE if m.group("op") == "+" else -ONE
-            expect_term, coeff, pending_dot = True, None, False
-        elif m.group("op") == ".":
-            if coeff is None:
-                raise SalamonSyntaxError("dot without coefficient", offset + m.start())
-            pending_dot = True
-        elif m.group("rat"):
-            if coeff is not None:
-                raise SalamonSyntaxError("two coefficients in a term", offset + m.start())
-            try:
-                coeff = Fraction(m.group("rat"))
-            except ZeroDivisionError:
-                raise SalamonSyntaxError(f"zero denominator in {m.group('rat')!r}",
-                                         offset + m.start()) from None
-        elif m.group("ident"):
-            name = m.group("ident")
-            if name not in params:
-                raise SalamonSyntaxError(f"unbound parameter {name!r}", offset + m.start())
-            coeff = Fraction(params[name])
-        elif m.group("pair") or m.group("bracket"):
-            if m.group("pair"):
-                i, j = int(m.group("pair")[0]), int(m.group("pair")[1])
-            else:
-                nums = re.findall(r"\d+", m.group("bracket"))
-                i, j = int(nums[0]), int(nums[1])
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise SalamonSyntaxError(f"bad index pair {i}{j}", offset + m.start())
-            flip = ONE
-            if i > j:
-                i, j, flip = j, i, -ONE
-            c = sign * flip * (coeff if coeff is not None else ONE)
-            terms[(i, j)] = terms.get((i, j), ZERO) + c
-            sign, coeff, expect_term, pending_dot = ONE, None, False, False
-        else:  # pragma: no cover
-            raise SalamonSyntaxError("unrecognised token", offset + m.start())
-    if expect_term and not terms:
-        raise SalamonSyntaxError("trailing operator", offset + len(expr))
     return {k: v for k, v in terms.items() if v}
+
+
+def _unreadable(expr: str, pos: int, offset: int, params) -> SalamonSyntaxError:
+    """The error for expr from pos on, where no _TERM matches: an empty
+    expression, else the first unbound parameter or stray character, else
+    the unread text."""
+    rest = expr[pos:].lstrip()
+    if not rest:
+        return SalamonSyntaxError("empty expression", offset)
+    at = offset + len(expr) - len(rest)
+    for m in _STRAY.finditer(rest):
+        if m["name"] not in params:
+            kind = "unbound parameter" if m["name"] else "unexpected character"
+            return SalamonSyntaxError(f"{kind} {m[0]!r}", at + m.start())
+    return SalamonSyntaxError(f"expected [sign][coefficient.]pair, got {rest!r}", at)
 
 
 # -- derivations -----------------------------------------------------------
@@ -620,10 +599,8 @@ def builtin(name: str) -> LieAlgebra:
         return _su3()
     if name == "heisenberg":
         return parse_salamon("0,0,12")
-    if name.startswith("abelian:"):
-        n = int(name.split(":", 1)[1])
-        return LieAlgebra(n, {})
-    if name.startswith(("nplus:", "borel:")):
-        kind, k = name.split(":", 1)
-        return _upper_triangular(int(k), kind == "borel")
-    raise ValueError(f"unknown builtin algebra {name!r}")
+    kind, colon, size = name.partition(":")
+    if not colon or kind not in ("abelian", "nplus", "borel"):
+        raise ValueError(f"unknown builtin algebra {name!r}")
+    k = parse_int(size, f"the size in builtin {name!r}")
+    return LieAlgebra(k, {}) if kind == "abelian" else _upper_triangular(k, kind == "borel")

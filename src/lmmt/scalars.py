@@ -21,9 +21,10 @@ from typing import Iterable, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
-_SQRT_RE = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<b>(?:(?<=\d)\s*[+-]|[+-]?)\s*(?:\d+(?:/\d+)?\s*\*\s*)?sqrt\((?P<d>\d+)\))?\s*$"
+# a, or [b*]sqrt(d) with an optional sign, or a then a signed [b*]sqrt(d)
+_SCALAR = re.compile(
+    r"\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
+    r"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?sqrt\((?P<d>\d+)\)\s*)?"
 )
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -94,26 +95,16 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> "Elem":
         """Parse "p/q" or "p/q+r/s*sqrt(d)" (also "-sqrt(3)", "1-1/2*sqrt(2)");
-        a rational value comes back as a Fraction."""
-        m = _SQRT_RE.match(text)
-        if not m or (m.group("a") is None and m.group("b") is None):
+        a rational value comes back as a Fraction.  After a rational part the
+        radical takes its own sign, so "2sqrt(3)" is a ValueError."""
+        m = _SCALAR.fullmatch(text)
+        if not m or not (m["a"] or m["d"]):
             raise ValueError(f"cannot parse scalar {text!r}")
         try:
-            a = Fraction(m.group("a")) if m.group("a") else ZERO
-            b = ZERO
-            d = 1
-            if m.group("b"):
-                d = int(m.group("d"))
-                coef = m.group("b").split("sqrt")[0].replace("*", "").replace(" ", "")
-                if coef in ("", "+"):
-                    b = ONE
-                elif coef == "-":
-                    b = -ONE
-                else:
-                    b = Fraction(coef)
+            a, b = Fraction(m["a"] or 0), Fraction(m["b"] or 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {text!r}") from None
-        return _elem(a, b, d)
+        return _elem(a, -b if m["sign"] == "-" else b, int(m["d"])) if m["d"] else a
 
     def _join(self, other: "Scalar") -> int:
         if not self.b:

@@ -56,6 +56,10 @@ MIXED_FORM = '{"n":4,"degree":2,"terms":{"1,2":"sqrt(2)","3,4":"sqrt(3)"}}'
 # a Q(sqrt 2) form for su3, whose structure constants lie in Q(sqrt 3)
 SQRT2_FORM_ON_8 = '{"n":8,"degree":1,"terms":{"3":"sqrt(2)"}}'
 
+# [e1, e2] given twice, as e3 and as 5 e3
+DOUBLE_BRACKET = ('{"dim":3,"brackets":[{"i":1,"j":2,"c":{"3":"1"}},'
+                  '{"i":1,"j":2,"c":{"3":"5"}}]}')
+
 BAD_INPUT = [
     (["parse", "0,0,x"], 2),
     (["betti", "0,12,13+23"], 1),
@@ -122,6 +126,18 @@ BAD_INPUT = [
     (["orbit-check", "builtin:su3", "--form", SQRT2_FORM_ON_8], 2),
     (["invariant-cohomology", "0,0,12", "--ideal", "1,1,3", "--degree", "1"], 2),
     (["invariant-cohomology", "0,0,12", "--ideal", "0,3", "--degree", "1"], 2),
+    (["stable", "--form", '{"n":2,"degree":2,"terms":{"2,1":"1"}}'], 2),
+    (["stable", "--form", '{"n":2,"degree":2,"terms":{"1,2":"1","2,1":"1"}}'], 2),
+    (["betti", DOUBLE_BRACKET], 2),
+    (["betti", '{"brackets":[]}'], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"x":"1"}}]}'], 2),
+    (["betti", "builtin:abelian:"], 2),
+    (["betti", "builtin:nplus:x"], 2),
+    (["betti", "0,0,12+"], 2),
+    (["betti", "0,0,12-"], 2),
+    (["betti", "0,0,12+2."], 2),
+    (["betti", "0,0,12 3"], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"2sqrt(3)"}}]}'], 2),
 ]
 
 
@@ -185,6 +201,31 @@ def test_bad_input_message_names_the_input(capsys):
     assert capsys.readouterr().err == "error: ideal index 0 is outside 1..3\n"
     main(["hs-page", "0,0,12,13", "--ideal", "4,5"])
     assert capsys.readouterr().err == "error: ideal index 5 is outside 1..4\n"
+    # inputs the JSON readers, the builtin names and the two grammars used to
+    # read by dropping or overwriting a token
+    rejected = [
+        (["stable", "--form", '{"n":2,"degree":2,"terms":{"2,1":"1"}}'],
+         "cannot read form: indices in term '2,1' must increase"),
+        (["stable", "--form", '{"n":2,"degree":2,"terms":{"1,2":"1","2,1":"1"}}'],
+         "cannot read form: indices in term '2,1' must increase"),
+        (["betti", DOUBLE_BRACKET], "cannot read algebra: bracket (1,2) is listed twice"),
+        (["betti", '{"brackets":[]}'], "cannot read algebra: missing dim"),
+        (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"x":"1"}}]}'],
+         "cannot read algebra: component index in bracket (1,2) must be an integer, got 'x'"),
+        (["betti", "builtin:abelian:"],
+         "cannot read algebra: the size in builtin 'abelian:' must be an integer, got ''"),
+        (["betti", "builtin:nplus:x"],
+         "cannot read algebra: the size in builtin 'nplus:x' must be an integer, got 'x'"),
+        (["betti", "0,0,12+"],
+         "cannot read algebra: expected [sign][coefficient.]pair, got '+' (at position 6)"),
+        (["betti", "0,0,12 3"],
+         "cannot read algebra: expected [sign][coefficient.]pair, got '3' (at position 7)"),
+        (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"2sqrt(3)"}}]}'],
+         "cannot read algebra: cannot parse scalar '2sqrt(3)'"),
+    ]
+    for argv, message in rejected:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_quadratic_form_on_a_rational_algebra_runs(capsys):

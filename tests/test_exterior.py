@@ -132,6 +132,22 @@ def test_from_json_checks_dimension_and_indices():
             KForm.from_json(data)
 
 
+def test_from_json_names_a_misread_term():
+    """A term key read out of order, twice or not as integers would change or
+    drop a coefficient; each is a ValueError naming the key."""
+    for terms, message in (({"2,1": "1"}, "indices in term '2,1' must increase"),
+                           ({"1,2": "1", "2,1": "1"}, "indices in term '2,1' must increase"),
+                           ({"1,1": "1"}, "indices in term '1,1' must increase"),
+                           ({"1,2": "1", "01,2": "5"}, "term '01,2' repeats an earlier term"),
+                           ({"1,x": "1"}, "index in term '1,x' must be an integer, got 'x'")):
+        with pytest.raises(ValueError) as exc:
+            KForm.from_json({"n": 2, "degree": 2, "terms": terms})
+        assert str(exc.value) == message
+    for data, field in (({"degree": 0}, "n"), ({"n": 2}, "degree")):
+        with pytest.raises(ValueError, match=f"^missing {field}$"):
+            KForm.from_json(data)
+
+
 coeffs = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
 
 

@@ -79,6 +79,17 @@ def test_weak_nondegeneracy():
     assert contraction_kernel(degenerate) == Matrix(5, 2, {(3, 0): 1, (4, 1): 1})
 
 
+def test_zero_form_has_no_slot_to_contract():
+    """A 0-form is a constant: every vector contracts it to zero, so it is
+    degenerate for n >= 1, and all of gl(n) fixes it."""
+    for terms in ({}, {0: 1}):
+        alpha = KForm(2, 0, terms)
+        assert contraction_kernel(alpha) == Matrix.identity(2)
+        assert not weak_nondegenerate(alpha)
+        report = analyze(alpha)
+        assert (report.stabilizer_dim, report.orbit_dim, report.stable) == (4, 0, False)
+
+
 def test_two_form_normal_form_oracle():
     w = KForm.basis(4, (1, 2)) + KForm.basis(4, (3, 4))
     res = two_form_normal_form(w)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cli import main
@@ -450,3 +451,99 @@ def test_bracket_components_are_checked():
     g = LieAlgebra(3, {(1, 2): {3: Scalar(0, 1, 3)}, (1, 3): {2: Scalar(1, 1, 3)}},
                    validate=False)
     assert g.to_json()["field"] == {"sqrt": 3}
+
+
+# -- the two text grammars -------------------------------------------------
+
+# rational algebras as the tests build them: the catalog, n+(sl_k), the
+# Borel subalgebras and diagonal extensions with multi-digit coefficients;
+# dimension 0, whose Salamon string is empty, is left out
+_EIGENVALUES = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_RATIONAL_ALGEBRAS = st.one_of(
+    st.sampled_from(CATALOG + NILPOTENT).map(parse_salamon),
+    st.integers(2, 6).map(lambda k: builtin(f"nplus:{k}")),
+    st.integers(2, 5).map(lambda k: builtin(f"borel:{k}")),
+    st.lists(_EIGENVALUES, max_size=10).map(diagonal_extension),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RATIONAL_ALGEBRAS)
+def test_salamon_round_trip(g):
+    h = parse_salamon(g.to_salamon())
+    assert (h.n, h.brackets) == (g.n, g.brackets)
+
+
+# spellings the readers used to take by dropping or merging a token, with
+# the position of the error (None for a scalar, whose message quotes it)
+NEWLY_REJECTED = [
+    (parse_salamon, "0,0,12+", 6),  # dangling sign
+    (parse_salamon, "0,0,12-", 6),
+    (parse_salamon, "0,0,12+2.", 6),  # dangling coefficient
+    (parse_salamon, "0,0,12 3", 7),
+    (parse_salamon, "0,0,2 12", 4),  # coefficient with no dot
+    (parse_salamon, "0,0,0,13 24", 9),  # two terms with no sign between
+    (parse_salamon, "0,0,12[1,2]", 6),
+    (parse_salamon, "0,0,2..12", 4),  # two dots
+    (Scalar.parse, "2sqrt(3)", None),  # rational part juxtaposed with the radical
+    (Scalar.parse, "1/2 sqrt(3)", None),
+    (Scalar.parse, "1 2*sqrt(3)", None),
+]
+
+
+@pytest.mark.parametrize("reader,text,position", NEWLY_REJECTED)
+def test_newly_rejected_spellings(reader, text, position):
+    with pytest.raises(ValueError) as exc:
+        reader(text)
+    if position is None:
+        assert str(exc.value) == f"cannot parse scalar {text!r}"
+    else:
+        assert isinstance(exc.value, SalamonSyntaxError) and exc.value.position == position
+
+
+def test_salamon_grammar_keeps_its_spellings():
+    """Signs: the first term takes only "-", a later one "+" or "-" and then
+    any further "-"; whitespace may stand anywhere between tokens."""
+    assert parse_salamon("0,0,-12").brackets == {(1, 2): {3: Scalar(1)}}
+    assert parse_salamon("0,0,--12").brackets == {(1, 2): {3: Scalar(-1)}}
+    assert parse_salamon("0,0,0,0,12+-34").brackets == parse_salamon("0,0,0,0,12-34").brackets
+    assert parse_salamon(" 0 , 12 , 2 . 13 ").brackets == parse_salamon("0,12,2.13").brackets
+    assert parse_salamon("0,[1, 2],[1,3]").brackets == parse_salamon("0,12,13").brackets
+    assert parse_salamon("0,0,12-12").brackets == {}
+    with pytest.raises(SalamonSyntaxError, match=r"^expected \[sign\]\[coefficient\.\]pair, "
+                                                  r"got '\+12' \(at position 4\)$"):
+        parse_salamon("0,0,+12")
+    with pytest.raises(SalamonSyntaxError, match=r"^unbound parameter 'x' \(at position 4\)$"):
+        parse_salamon("0,0,x")
+    with pytest.raises(SalamonSyntaxError, match=r"^unexpected character '\$' \(at position 5\)$"):
+        parse_salamon("0,0,1$2")
+    with pytest.raises(SalamonSyntaxError, match=r"^bad index pair 14 \(at position 7\)$"):
+        parse_salamon("0,0,12+14")
+    with pytest.raises(SalamonSyntaxError, match=r"^empty expression \(at position 2\)$"):
+        parse_salamon("0, ,12")
+
+
+def test_from_json_rejects_what_it_cannot_read():
+    heisenberg = {"dim": 3, "brackets": [{"i": 1, "j": 2, "c": {"3": "1"}}]}
+    twice = {"dim": 3, "brackets": heisenberg["brackets"] + [{"i": 1, "j": 2, "c": {"3": "5"}}]}
+    cases = [
+        (twice, "bracket (1,2) is listed twice"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "c": {"3": "1", "03": "5"}}]},
+         "bracket (1,2) lists a component index twice"),
+        ({"brackets": []}, "missing dim"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2}]}, "missing bracket components c"),
+        ({"dim": 3, "brackets": [{"j": 2, "c": {}}]}, "missing bracket index i"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "c": {"x": "1"}}]},
+         "component index in bracket (1,2) must be an integer, got 'x'"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError) as exc:
+            LieAlgebra.from_json(data)
+        assert str(exc.value) == message
+    assert LieAlgebra.from_json(heisenberg).brackets == parse_salamon("0,0,-12").brackets
+    for name, message in (("abelian:", "the size in builtin 'abelian:' must be an integer, got ''"),
+                          ("nplus:x", "the size in builtin 'nplus:x' must be an integer, got 'x'"),
+                          ("abelian", "unknown builtin algebra 'abelian'")):
+        with pytest.raises(ValueError) as exc:
+            builtin(name)
+        assert str(exc.value) == message

@@ -115,3 +115,21 @@ def test_radicand_square_factors_pulled_out():
     assert Scalar(0, 1, 8) == Scalar(0, 2, 2)
     assert Scalar(0, 1, 8) + Scalar(0, 1, 2) == Scalar(0, 3, 2)
     assert Scalar(1, 1, 12).d == 3
+
+
+def test_parse_keeps_the_documented_values():
+    assert Scalar.parse("2*sqrt(3)") == Scalar(0, 2, 3)
+    assert Scalar.parse("1-sqrt(3)") == Scalar(1, -1, 3)
+    assert Scalar.parse("+sqrt(2)") == Scalar(0, 1, 2)
+    assert Scalar.parse("sqrt(12)") == Scalar(0, 2, 3)
+    assert Scalar.parse(" 1 + 1/2 * sqrt(5) ") == Scalar(1, Fraction(1, 2), 5)
+    assert Scalar.parse("-1/2") == Fraction(-1, 2)
+
+
+def test_parse_reads_a_multi_digit_radical_coefficient_whole():
+    """A coefficient of two or more digits is one number, not a rational part
+    and a coefficient, so str and parse round-trip."""
+    assert Scalar.parse("12*sqrt(3)") == Scalar(0, 12, 3)
+    assert Scalar.parse("-21/2*sqrt(3)") == Scalar(0, Fraction(-21, 2), 3)
+    for x in (Scalar(0, 12, 3), Scalar(0, -10, 2), Scalar(5, 11, 7)):
+        assert Scalar.parse(str(x)) == x
