@@ -12,7 +12,7 @@ from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulat
                        wedge_sign)
 from .liealg import LieAlgebra
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Elem, Scalar
+from .scalars import ONE, ZERO, Elem, Scalar, shared
 
 
 def ce_differential(g: LieAlgebra, k: int,
@@ -26,12 +26,14 @@ def ce_differential(g: LieAlgebra, k: int,
     src, dst = block if block is not None else (basis_masks(g.n, k), basis_masks(g.n, k + 1))
     col_index = {m: i for i, m in enumerate(src)}
     entries: Dict[Tuple[int, int], Elem] = {}
+    # a differential holds a few distinct values many times over
+    seen: Dict[tuple, Elem] = {}
     for row, mj in enumerate(dst):
         image = g.lie_L(KVector._of(g.n, k + 1, {mj: ONE}))
         for mask, c in image.terms.items():
             col = col_index.get(mask)
             if col is not None:
-                entries[(row, col)] = c
+                entries[(row, col)] = shared(seen, c)
     return Matrix(len(dst), len(src), entries)
 
 

@@ -44,11 +44,11 @@ def json_field(data: dict, key: str, kind: type, name: str):
 
 
 def parse_int(text: str, name: str) -> int:
-    """The integer text spells, or ValueError naming the input."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    """The integer text spells as an optional "-" and ASCII digits (no
+    sign "+", space, "_" or other digits), or ValueError naming the input."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
 
 
 # -- mask utilities --------------------------------------------------------

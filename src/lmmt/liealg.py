@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import KVector, accumulate, basis_masks, json_as, json_field, parse_int
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc
+from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc, shared
 
 Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
 
@@ -53,6 +53,7 @@ class LieAlgebra:
             raise ValueError(f"dimension {n} is negative")
         self.n = n
         clean: Brackets = {}
+        seen: Dict[tuple, Elem] = {}
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad bracket key ({i},{j})")
@@ -63,7 +64,7 @@ class LieAlgebra:
                                      f"expected 1..{n}")
                 x = sc(c)
                 if x:
-                    kept[k] = x
+                    kept[k] = shared(seen, x)
             if kept:
                 clean[(i, j)] = kept
         self.brackets = clean
@@ -316,8 +317,11 @@ _STRAY = re.compile(r"(?P<name>[A-Za-z_]\w*)|[^\d\sA-Za-z_+\-./,\[\]]")
 def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> LieAlgebra:
     """Parse Salamon notation like "0,12,2.13" into a validated algebra.
 
-    params binds identifiers to explicit rationals.
+    params binds identifiers to explicit rationals.  Empty text is the
+    0-dimensional algebra, which ``to_salamon`` writes as "".
     """
+    if not text.strip():
+        return LieAlgebra(0, {})
     exprs = _split_top(text)
     brackets: Brackets = {}
     for k, (expr, offset) in enumerate(exprs, start=1):

@@ -3,19 +3,18 @@
 Matrices and vectors hold field elements (``scalars.Elem``): a ``Fraction``
 for every rational entry and a ``Scalar`` only for a + b*sqrt(d) with
 b != 0.  Every rank, kernel, solve and span runs one elimination routine,
-``_rref``, on sparse rows of those elements, mixed freely, so a rational
-matrix never touches Q(sqrt(d)) arithmetic.  ``_rref`` is a forward pass
-that keeps each waiting row in a bucket keyed by its leading column, so a
-pivot step touches only the rows that hold its column, followed by optional
-back-substitution.  ``Matrix.pivots`` skips it, and ``rank``,
+``_rref``: one fraction-free forward pass, over Z on a rational matrix and
+over Z[sqrt d] on (a, b) int pairs otherwise, so a rational matrix never
+touches Q(sqrt(d)) arithmetic, followed by optional back-substitution over
+the field.  The forward pass keeps each waiting row in a bucket keyed by its
+leading column, so a pivot step touches only the rows that hold its column.
+``Matrix.pivots`` skips the back-substitution, and ``rank``,
 ``column_space_basis`` and the span queries (``in_span``, ``extend_basis``)
 read its answer: a column of [base | candidates] is a pivot column exactly
-when it is not in the span of the columns before it.  On a rational matrix
-that forward pass runs over Z, fraction-free, on machine-size ``int`` rows;
-every reduced RREF, and every matrix with a ``Scalar``, takes the field step.
-``Matrix.kernel`` reads the null space off the RREF as the columns of a
-sparse matrix, and ``Matrix.solve_columns`` reads one solution per right-hand
-side off a single RREF.
+when it is not in the span of the columns before it.  ``Matrix.kernel``
+reads the null space off the RREF as the columns of a sparse matrix, and
+``Matrix.solve_columns`` reads one solution per right-hand side off a
+single RREF.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Elem, Scalar, sc
+from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc, shared
 
 Vector = List[Elem]
 
@@ -110,7 +109,7 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def _sparse_rows(self) -> List[Dict[int, Elem]]:
-        rows: List[Dict[int, Elem]] = [dict() for _ in range(self.rows)]
+        rows: List[Dict[int, Elem]] = [{} for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
@@ -179,14 +178,6 @@ class Matrix:
         return [self.column(j) for j in self.pivots()]
 
 
-def _bits(x: Elem) -> int:
-    """Pivot size: numerator plus denominator bit-lengths of the rational
-    parts of x (a Fraction, or both parts a and b of a Scalar)."""
-    if isinstance(x, Scalar):
-        return _bits(x.a) + _bits(x.b)
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def _rref(
     rows: List[Dict[int, Elem]], ncols: int, reduce: bool = True
 ) -> Tuple[List[Dict[int, Elem]], List[int]]:
@@ -195,40 +186,38 @@ def _rref(
     leading 1.  With ``reduce`` the rows are the unique RREF; without it the
     back-substitution is skipped, which is all a rank or pivot query needs.
 
-    The elements are ``Fraction``s and ``Scalar``s (b != 0), mixed freely;
-    the field step uses only ``+ - *``, ``1 / x``, truthiness and ``_bits``,
-    so any exact field type with those works unchanged.  The forward pass
-    keeps every waiting row in a bucket keyed by its leading column.
-    Columns are processed left to right; once those left of ``col`` are
-    cleared, a row holds ``col`` exactly when it sits in bucket ``col``, so
-    each pivot step touches only that bucket and re-buckets each updated row
-    by its new leading column.  The pivot is the bucket row of least
-    ``_bits`` (ties by bucket position).
-
-    A pivot query (no ``reduce``) on rows with no ``Scalar`` runs over Z,
-    fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled in
-    place by the lcm of its denominators to a primitive ``int`` row, the
-    pivot is the bucket row of least |value|, and ``_clear_col`` combines
-    with integers only.  Pivot columns do not depend on the pivot rows, so
-    the answer is the field step's; each pivot row is returned normalised to
-    ``Fraction``s with a leading 1."""
-    integral = not reduce and not any(
-        isinstance(v, Scalar) for r in rows for v in r.values())
-    buckets: Dict[int, List[Dict[int, Elem]]] = {}
+    The elements are ``Fraction``s and ``Scalar``s (b != 0) of one field,
+    Q or Q(sqrt d) with d from ``radicand`` (``FieldError`` when two fields
+    mix).  The forward pass runs fraction-free (Bareiss, Math. Comp. 22,
+    1968) over Z, or over Z[sqrt d] on (a, b) int pairs meaning a + b*sqrt(d):
+    each row is scaled in place by the lcm of its denominators (of both
+    parts) to a primitive row.  It keeps every waiting row in a bucket keyed
+    by its leading column.  Columns are processed left to right; once those
+    left of ``col`` are cleared, a row holds ``col`` exactly when it sits in
+    bucket ``col``, so each pivot step touches only that bucket and
+    re-buckets each updated row by its new leading column.  The pivot is the
+    bucket row whose pivot becomes the integer N of least |N| (ties by
+    bucket position): N is the entry itself, or, for a + b*sqrt(d) with
+    b != 0, the norm a^2 - d*b^2 (nonzero, as sqrt(d) is irrational), which
+    ``_norm_pivot`` makes it by multiplying the row by the conjugate
+    a - b*sqrt(d) (Cohen, GTM 138, 1993).  ``_clear_col`` then combines rows
+    with integers only.  Each pivot row is normalised to field elements with
+    a leading 1, equal entries as one object; with ``reduce``,
+    back-substitution runs over the field on those rows.  The RREF is unique and pivot columns do not depend on the
+    pivot rows, so neither depends on the pivot choice."""
+    d = radicand((v for r in rows for v in r.values()), "matrix rows")
+    buckets: Dict[int, List[Dict[int, object]]] = {}
     for r in rows:
-        if not r:
-            continue
-        if integral:
-            # a list, not a generator: a tuple sized from a generator is
-            # resized, which leaves a block on the interpreter's free list
-            den = lcm(*[v.denominator for v in r.values()])
-            for j, v in r.items():
-                r[j] = v.numerator * (den // v.denominator)
-            _divide_content(r)
-        buckets.setdefault(min(r), []).append(r)
-    size = abs if integral else _bits
+        if r:
+            _integral(r, d)
+            buckets.setdefault(min(r), []).append(r)
+    size = abs if d is None else (
+        lambda v: abs(v[0] * v[0] - d * v[1] * v[1]) if v[1] else abs(v[0]))
     pivots: List[int] = []
     done: List[Dict[int, Elem]] = []
+    # entry / pivot, computed once per distinct pair in this call
+    quotients: Dict[int, Dict[object, Elem]] = {}
+    seen: Dict[tuple, Elem] = {}
     for col in range(ncols):
         bucket = buckets.pop(col, None)
         if bucket is None:
@@ -237,20 +226,20 @@ def _rref(
         # by position: equal rows are == as dicts, so list.remove could
         # take out another object than the chosen one
         piv_row = bucket.pop(best)
-        piv_val = piv_row[col]
-        if not integral and piv_val != 1:
-            inv = 1 / piv_val
-            piv_row = {j: v * inv for j, v in piv_row.items()}
+        piv_val = _norm_pivot(piv_row, col, d)
         tail = [(j, v) for j, v in piv_row.items() if j != col]
-        if integral:
-            # the int tail clears the bucket; the row is returned over Q
-            for j, v in tail:
-                piv_row[j] = Fraction(v, piv_val)
-            piv_row[col] = ONE
         for r in bucket:
-            _clear_col(r, col, tail, piv_val if integral else None)
+            _clear_col(r, col, tail, piv_val, d)
             if r:
                 buckets.setdefault(min(r), []).append(r)
+        # the integer tail cleared the bucket; the row is returned over the field
+        over = quotients.setdefault(piv_val, {})
+        for j, v in tail:
+            x = over.get(v)
+            if x is None:
+                x = over[v] = shared(seen, _quotient(v, piv_val, d))
+            piv_row[j] = x
+        piv_row[col] = ONE
         done.append(piv_row)
         pivots.append(col)
     if reduce:
@@ -265,38 +254,104 @@ def _rref(
     return done, pivots
 
 
-def _clear_col(r: Dict[int, Elem], col: int, tail: List[Tuple[int, Elem]],
-               piv_val: Optional[int] = None) -> None:
+def _quotient(v, n: int, d: Optional[int]) -> Elem:
+    """The field element v / n of a forward-pass entry: an int (d None) or
+    a pair (a, b) meaning a + b*sqrt(d)."""
+    if d is None:
+        return Fraction(v, n)
+    a, b = v
+    return Scalar(Fraction(a, n), Fraction(b, n), d) if b else Fraction(a, n)
+
+
+def _integral(r: Dict[int, Elem], d: Optional[int]) -> None:
+    """Scale a row of field elements in place to a primitive row over Z
+    (``int`` entries, d None) or over Z[sqrt d] ((a, b) int pairs)."""
+    if d is None:
+        # a list, not a generator: a tuple sized from a generator is
+        # resized, which leaves a block on the interpreter's free list
+        den = lcm(*[v.denominator for v in r.values()])
+        for j, v in r.items():
+            r[j] = v.numerator * (den // v.denominator)
+    else:
+        parts = [(v.a, v.b) if isinstance(v, Scalar) else (v, ZERO) for v in r.values()]
+        den = lcm(*[x.denominator for p in parts for x in p])
+        for j, (a, b) in zip(r, parts):
+            r[j] = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+    _divide_content(r, d)
+
+
+def _norm_pivot(r: Dict[int, object], col: int, d: Optional[int]) -> int:
+    """The integer pivot of a forward-pass row: r[col] itself over Z; over
+    Z[sqrt d], r is first multiplied in place by the conjugate a - b*sqrt(d)
+    of r[col] = (a, b) when b != 0, which turns r[col] into the norm
+    (a^2 - d*b^2, 0), and made primitive again."""
+    if d is None:
+        return r[col]
+    a, b = r[col]
+    if b:
+        for j, (x, y) in r.items():
+            r[j] = (a * x - d * b * y, a * y - b * x)
+        _divide_content(r, d)
+    return r[col][0]
+
+
+def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
+               piv_val: Optional[int] = None, d: Optional[int] = None) -> None:
     """Clear ``col`` from r with the pivot row, given as its entries other
     than the one at ``col``.  Over a field (no ``piv_val``) that entry is 1
-    and r -= r[col] * pivot row.  Over Z it is the int ``piv_val``: with
-    x = r[col] and g = gcd(piv_val, x) signed like ``piv_val``, r becomes
-    (piv_val/g) * r - (x/g) * pivot row, and its content is divided out
-    when piv_val/g != 1.  Either way the difference at ``col`` is exactly 0."""
+    and r -= r[col] * pivot row.  In the forward pass it is the int
+    ``piv_val`` N, and the entries are ints (d None) or (a, b) pairs of
+    Z[sqrt d]: with x = r[col] and g = gcd(N, x) (of N and both parts of a
+    pair) signed like N, r becomes (N/g) * r - (x/g) * pivot row, and its
+    content is divided out when N/g != 1.  Either way the difference at
+    ``col`` is exactly 0."""
     x = r.pop(col)
-    scale = 1
-    if piv_val is not None:
-        g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
-        scale, x = piv_val // g, x // g
+    if piv_val is None or d is None:
+        scale = 1
+        if piv_val is not None:
+            g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
+            scale, x = piv_val // g, x // g
+            if scale != 1:
+                for j in r:
+                    r[j] *= scale
+        for j, v in tail:
+            nv = r.get(j, 0) - x * v
+            if nv:
+                r[j] = nv
+            else:
+                r.pop(j, None)
+    else:
+        g = gcd(piv_val, *x) if piv_val > 0 else -gcd(piv_val, *x)
+        scale, x1, x2 = piv_val // g, x[0] // g, x[1] // g
         if scale != 1:
-            for j in r:
-                r[j] *= scale
-    for j, v in tail:
-        nv = r.get(j, 0) - x * v
-        if nv:
-            r[j] = nv
-        else:
-            r.pop(j, None)
+            for j, (a, b) in r.items():
+                r[j] = (a * scale, b * scale)
+        # (a + b sqrt d) - (x1 + x2 sqrt d)(v1 + v2 sqrt d)
+        dx2 = d * x2
+        for j, (v1, v2) in tail:
+            a, b = r.get(j, (0, 0))
+            a, b = a - x1 * v1 - dx2 * v2, b - x1 * v2 - x2 * v1
+            if a or b:
+                r[j] = (a, b)
+            else:
+                r.pop(j, None)
     if scale != 1:
-        _divide_content(r)
+        _divide_content(r, d)
 
 
-def _divide_content(r: Dict[int, int]) -> None:
-    """Divide an int row by the gcd of its entries."""
-    c = gcd(*r.values())
-    if c > 1:
-        for j in r:
-            r[j] //= c
+def _divide_content(r: Dict[int, object], d: Optional[int] = None) -> None:
+    """Divide an int row (d None) or a row of Z[sqrt d] pairs by the gcd of
+    all its integers."""
+    if d is None:
+        c = gcd(*r.values())
+        if c > 1:
+            for j in r:
+                r[j] //= c
+    else:
+        c = gcd(*[x for v in r.values() for x in v])
+        if c > 1:
+            for j, (a, b) in r.items():
+                r[j] = (a // c, b // c)
 
 
 # -- subspace utilities ----------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -227,3 +227,12 @@ def sc(x: Union[Scalar, RationalLike]) -> Elem:
     if isinstance(x, Scalar):
         return x if x.b else x.a
     return _as_fraction(x)
+
+
+def shared(seen: Dict[tuple, Elem], x: Elem) -> Elem:
+    """x, or the element equal to it that seen already holds: equal values
+    built apart end up as one object (elements are immutable).  seen is
+    keyed by the integer parts of x, which hash far faster than x."""
+    if isinstance(x, Scalar):
+        return seen.setdefault((x.a.as_integer_ratio(), x.b.as_integer_ratio(), x.d), x)
+    return seen.setdefault(x.as_integer_ratio(), x)

@@ -138,6 +138,9 @@ BAD_INPUT = [
     (["betti", "0,0,12+2."], 2),
     (["betti", "0,0,12 3"], 2),
     (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"2sqrt(3)"}}]}'], 2),
+    (["stable", "--form", '{"n":10,"degree":1,"terms":{"1_0":"1"}}'], 2),
+    (["parse", '{"dim":3,"brackets":[{"i":1,"j":2,"c":{" +3":"1"}}]}'], 2),
+    (["betti", "builtin:abelian:\u0663"], 2),
 ]
 
 
@@ -222,6 +225,14 @@ def test_bad_input_message_names_the_input(capsys):
          "cannot read algebra: expected [sign][coefficient.]pair, got '3' (at position 7)"),
         (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"2sqrt(3)"}}]}'],
          "cannot read algebra: cannot parse scalar '2sqrt(3)'"),
+        # integers are an optional "-" and ASCII digits, at each call site
+        (["stable", "--form", '{"n":10,"degree":1,"terms":{"1_0":"1"}}'],
+         "cannot read form: index in term '1_0' must be an integer, got '1_0'"),
+        (["parse", '{"dim":3,"brackets":[{"i":1,"j":2,"c":{" +3":"1"}}]}'],
+         "cannot read algebra: component index in bracket (1,2) must be an integer, got ' +3'"),
+        (["betti", "builtin:abelian:\u0663"],
+         "cannot read algebra: the size in builtin 'abelian:\u0663' must be an integer,"
+         " got '\u0663'"),
     ]
     for argv, message in rejected:
         assert main(argv) == 2
@@ -232,6 +243,16 @@ def test_a_quadratic_form_on_a_rational_algebra_runs(capsys):
     """Q(sqrt 2) coefficients on a rational algebra mix no fields."""
     assert main(["orbit-check", "builtin:abelian:8", "--form", SQRT2_FORM_ON_8]) == 0
     assert capsys.readouterr().out == "stab dim 8, ker dim 8, holds=True\n"
+
+
+def test_zero_dimensional_algebra_round_trips_through_salamon(capsys):
+    """The Salamon text parse prints for dimension 0 is a readable input."""
+    for name in ("builtin:abelian:0", "builtin:nplus:1"):
+        assert main(["--json", "parse", name]) == 0
+        text = json.loads(capsys.readouterr().out)["salamon"]
+        assert text == ""
+        assert main(["betti", text]) == 0
+        assert capsys.readouterr() == ("betti [1]\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

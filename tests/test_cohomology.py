@@ -16,7 +16,7 @@ from lmmt.exterior import (DimensionMismatch, KForm, KVector, basis_masks, coord
                            indices_of)
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
-from lmmt.linalg import Matrix
+from lmmt.linalg import Matrix, _rref
 from lmmt.scalars import Scalar
 from lmmt.spectral import (IdealSplit, _complement_for, _quotient_functional_ideals,
                            diagonal_extension, invariant_cohomology)
@@ -50,6 +50,21 @@ def test_d_form_equals_every_ce_differential_column():
             for col, mask in enumerate(basis_masks(g.n, k)):
                 expect = KForm.from_vector(g.n, k + 1, dst, mat.column(col))
                 assert d_form(g, KForm.basis(g.n, indices_of(mask))) == expect
+
+
+def test_equal_entries_are_one_object():
+    """The structure constants, every differential and the pivot rows of its
+    echelon form (past their leading 1) hold one object per distinct value."""
+    g = builtin("su3")
+    consts = [c for comp in g.brackets.values() for c in comp.values()]
+    assert len({id(c) for c in consts}) == len(set(consts)) < len(consts)
+    for k in range(g.n + 1):
+        mat = ce_differential(g, k)
+        values = list(mat.entries.values())
+        assert len({id(v) for v in values}) == len(set(values))
+        rows, pivots = _rref(mat._sparse_rows(), mat.cols, reduce=False)
+        values = [v for r, p in zip(rows, pivots) for j, v in r.items() if j != p]
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))

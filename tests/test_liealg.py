@@ -143,6 +143,12 @@ def test_round_trips():
         assert parse_salamon(g.to_salamon()).brackets == g.brackets
         assert LieAlgebra.from_json(g.to_json()).brackets == g.brackets
     assert parse_salamon("0,12,13,14,1.15").to_salamon() == "0,12,13,14,15"
+    # dimension 0 is written as the empty string and read back from it
+    for name in ("abelian:0", "nplus:1"):
+        g = builtin(name)
+        assert g.to_salamon() == ""
+        h = parse_salamon(g.to_salamon())
+        assert (h.n, h.brackets) == (0, {})
 
 
 def test_su2_brackets():
@@ -457,12 +463,11 @@ def test_bracket_components_are_checked():
 
 # rational algebras as the tests build them: the catalog, n+(sl_k), the
 # Borel subalgebras and diagonal extensions with multi-digit coefficients;
-# dimension 0, whose Salamon string is empty, is left out
 _EIGENVALUES = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 _RATIONAL_ALGEBRAS = st.one_of(
     st.sampled_from(CATALOG + NILPOTENT).map(parse_salamon),
-    st.integers(2, 6).map(lambda k: builtin(f"nplus:{k}")),
-    st.integers(2, 5).map(lambda k: builtin(f"borel:{k}")),
+    st.integers(1, 6).map(lambda k: builtin(f"nplus:{k}")),
+    st.integers(1, 5).map(lambda k: builtin(f"borel:{k}")),
     st.lists(_EIGENVALUES, max_size=10).map(diagonal_extension),
 )
 

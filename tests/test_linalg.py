@@ -2,13 +2,15 @@
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lmmt.linalg import Matrix, _clear_col, _rref, extend_basis, in_span, row_space_basis
-from lmmt.scalars import Scalar, sc
+from lmmt.linalg import (
+    Matrix, _clear_col, _norm_pivot, _rref, extend_basis, in_span, row_space_basis)
+from lmmt.scalars import FieldError, Scalar, sc
 
 
 def M(rows):
@@ -140,8 +142,9 @@ def test_quadratic_field_solve():
 # The rational and the sqrt(3) strategies drive the one elimination routine on
 # Fractions alone and on Fractions mixed with Scalars.
 
-QQ_SQRT3 = QQ.algebraic_field(sympy.sqrt(3))
-SQRT3 = QQ_SQRT3.from_sympy(sympy.sqrt(3))
+FIELDS = {d: QQ.algebraic_field(sympy.sqrt(d)) for d in (2, 3, 5)}
+ROOTS = {d: field.from_sympy(sympy.sqrt(d)) for d, field in FIELDS.items()}
+QQ_SQRT3 = FIELDS[3]
 
 small_rationals = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
@@ -175,7 +178,7 @@ def to_sympy(domain, rows):
 
     def elem(x):
         x = sc(x)
-        return q(x.a) + q(x.b) * SQRT3 if isinstance(x, Scalar) else q(x)
+        return q(x.a) + q(x.b) * ROOTS[x.d] if isinstance(x, Scalar) else q(x)
     return DomainMatrix([[elem(x) for x in r] for r in rows], (len(rows), len(rows[0])), domain)
 
 
@@ -265,7 +268,7 @@ def test_spans_against_sympy_over_q_sqrt3(system):
     check_spans_against_sympy(QQ_SQRT3, rows)
 
 
-# -- the fraction-free pass: pivot queries on rational rows run over Z --------
+# -- the fraction-free pass: rows over Z, or over Z[sqrt d] ------------------
 
 mixed_rationals = st.one_of(
     st.just(Fraction(0)), st.just(Fraction(0)),
@@ -278,7 +281,7 @@ def pivot_matrices(draw):
     """Rational rows of a tall, square or wide shape, with mixed denominators
     and entries up to 2**40; sometimes a zero row, a duplicate row, a
     multiple of a row, and (if ``sqrt3``) one Scalar entry, which puts the
-    whole matrix on the field step."""
+    whole matrix on the Z[sqrt 3] pass."""
     nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     rows = draw(st.lists(st.lists(mixed_rationals, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
@@ -320,13 +323,46 @@ def check_rref_rows(rows, ncols, reduce):
         assert span.rank() == both.rank() == len(red)
 
 
+@st.composite
+def quadratic_systems(draw):
+    """(d, rows, rhs) over Q(sqrt d), d in {2, 3, 5}: most entries are
+    irrational, with parts up to 2**40; sometimes a row (c + e sqrt d) times
+    another, which depends on it only over Q(sqrt d), a sum of two rows, or
+    a consistent rhs."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    part = st.one_of(mixed_rationals, st.integers(-3, 3).filter(bool).map(Fraction))
+    entries = st.builds(lambda a, b: Scalar(a, b, d), part, part)
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        c = Scalar(draw(st.integers(-3, 3)), draw(st.integers(-3, 3).filter(bool)), d)
+        rows.insert(draw(st.integers(0, len(rows))), [c * x for x in draw(st.sampled_from(rows))])
+    if len(rows) >= 2 and draw(st.booleans()):
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    assume(any(isinstance(x, Scalar) for r in rows for x in r))
+    if draw(st.booleans()):
+        rhs = mul(Matrix.from_rows(rows), draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return d, rows, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_systems())
+def test_against_sympy_over_q_sqrt_d(system):
+    """pivots, rank, rref, kernel and solve_columns on the Z[sqrt d] pass
+    against sympy over Q(sqrt d)."""
+    d, rows, rhs = system
+    check_against_sympy(FIELDS[d], rows, rhs)
+
+
 @settings(max_examples=150, deadline=None)
-@given(pivot_matrices())
-def test_float_free_guard(matrix):
+@given(st.one_of(pivot_matrices().map(lambda m: m[0]), quadratic_systems().map(lambda s: s[1])))
+def test_float_free_guard(rows):
     """Every element rref, kernel, solve and _rref return is a Fraction or
-    an irrational Scalar: the int rows of the pivot pass never leak, and no
-    1 / int turns into a float."""
-    rows, _ = matrix
+    an irrational Scalar: the int rows and (a, b) pairs of the forward pass
+    never leak, and no 1 / int turns into a float."""
     a = Matrix.from_rows(rows)
     red, _ = a.rref()
     assert all(is_field_element(x) for r in red for x in r.values())
@@ -379,3 +415,74 @@ def test_integer_clear_col_examples():
     row = {0: 5, 1: 1}
     _clear_col(row, 0, [(1, 1)], -1)
     assert row == {1: 6}
+
+
+pair_rows = st.dictionaries(
+    st.integers(0, 5), st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(any),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_rows, pair_rows, st.integers(-12, 12).filter(bool),
+       st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any),
+       st.sampled_from([2, 3, 5]))
+def test_pair_clear_col_step(r, tail, piv_val, x, d):
+    """One Z[sqrt d] step on column 6: with g = gcd(piv_val, x1, x2) signed
+    like piv_val, r becomes (piv_val/g) r - (x/g) pivot row, multiplied as
+    a + b sqrt d; the content is divided out exactly when piv_val/g != 1."""
+    col = 6
+    row = {**r, col: x}
+    _clear_col(row, col, list(tail.items()), piv_val, d)
+    g = math.gcd(piv_val, *x) * (1 if piv_val > 0 else -1)
+    scale, m1, m2 = piv_val // g, x[0] // g, x[1] // g
+    combo = {}
+    for j in set(r) | set(tail):
+        (a, b), (v1, v2) = r.get(j, (0, 0)), tail.get(j, (0, 0))
+        entry = (scale * a - m1 * v1 - d * m2 * v2, scale * b - m1 * v2 - m2 * v1)
+        if any(entry):
+            combo[j] = entry
+    content = math.gcd(*[y for e in combo.values() for y in e]) if scale != 1 else 1
+    assert row == {j: (a // content, b // content) for j, (a, b) in combo.items()}
+
+
+def test_norm_pivot_and_pair_step_examples():
+    # (1 + sqrt 3, 2) times 1 - sqrt 3 is (-2, 2 - 2 sqrt 3), content 2
+    row = {0: (1, 1), 1: (2, 0)}
+    assert _norm_pivot(row, 0, 3) == -1 and row == {0: (-1, 0), 1: (1, -1)}
+    # a rational pivot is kept as it is
+    row = {0: (4, 0), 1: (2, 6)}
+    assert _norm_pivot(row, 0, 3) == 4 and row == {0: (4, 0), 1: (2, 6)}
+    # pivot -1, x = 2 + sqrt 2: r + (2 + sqrt 2) * pivot row, unscaled
+    row = {0: (2, 1), 1: (0, 1)}
+    _clear_col(row, 0, [(1, (1, 1))], -1, 2)
+    assert row == {1: (4, 4)}
+    # pivot 2, x = sqrt 5: 2 r - sqrt 5 (sqrt 5) = (4 - 5, 0), content 1
+    row = {0: (0, 1), 1: (2, 0)}
+    _clear_col(row, 0, [(1, (0, 1))], 2, 5)
+    assert row == {1: (-1, 0)}
+
+
+def test_pivot_is_the_smallest_integer_pivot():
+    """Without back-substitution the returned rows show the pivot choice:
+    the bucket row whose pivot becomes the smallest integer, |a| for a
+    rational entry and the norm |a^2 - d b^2| for a + b sqrt d."""
+    F = Fraction
+    red, _ = _rref([{0: F(3), 1: F(1)}, {0: F(1), 1: F(5)}], 2, reduce=False)
+    assert red[0] == {0: 1, 1: 5}
+    # 2 + sqrt 3 is a unit, norm 1 < 2
+    red, _ = _rref([{0: F(2), 1: F(1)}, {0: Scalar(2, 1, 3), 1: F(1)}], 2, reduce=False)
+    assert red[0] == {0: 1, 1: Scalar(2, -1, 3)}
+    # 3 + 2 sqrt 3 has norm 9 - 12 = -3: 2 wins against it, it wins against 5
+    red, _ = _rref([{0: Scalar(3, 2, 3), 1: F(1)}, {0: F(2), 1: F(1)}], 2, reduce=False)
+    assert red[0] == {0: 1, 1: F(1, 2)}
+    red, _ = _rref([{0: F(5), 1: F(1)}, {0: Scalar(3, 2, 3), 1: F(1)}], 2, reduce=False)
+    assert red[0] == {0: 1, 1: Scalar(-1, F(2, 3), 3)}
+
+
+def test_two_radicands_are_a_field_error():
+    """A matrix with entries of Q(sqrt 2) and Q(sqrt 3) is rejected even when
+    no two of them ever meet in a pivot step."""
+    a = Matrix.from_rows([[Scalar(0, 1, 2), 0], [0, Scalar(0, 1, 3)]])
+    for query in (a.pivots, a.rank, a.rref, a.kernel):
+        with pytest.raises(FieldError, match=r"mix Q\(sqrt 2\) and Q\(sqrt 3\)"):
+            query()

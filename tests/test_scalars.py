@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from lmmt.cohomology import betti
 from lmmt.liealg import parse_salamon
-from lmmt.linalg import _bits
-from lmmt.scalars import FieldError, Scalar, sc
+from lmmt.scalars import FieldError, Scalar, sc, shared
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -102,11 +101,6 @@ def test_rational_betti_creates_no_scalar(monkeypatch):
     assert calls == []
 
 
-def test_complexity_orders_simple_first():
-    assert _bits(Fraction(1)) < _bits(Fraction(97, 89))
-    assert _bits(Scalar(1, 1, 3)) < _bits(Scalar(Fraction(97, 89), 1, 3))
-
-
 def test_radicand_square_factors_pulled_out():
     assert Scalar(2, -1, 4) == 0  # 2 - sqrt(4)
     assert not Scalar(2, -1, 4)
@@ -133,3 +127,16 @@ def test_parse_reads_a_multi_digit_radical_coefficient_whole():
     assert Scalar.parse("-21/2*sqrt(3)") == Scalar(0, Fraction(-21, 2), 3)
     for x in (Scalar(0, 12, 3), Scalar(0, -10, 2), Scalar(5, 11, 7)):
         assert Scalar.parse(str(x)) == x
+
+
+def test_shared_keeps_one_object_per_value():
+    seen = {}
+    half = shared(seen, Fraction(1, 2))
+    assert shared(seen, Fraction(2, 4)) is half
+    root = shared(seen, Scalar(Fraction(1, 2), 1, 3))
+    assert shared(seen, Scalar(Fraction(2, 4), Fraction(3, 3), 12 // 4)) is root
+    # equal parts over another field, or the rational part alone, stay apart
+    assert shared(seen, Scalar(Fraction(1, 2), 1, 2)) is not root
+    assert shared(seen, Scalar(0, Fraction(1, 2), 3)) is not half
+    assert shared(seen, Fraction(-1, 2)) is not half
+    assert len(seen) == 5
