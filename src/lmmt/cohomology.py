@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulate, basis_masks,
-                       contract, contract_sign, coordinate_matrix, dim_lambda, indices_of,
+                       contract, contract_sign, coordinate_matrix, dim_lambda, indices_of, iter_masks,
                        wedge_sign)
 from .liealg import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, rank_and_release
 from .scalars import ONE, ZERO, Elem, Scalar, shared
 
 
@@ -34,7 +35,7 @@ def ce_differential(g: LieAlgebra, k: int,
             col = col_index.get(mask)
             if col is not None:
                 entries[(row, col)] = shared(seen, c)
-    return Matrix(len(dst), len(src), entries)
+    return Matrix._of(len(dst), len(src), entries)
 
 
 def d_form(g: LieAlgebra, a: KForm) -> KForm:
@@ -109,6 +110,14 @@ def _weight_codes(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[int]:
     return [sum(c * base ** j for j, c in enumerate(row)) for row in digits]
 
 
+def _subset_codes(part: List[int]) -> List[int]:
+    """The code of every subset of part, indexed by its mask over part."""
+    out = [0]
+    for c in part:
+        out += [x + c for x in out]
+    return out
+
+
 def _weight_zero_masks(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[List[int]]:
     """The masks of joint torus weight zero, by degree 0..n+1 (degree n+1 is
     empty: the rows of the degree-n block), each list increasing.
@@ -122,25 +131,37 @@ def _weight_zero_masks(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[List[i
     increasing."""
     codes = _weight_codes(n, torus)
     h = n // 2
-
-    def subset_codes(part: List[int]) -> List[int]:
-        # the code of every subset of part, indexed by its mask over part
-        out = [0]
-        for c in part:
-            out += [x + c for x in out]
-        return out
-
     low: Dict[int, List[Tuple[int, int]]] = {}
-    for mask, code in enumerate(subset_codes(codes[:h])):
+    for mask, code in enumerate(_subset_codes(codes[:h])):
         low.setdefault(code, []).append((mask, mask.bit_count()))
     zero: List[List[int]] = [[] for _ in range(n + 2)]
-    for high, code in enumerate(subset_codes(codes[h:])):
+    for high, code in enumerate(_subset_codes(codes[h:])):
         hits = low.get(-code)
         if hits:
             top, deg = high << h, high.bit_count()
             for mask, k in hits:
                 zero[deg + k].append(top | mask)
     return zero
+
+
+def _masks_by_weight(n: int, torus: Dict[int, Dict[int, Elem]]) -> Iterator[Dict[int, array]]:
+    """For k = 0, 1, ..., n + 1 in turn: {weight code: the degree-k masks of
+    that joint torus weight, increasing}, a mask's code looked up in two
+    halves as in ``_weight_zero_masks``.  The masks are kept as 64-bit words
+    in arrays, not as int objects: 8 bytes a mask."""
+    codes = _weight_codes(n, torus)
+    h = n // 2
+    low, high = _subset_codes(codes[:h]), _subset_codes(codes[h:])
+    cut = (1 << h) - 1
+    for k in range(n + 2):
+        out: Dict[int, array] = {}
+        for m in iter_masks(n, k):
+            code = low[m & cut] + high[m >> h]
+            if code in out:
+                out[code].append(m)
+            else:
+                out[code] = array("Q", (m,))
+        yield out
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -164,7 +185,7 @@ def betti(g: LieAlgebra) -> CohomologyReport:
     """All Betti numbers b_0..b_n, with cocycle/coboundary dimensions.
 
     With r_k = rank of d on k-forms, b_k = C(n, k) - r_k - r_{k-1}, where
-    r_{-1} = r_n = 0.  Four ways to the ranks, tried in this order:
+    r_{-1} = r_n = 0.  Three ways to the ranks, tried in this order:
 
     - A direct sum: ``LieAlgebra.components`` splits the basis into two or
       more parts whose spans are commuting ideals, so g is their direct sum
@@ -186,11 +207,17 @@ def betti(g: LieAlgebra) -> CohomologyReport:
       is built and ranked (r0_k).  The acyclic rest has ranks
       r'_k = C(n, k) - c0_k - r'_{k-1} from r'_{-1} = 0, and r_k = r0_k + r'_k;
       r'_k >= 0 and r'_n = 0 are checked as a certificate.
-    - A unimodular algebra (tr ad x = 0 for every x) has Poincare duality
+    - Any other algebra is ranked block by block over its torus of diagonal
+      derivations D = diag(w) (``LieAlgebra.diagonal_derivations``).  D acts
+      on forms by D e^I = -w(I) e^I and commutes with d, as d is dual to the
+      bracket (Vergne, Bull. SMF 98, 1970; Goze-Khakimdjanov, Nilpotent Lie
+      Algebras, 1996): d is block-diagonal by joint weight, r_k is the sum
+      of its blocks' ranks, and the largest block sets the peak memory.  With
+      no non-zero D each degree is one block, the whole differential.  A
+      unimodular algebra (tr ad x = 0 for every x) has Poincare duality
       b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950; Hazewinkel, Math. USSR Sb.
       12, 1970), and induction on k from r_{-1} = r_n turns it into
-      r_k = r_{n-1-k}: only d on k-forms with k <= (n-1)/2 is built and ranked.
-    - Any other algebra gets every degree built."""
+      r_k = r_{n-1-k}: only the degrees k <= (n-1)/2 are ranked."""
     n = g.n
     parts = g.components()
     if len(parts) > 1:
@@ -217,11 +244,17 @@ def betti(g: LieAlgebra) -> CohomologyReport:
             ranks.append(ce_differential(g, k, (zero[k], zero[k + 1])).rank() + rest)
         if rest:
             raise AssertionError(f"the complex off weight zero is not acyclic in degree {n}")
-    elif g.is_unimodular():
-        low = [ce_differential(g, k).rank() for k in range((n + 1) // 2)]
-        ranks = [low[min(k, n - 1 - k)] for k in range(n)] + [0]
-    else:
-        ranks = [ce_differential(g, k).rank() for k in range(n + 1)]
+        return _report(n, ranks)
+    by_weight = _masks_by_weight(n, g.diagonal_derivations())
+    unimodular = g.is_unimodular()
+    ranks, cols = [], next(by_weight)
+    for k in range((n + 1) // 2 if unimodular else n + 1):
+        rows = next(by_weight)
+        ranks.append(sum(rank_and_release(ce_differential(g, k, (masks, rows[c])))
+                         for c, masks in cols.items() if c in rows))
+        cols = rows
+    if unimodular:
+        ranks = [ranks[min(k, n - 1 - k)] for k in range(n)] + [0]
     return _report(n, ranks)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type, TypeVar
 
 from .linalg import Matrix
 from .scalars import ZERO, Elem, Scalar, radicand, sc
@@ -96,22 +96,26 @@ def contract_sign(i: int, mask: int) -> int:
 
 
 def basis_masks(n: int, k: int) -> List[int]:
-    """Canonical (bitmask-ordered) basis of degree k over n indices.
+    """Canonical (bitmask-ordered) basis of degree k over n indices."""
+    return list(iter_masks(n, k))
+
+
+def iter_masks(n: int, k: int) -> Iterator[int]:
+    """The masks of ``basis_masks(n, k)``, in order, one at a time.
 
     Gosper's hack steps from each k-bit mask to the next larger one, so the
     cost is C(n, k), not 2^n."""
     if k < 0 or k > n:
-        return []
+        return
     if k == 0:
-        return [0]
-    out = []
+        yield 0
+        return
     m, end = (1 << k) - 1, 1 << n
     while m < end:
-        out.append(m)
+        yield m
         low = m & -m
         ripple = m + low
         m = ripple | ((m ^ ripple) >> 2) // low
-    return out
 
 
 _E = TypeVar("_E", bound="AltElement")

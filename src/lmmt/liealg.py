@@ -133,6 +133,45 @@ class LieAlgebra:
                 mixed.add(j)
         return {t: weights[t] for t in sorted(weights) if t not in mixed}
 
+    def diagonal_derivations(self) -> Dict[int, Dict[int, Fraction]]:
+        """A basis of the torus of diagonal derivations D = diag(w), as
+        t -> {o: w_t(o)} for t = 1..rank, in the shape of ``inner_torus``.
+
+        D is a derivation exactly when w_i + w_j = w_k for every c^k_ij != 0,
+        so the torus is the kernel over Q of that integer system.  One pass
+        over the brackets first reads the weights it forces to zero: c^i_ij
+        != 0 gives w_j = 0, and c^k_ij, c^j_ik both != 0 give 2 w_i = 0.  The
+        kernel is taken on the other weights only."""
+        zero = set()
+        for (i, j), comp in self.brackets.items():
+            for k in comp:
+                if k == i or k == j:
+                    zero.add(i + j - k)
+                    continue
+                if j in self.brackets.get((min(i, k), max(i, k)), ()):
+                    zero.add(i)
+                if i in self.brackets.get((min(j, k), max(j, k)), ()):
+                    zero.add(j)
+        free = [o for o in range(1, self.n + 1) if o not in zero]
+        if not free:
+            return {}
+        col = {o: c for c, o in enumerate(free)}
+        signs = (ONE, -ONE, -ONE)  # w_k - w_i - w_j
+        equations: Dict[tuple, None] = {}  # each distinct equation once, in order
+        for (i, j), comp in self.brackets.items():
+            for k in comp:
+                if k == i or k == j:  # w_k cancels, and the other weight is zero
+                    continue
+                eq = tuple(sorted((col[o], s) for o, s in zip((k, i, j), signs) if o in col))
+                if eq:
+                    equations[eq] = None
+        kernel = Matrix._of(len(equations), len(free), {
+            (r, c): s for r, eq in enumerate(equations) for c, s in eq}).kernel()
+        torus: Dict[int, Dict[int, Fraction]] = {t: {} for t in range(1, kernel.cols + 1)}
+        for (r, t), x in kernel.entries.items():
+            torus[t + 1][free[r]] = x
+        return torus
+
     def components(self) -> List[List[int]]:
         """The finest split of 1..n into parts whose spans are commuting
         ideals, read from the brackets in one union-find pass.

@@ -37,6 +37,16 @@ class Matrix:
         self.entries = {k: x for k, v in entries.items() if (x := sc(v))}
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], Elem]) -> "Matrix":
+        """The matrix with these entries, unchecked: every entry must already
+        be a nonzero field element (``Fraction``, or ``Scalar`` with b != 0)."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        return self
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         ncols = max((len(r) for r in rows), default=0)
         return cls(len(rows), ncols, {
@@ -67,7 +77,7 @@ class Matrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return Matrix._of(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -88,7 +98,7 @@ class Matrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
-        return Matrix(self.rows, self.cols + other.cols, entries)
+        return Matrix._of(self.rows, self.cols + other.cols, entries)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -96,7 +106,7 @@ class Matrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i + self.rows, j)] = v
-        return Matrix(self.rows + other.rows, self.cols, entries)
+        return Matrix._of(self.rows + other.rows, self.cols, entries)
 
     def __eq__(self, other):
         return (
@@ -125,6 +135,8 @@ class Matrix:
         return _rref(self._sparse_rows(), self.cols, reduce=False)[1]
 
     def rank(self) -> int:
+        if min(self.rows, self.cols) <= 1:  # one row or column: no elimination needed
+            return 1 if self.entries else 0
         return len(self.pivots())
 
     def kernel(self) -> "Matrix":
@@ -140,7 +152,7 @@ class Matrix:
             for j, x in row.items():
                 if j in free:
                     entries[(p, free[j])] = -x
-        return Matrix(self.cols, len(free), entries)
+        return Matrix._of(self.cols, len(free), entries)
 
     def kernel_basis(self) -> List[Vector]:
         """The columns of ``kernel()`` as dense vectors."""
@@ -176,6 +188,17 @@ class Matrix:
     def column_space_basis(self) -> List[Vector]:
         """Basis of the column span, as columns of the original matrix."""
         return [self.column(j) for j in self.pivots()]
+
+
+def rank_and_release(m: Matrix) -> int:
+    """``m.rank()`` for a matrix passed by a caller that keeps no other
+    reference to it: its entries are dropped once the elimination has them
+    as rows, so the peak holds them once, not twice."""
+    if min(m.rows, m.cols) <= 1:
+        return m.rank()
+    rows, ncols = m._sparse_rows(), m.cols
+    del m
+    return len(_rref(rows, ncols, reduce=False)[1])
 
 
 def _rref(
@@ -375,5 +398,5 @@ def extend_basis(base: Matrix, candidates: Matrix) -> Matrix:
     [base | candidates] past base."""
     pivots = base.hstack(candidates).pivots()
     keep = {j - base.cols: t for t, j in enumerate(j for j in pivots if j >= base.cols)}
-    return Matrix(candidates.rows, len(keep), {
+    return Matrix._of(candidates.rows, len(keep), {
         (i, keep[j]): x for (i, j), x in candidates.entries.items() if j in keep})

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
-from lmmt.cohomology import (CohomologyReport, _weight_codes, _weight_zero_masks, betti, cartan_identity_check, cocycle_basis,
+from lmmt.cohomology import (CohomologyReport, _masks_by_weight, _weight_codes, _weight_zero_masks,
+                             betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
@@ -200,20 +201,6 @@ def test_a_wrong_split_is_caught(monkeypatch):
     assert [c["b3"] for c in c06["computed"]] == [2, 1, 0]  # the sums read directly
 
 
-def _diagonal_derivations(k):
-    """A basis of the diagonal derivations diag(d_1..d_n) of k: d_m = d_i + d_j
-    whenever [e_i, e_j] has a component e_m."""
-    rows = []
-    for (i, j), comp in k.brackets.items():
-        for m in comp:
-            row = [0] * k.n
-            row[m - 1] += 1
-            row[i - 1] -= 1
-            row[j - 1] -= 1
-            rows.append(row)
-    return Matrix.from_rows(rows or [[0] * k.n]).kernel_basis()
-
-
 def _sl3_chevalley():
     """sl(3) on h1 = E11 - E22, h2 = E22 - E33 and the six E_ij: a Cartan
     subalgebra of two basis elements with diagonal ad."""
@@ -265,11 +252,12 @@ def torus_algebras(draw):
         g = LieAlgebra(len(lams) + 1, {(1, i): {i: lam} for i, lam in enumerate(lams, 2)})
     elif kind == "nilpotent":
         k = parse_salamon(draw(st.sampled_from(NILPOTENT[:4])))
-        basis = _diagonal_derivations(k)
+        basis = list(k.diagonal_derivations().values())
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-        diag = [sum((c * v[m] for c, v in zip(coeffs, basis)), Fraction(0)) for m in range(k.n)]
+        diag = [sum((c * w.get(m, 0) for c, w in zip(coeffs, basis)), Fraction(0))
+                for m in range(1, k.n + 1)]
         if not any(diag):
-            diag = list(basis[0])
+            diag = [basis[0].get(m, Fraction(0)) for m in range(1, k.n + 1)]
         rows = [[diag[r] if r == c else 0 for c in range(k.n)] for r in range(k.n)]
         g = extend_by_derivations(k, [Derivation.from_rows(k, rows)])
     else:
@@ -470,10 +458,11 @@ def _mahonian(k):
     return table
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_nplus_betti_are_the_mahonian_numbers(k):
     """Kostant (Ann. of Math. 74, 1961): b_j(n+(sl_k)) is the number of
-    permutations of S_k with j inversions."""
+    permutations of S_k with j inversions; k = 6 is n = 15, ranked block by
+    block over the torus of rank 5."""
     g = builtin(f"nplus:{k}")
     assert g.n == k * (k - 1) // 2
     assert betti(g).betti == _mahonian(k)
@@ -492,6 +481,53 @@ def test_borel_betti_are_binomial(k):
 @pytest.mark.parametrize("name", ["nplus:3", "nplus:4", "borel:2", "borel:3", "borel:4"])
 def test_upper_triangular_betti_equal_direct_ranks(name):
     g = builtin(name)
+    assert betti(g) == direct_betti(g)
+
+
+@pytest.mark.parametrize("g", [_filiform(11), builtin("nplus:5")], ids=["L11", "nplus5"])
+def test_weight_blocks_partition_d(g):
+    """In every degree the weight blocks hold every entry of the whole
+    differential, once, and their ranks add up to its rank."""
+    torus = g.diagonal_derivations()
+    assert torus and not g.inner_torus()
+    by_weight = _masks_by_weight(g.n, torus)
+    cols = next(by_weight)
+    for k in range(g.n + 1):
+        rows = next(by_weight)
+        assert sorted(m for masks in cols.values() for m in masks) == basis_masks(g.n, k)
+        blocks = [ce_differential(g, k, (masks, rows[c])) for c, masks in cols.items() if c in rows]
+        d = ce_differential(g, k)
+        assert sum(len(b.entries) for b in blocks) == len(d.entries)
+        assert sum(b.rank() for b in blocks) == d.rank()
+        cols = rows
+
+
+@st.composite
+def two_step_algebras(draw):
+    """(generators m, a connected two-step nilpotent algebra): [e_i, e_j] =
+    c e_k for a set of generator pairs i < j <= m that links all m of them,
+    each pair with its own central index k > m.  Its diagonal derivations
+    are free on the generators, so the torus has rank m."""
+    m = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(1, m + 1)))
+    # a spanning tree, each generator linked to an earlier one, then extras
+    pairs = {tuple(sorted((order[t], order[draw(st.integers(0, t - 1))]))) for t in range(1, m)}
+    extra = [p for p in combinations(range(1, m + 1), 2) if p not in pairs]
+    room = 10 - m - len(pairs)  # n <= 10
+    if extra and room > 0:
+        pairs |= set(draw(st.lists(st.sampled_from(extra), max_size=room, unique=True)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    centre = draw(st.permutations(range(m + 1, m + len(pairs) + 1)))
+    brackets = {p: {k: draw(coeffs)} for p, k in zip(sorted(pairs), centre)}
+    return m, LieAlgebra(m + len(pairs), brackets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_step_algebras())
+def test_two_step_betti_equal_direct_ranks(case):
+    m, g = case
+    assert len(g.components()) == 1 and not g.inner_torus()
+    assert len(g.diagonal_derivations()) == m
     assert betti(g) == direct_betti(g)
 
 

@@ -552,3 +552,62 @@ def test_from_json_rejects_what_it_cannot_read():
         with pytest.raises(ValueError) as exc:
             builtin(name)
         assert str(exc.value) == message
+
+
+# -- the torus of diagonal derivations --------------------------------------
+
+
+def _full_derivation_system(g):
+    """w_i + w_j - w_k = 0 for every c^k_ij != 0, one row per constant, with
+    no weight read as zero first: the system diagonal_derivations solves."""
+    rows = []
+    for (i, j), comp in g.brackets.items():
+        for k in comp:
+            row = [0] * g.n
+            row[i - 1] += 1
+            row[j - 1] += 1
+            row[k - 1] -= 1
+            rows.append(row)
+    return Matrix(len(rows), g.n, {(r, c): x for r, row in enumerate(rows)
+                                   for c, x in enumerate(row) if x})
+
+
+def _check_diagonal_derivations(g):
+    torus = g.diagonal_derivations()
+    assert list(torus) == list(range(1, len(torus) + 1))
+    for w in torus.values():
+        assert w and all(x for x in w.values())
+        Derivation(g, Matrix(g.n, g.n, {(o - 1, o - 1): x for o, x in w.items()}))
+    # every w solves the full system, so equal dimensions mean equal spaces
+    assert len(torus) == _full_derivation_system(g).kernel().cols
+    return torus
+
+
+def test_diagonal_derivations_of_the_catalog():
+    for g in STRUCTURE_ALGEBRAS + [diagonal_extension([Fraction(1), Fraction(-1)]),
+                                   builtin("abelian:3"), builtin("abelian:0")]:
+        _check_diagonal_derivations(g)
+
+
+def _filiform(n):
+    return parse_salamon(",".join(["0", "0"] + [f"[1,{i}]" for i in range(2, n)]))
+
+
+@pytest.mark.parametrize("g,rank", [
+    (_filiform(11), 2), (_filiform(12), 2), (_filiform(13), 2),
+    (builtin("heisenberg"), 2), (builtin("su2"), 0), (builtin("su3"), 0),
+    (builtin("abelian:3"), 3),
+] + [(builtin(f"nplus:{k}"), k - 1) for k in range(2, 7)],
+    ids=lambda case: case.to_salamon()[:24] if isinstance(case, LieAlgebra) else str(case))
+def test_diagonal_derivation_rank(g, rank):
+    assert len(_check_diagonal_derivations(g)) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONAL_ALGEBRAS, st.sampled_from([None, "su2", "su3", "heisenberg"]))
+def test_diagonal_derivations_solve_the_full_system(g, summand):
+    """Random algebras, some summed with one whose weights are all forced to
+    zero (su2, su3: rotated pairs c^k_ij, c^j_ik) or with none forced."""
+    if summand is not None:
+        g = g.direct_sum(builtin(summand))
+    _check_diagonal_derivations(g)

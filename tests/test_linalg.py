@@ -9,7 +9,8 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from lmmt.linalg import (
-    Matrix, _clear_col, _norm_pivot, _rref, extend_basis, in_span, row_space_basis)
+    Matrix, _clear_col, _norm_pivot, _rref, extend_basis, in_span, rank_and_release,
+    row_space_basis)
 from lmmt.scalars import FieldError, Scalar, sc
 
 
@@ -36,6 +37,16 @@ def test_rank_oracles():
     assert M([[1, 0], [0, 1]]).rank() == 2
     assert M([[0, 0], [0, 0]]).rank() == 0
     assert M([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).rank() == 2
+
+
+@pytest.mark.parametrize("rows,cols,entries", [
+    (1, 4, {(0, 2): Fraction(3)}), (4, 1, {(3, 0): Scalar(0, 1, 3)}), (1, 1, {}),
+    (1, 5, {}), (0, 3, {}), (3, 0, {}), (1, 1, {(0, 0): Fraction(-1, 2)})])
+def test_rank_of_one_row_or_column(rows, cols, entries):
+    """rank reads a single row or column off its entries, with no elimination."""
+    a = Matrix(rows, cols, entries)
+    assert a.rank() == len(a.pivots()) == rank_and_release(Matrix(rows, cols, entries)) == (
+        1 if entries else 0)
 
 
 def test_kernel_oracle():
@@ -306,6 +317,7 @@ def test_pivots_and_rank_against_sympy(matrix):
     a, ref = Matrix.from_rows(rows), to_sympy(QQ_SQRT3 if sqrt3 else QQ, rows)
     assert a.pivots() == list(ref.rref()[1])
     assert a.rank() == ref.rank() == sympy.Matrix(ref.to_Matrix()).rank()
+    assert rank_and_release(Matrix.from_rows(rows)) == a.rank()
 
 
 def check_rref_rows(rows, ncols, reduce):
