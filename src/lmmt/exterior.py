@@ -307,7 +307,9 @@ class AltElement:
         parts = []
         for m in sorted(self.terms):
             c = self.terms[m]
-            label = "e" + "".join(str(i) for i in indices_of(m)) if m else "1"
+            # indices run together only up to n = 9, as in to_salamon's pairs
+            idx = [str(i) for i in indices_of(m)]
+            label = "1" if not m else "e" + ("".join(idx) if self.n <= 9 else f"[{','.join(idx)}]")
             parts.append(f"({c})*{label}")
         return " + ".join(parts)
 

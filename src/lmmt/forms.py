@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .exterior import (
@@ -21,11 +20,9 @@ from .exterior import (
     volume_form,
     wedge_sign,
 )
+from .liealg import SU3_STRUCTURE
 from .linalg import Matrix, Vector
-from .scalars import ZERO, Elem, FieldError, Scalar
-
-HALF = Fraction(1, 2)
-SQRT3_HALF = Scalar(0, HALF, 3)
+from .scalars import ZERO, Elem, FieldError
 
 _G2_TERMS = [
     ((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), 1),
@@ -40,19 +37,11 @@ _SPIN7_TERMS = [
     ((2, 3, 6, 7), -1), ((5, 6, 7, 8), 1),
 ]
 
-_PSU3_TERMS = [
-    ((1, 2, 3), 1),
-    ((1, 4, 7), HALF), ((1, 5, 6), -HALF),
-    ((2, 4, 6), HALF), ((2, 5, 7), HALF),
-    ((3, 4, 5), HALF), ((3, 6, 7), -HALF),
-    ((4, 5, 8), SQRT3_HALF), ((6, 7, 8), SQRT3_HALF),
-]
-
 _CVOL6_TERMS = [
     ((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1), ((2, 4, 5), -1),
 ]
 
-_SYMPLECTIC_RE = re.compile(r"symplectic\((\d+),(\d+)\)")
+_SYMPLECTIC_RE = re.compile(r"symplectic\(([0-9]+),([0-9]+)\)")
 
 
 def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
@@ -64,7 +53,7 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
     if name == "psu3":
         if sqrt not in (None, 3):
             raise FieldError("the psu3 form needs sqrt(3); got sqrt(%r)" % sqrt)
-        return KForm.from_terms(8, _PSU3_TERMS)
+        return KForm.from_terms(8, SU3_STRUCTURE.items())
     if name == "cvol6":
         return KForm.from_terms(6, _CVOL6_TERMS)
     m = _SYMPLECTIC_RE.fullmatch(name)

@@ -346,11 +346,11 @@ class LieAlgebra:
 # coefficient is a rational or a parameter name, the pair ij or [i,j].
 _TERM = re.compile(
     r"(?P<sign>(?:\A|(?!\A)\s*[+-])(?:\s*-)*)\s*"
-    r"(?:(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*))\s*\.\s*)?"
-    r"(?P<pair>(?P<i>\d)(?P<j>\d)|\[\s*(?P<bi>\d+)\s*,\s*(?P<bj>\d+)\s*\])\s*"
+    r"(?:(?:(?P<rat>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_]\w*))\s*\.\s*)?"
+    r"(?P<pair>(?P<i>[0-9])(?P<j>[0-9])|\[\s*(?P<bi>[0-9]+)\s*,\s*(?P<bj>[0-9]+)\s*\])\s*"
 )
 # a parameter name, or a character that no term holds
-_STRAY = re.compile(r"(?P<name>[A-Za-z_]\w*)|[^\d\sA-Za-z_+\-./,\[\]]")
+_STRAY = re.compile(r"(?P<name>[A-Za-z_]\w*)|[^0-9\sA-Za-z_+\-./,\[\]]")
 
 
 def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> LieAlgebra:
@@ -542,23 +542,19 @@ def _span_brackets(g: LieAlgebra, basis1: Matrix, basis2: Matrix) -> Matrix:
 
 def structural_report(g: LieAlgebra) -> StructuralReport:
     full = Matrix.identity(g.n)
-    derived = [full]
-    while True:
-        nxt = _span_brackets(g, derived[-1], derived[-1])
-        if nxt.cols == derived[-1].cols:
-            break
-        derived.append(nxt)
-        if not nxt.cols:
-            break
-    lower = [full]
-    while True:
-        nxt = _span_brackets(g, full, lower[-1])
-        if nxt.cols == lower[-1].cols:
-            break
-        lower.append(nxt)
-        if not nxt.cols:
-            break
-    dprime = derived[1] if len(derived) > 1 else _span_brackets(g, full, full)
+    dprime = _span_brackets(g, full, full)
+
+    def series(step) -> List[Matrix]:
+        """g, g', step(g'), ... while the dimension drops; no step from 0."""
+        out, nxt = [full], dprime
+        while nxt.cols < out[-1].cols:
+            out.append(nxt)
+            if nxt.cols:
+                nxt = step(nxt)
+        return out
+
+    derived = series(lambda b: _span_brackets(g, b, b))
+    lower = series(lambda b: _span_brackets(g, full, b))
     return StructuralReport(
         n=g.n,
         derived_series_dims=[b.cols for b in derived],
@@ -578,23 +574,20 @@ def _su2() -> LieAlgebra:
     return LieAlgebra(3, {(1, 2): {3: -2}, (2, 3): {1: -2}, (1, 3): {2: 2}})
 
 
+_HALF = Fraction(1, 2)
+# su(3) in the anti-Hermitian Gell-Mann basis X_a: [X_a, X_b] = f_abc X_c,
+# f totally antisymmetric; the psu3 three-form is sum f_abc e^abc
+SU3_STRUCTURE: Dict[Tuple[int, int, int], Elem] = {
+    (1, 2, 3): ONE,
+    (1, 4, 7): _HALF, (1, 5, 6): -_HALF, (2, 4, 6): _HALF, (2, 5, 7): _HALF,
+    (3, 4, 5): _HALF, (3, 6, 7): -_HALF,
+    (4, 5, 8): Scalar(0, _HALF, 3), (6, 7, 8): Scalar(0, _HALF, 3),
+}
+
+
 def _su3() -> LieAlgebra:
-    """Anti-Hermitian Gell-Mann basis X_a; [X_a, X_b] = f_abc X_c."""
-    half = Fraction(1, 2)
-    s3h = Scalar(0, half, 3)  # sqrt(3)/2
-    f: Dict[Tuple[int, int, int], Elem] = {
-        (1, 2, 3): ONE,
-        (1, 4, 7): half,
-        (1, 5, 6): -half,
-        (2, 4, 6): half,
-        (2, 5, 7): half,
-        (3, 4, 5): half,
-        (3, 6, 7): -half,
-        (4, 5, 8): s3h,
-        (6, 7, 8): s3h,
-    }
     brackets: Brackets = {}
-    for (a, b, c), v in f.items():
+    for (a, b, c), v in SU3_STRUCTURE.items():
         # totally antisymmetric in all three slots
         for (i, j, k), s in (
             ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),

@@ -23,8 +23,8 @@ RationalLike = Union[int, Fraction, str]
 
 # a, or [b*]sqrt(d) with an optional sign, or a then a signed [b*]sqrt(d)
 _SCALAR = re.compile(
-    r"\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?sqrt\((?P<d>\d+)\)\s*)?"
+    r"\s*(?P<a>[+-]?[0-9]+(?:/[0-9]+)?)?\s*"
+    r"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?sqrt\((?P<d>[0-9]+)\)\s*)?"
 )
 
 ZERO, ONE = Fraction(0), Fraction(1)

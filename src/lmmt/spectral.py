@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .cohomology import betti, coboundaries_and_cohomology, d_form
 from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
@@ -42,7 +42,6 @@ class IdealSplit:
     g: LieAlgebra
     basis: Matrix
     m: int
-    _adapted: Optional[LieAlgebra] = field(default=None, repr=False)
 
     def __post_init__(self):
         g, n = self.g, self.g.n
@@ -78,22 +77,21 @@ class IdealSplit:
     def codim(self) -> int:
         return self.g.n - self.m
 
+    @functools.cached_property
     def adapted(self) -> LieAlgebra:
         """g in the basis ``basis``; the coordinates of all n(n-1)/2 brackets
         come from one elimination."""
-        if self._adapted is None:
-            g, n = self.g, self.g.n
-            pairs = list(itertools.combinations(range(n), 2))
-            rows = _reduce_onto(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
-            brackets: Brackets = {
-                (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
-                for t, (i, j) in enumerate(pairs)
-            }
-            self._adapted = LieAlgebra(n, brackets, validate=False)
-        return self._adapted
+        g, n = self.g, self.g.n
+        pairs = list(itertools.combinations(range(n), 2))
+        rows = _reduce_onto(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
+        brackets: Brackets = {
+            (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
+            for t, (i, j) in enumerate(pairs)
+        }
+        return LieAlgebra(n, brackets, validate=False)
 
     def ideal_algebra(self) -> LieAlgebra:
-        return self.adapted().restrict(range(1, self.m + 1))
+        return self.adapted.restrict(range(1, self.m + 1))
 
 
 def _restrict(form: KForm, m: int) -> KForm:
@@ -132,7 +130,7 @@ def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     the coordinates of each A . da on the representatives, for every
     quotient direction A and representative a at once."""
     m, n = split.m, split.g.n
-    gt, k = split.adapted(), split.ideal_algebra()
+    gt, k = split.adapted, split.ideal_algebra()
     masks_q = basis_masks(m, q)
     bmat, h_reps = coboundaries_and_cohomology(k, q)
     dim_h = len(h_reps)

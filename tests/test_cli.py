@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -78,7 +79,7 @@ BAD_INPUT = [
     (["nondeg", "--form", "psu3", "--field", "sqrt=x"], 2),
     (["normal-form", "--form", "g2"], 2),
     (["construct-nondeg", "2", "5"], 2),
-    (["identities", "g2metric", "--param", "x"], 2),
+    (["betti", "0,0,\u0661\u0662"], 2),
     (["verify-paper", "--filter", "zz"], 2),
     (["cartan-check", "0,0,12", "--samples", "-1"], 2),
     (["trivial", "0,0,12", "--degrees", "-1"], 2),
@@ -141,6 +142,13 @@ BAD_INPUT = [
     (["stable", "--form", '{"n":10,"degree":1,"terms":{"1_0":"1"}}'], 2),
     (["parse", '{"dim":3,"brackets":[{"i":1,"j":2,"c":{" +3":"1"}}]}'], 2),
     (["betti", "builtin:abelian:\u0663"], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"\u0663"}}]}'], 2),
+    (["nondeg", "--form", "symplectic(\u0661,\u0662)"], 2),
+    (["trivial", "0,0,12", "--degrees", "1_0"], 2),
+    (["trivial", "0,0,12", "--degrees", "+3"], 2),
+    (["invariant-cohomology", "0,0,12", "--ideal", "\u0662,\u0663", "--degree", "1"], 2),
+    (["stabilizer", "--form", "psu3", "--field", "sqrt=\u0663"], 2),
+    (["search34", "--m", "1", "--eig-range", "1_0..2"], 2),
 ]
 
 
@@ -233,6 +241,20 @@ def test_bad_input_message_names_the_input(capsys):
         (["betti", "builtin:abelian:\u0663"],
          "cannot read algebra: the size in builtin 'abelian:\u0663' must be an integer,"
          " got '\u0663'"),
+        # digits are ASCII in the Salamon, scalar and builtin-form grammars too
+        (["betti", "0,0,\u0661\u0662"],
+         "cannot read algebra: unexpected character '\u0661' (at position 4)"),
+        (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"\u0663"}}]}'],
+         "cannot read algebra: cannot parse scalar '\u0663'"),
+        (["nondeg", "--form", "symplectic(\u0661,\u0662)"],
+         "cannot read form: unknown builtin form 'symplectic(\u0661,\u0662)'"),
+        (["trivial", "0,0,12", "--degrees", "1_0"], "bad --degrees '1_0'"),
+        (["invariant-cohomology", "0,0,12", "--ideal", "\u0662,\u0663", "--degree", "1"],
+         "bad --ideal '\u0662,\u0663'"),
+        (["stabilizer", "--form", "psu3", "--field", "sqrt=\u0663"],
+         "--field expects an integer d"),
+        (["search34", "--m", "1", "--eig-range", "1_0..2"],
+         "bad --eig-range '1_0..2', expected a..b"),
     ]
     for argv, message in rejected:
         assert main(argv) == 2
@@ -418,7 +440,77 @@ def test_argparse_rejection_between_successes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hs-page", "0,0,12", "--level", "3"])
     assert exc.value.code == 2 and "invalid choice: 3" in capsys.readouterr().err
+    # an option the command does not read
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "g2metric", "--param", "x"])
+    assert exc.value.code == 2 and "unrecognized arguments: --param x" in capsys.readouterr().err
     assert run(capsys, "betti", "0,0,12") == first == (0, "betti [1, 2, 2, 1]\n")
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["lie-kernel", "0,0,12", "--degree", "1_0"], "--degree", "1_0"),
+    (["cartan-check", "0,0,12", "--samples", "\u0662"], "--samples", "\u0662"),
+    (["hs-page", "0,0,12", "--ideal", "2,3", "--max-q", "+1"], "--max-q", "+1"),
+    (["hs-page", "0,0,12", "--ideal", "2,3", "--level", "\u0661"], "--level", "\u0661"),
+    (["search34", "--m", " 1"], "--m", " 1"),
+    (["construct-nondeg", "3", "1_1"], "n", "1_1"),
+])
+def test_integer_arguments_have_parse_ints_grammar(capsys, argv, option, value):
+    """An integer argument is an optional "-" and ASCII digits; argparse
+    rejects anything else with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: the value must be an integer, got {value!r}\n")
+
+
+# one runnable invocation of each subcommand
+MINIMAL = {
+    "parse": ["0,0,12"],
+    "betti": ["0,0,12"],
+    "trivial": ["0,0,12"],
+    "lie-kernel": ["0,0,12", "--degree", "1"],
+    "kunneth": ["0,0,12", "0,0,12"],
+    "cartan-check": ["0,0,12", "--samples", "1"],
+    "mm-solve": ["0,0,12", "--degree", "1"],
+    "orbit-check": ["0,0,12", "--form", '{"n":3,"degree":1,"terms":{"3":"1"}}'],
+    "invariant-cohomology": ["0,0,12", "--ideal", "2,3", "--degree", "1"],
+    "hs-page": ["0,0,12", "--ideal", "2,3", "--max-q", "1"],
+    "verify-34": ["0,0,12"],
+    "search34": ["--m", "0"],
+    "stabilizer": ["--form", "g2"],
+    "stable": ["--form", "g2"],
+    "nondeg": ["--form", "g2"],
+    "normal-form": ["--form", "symplectic(1,2)"],
+    "construct-nondeg": ["3", "3"],
+    "identities": ["g2metric"],
+    "verify-paper": ["--filter", "c03"],
+}
+READS_ALGEBRA = {"parse", "betti", "trivial", "lie-kernel", "kunneth", "cartan-check", "mm-solve",
+                 "orbit-check", "invariant-cohomology", "hs-page", "verify-34"}
+READS_FORM = {"orbit-check", "stabilizer", "stable", "nondeg", "normal-form"}
+
+
+def test_every_subcommand_has_a_minimal_invocation():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(MINIMAL)
+
+
+@pytest.mark.parametrize("name", list(MINIMAL))
+def test_param_and_field_only_where_read(capsys, name):
+    """--param is accepted by the 11 commands that read an algebra, --field
+    by the 5 that read a form; any other command exits 2 on them."""
+    for extra, accepted in ((["--param", "t=1"], name in READS_ALGEBRA),
+                            (["--field", "sqrt=3"], name in READS_FORM)):
+        argv = [name, *MINIMAL[name], *extra]
+        if accepted:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["betti", "--help"], ["mm-solve", "--help"]])

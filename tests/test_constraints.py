@@ -1,6 +1,6 @@
-"""Static guards on the package source: the runtime stays stdlib-only and the
-core stays float-free.  Each source file under src/lmmt is parsed with ast;
-nothing is imported or run."""
+"""Static guards on the package source: the runtime stays stdlib-only, the
+core stays float-free and the text grammars read ASCII digits only.  Each
+source file under src/lmmt is parsed with ast; nothing is imported or run."""
 import ast
 import sys
 from pathlib import Path
@@ -38,6 +38,14 @@ def float_uses(tree):
     return found
 
 
+def unicode_digit_classes(tree):
+    r"""String literals holding \d, which in a str regex matches any Unicode
+    digit (Arabic-Indic, fullwidth, ...); the grammars spell [0-9]."""
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "\\d" in node.value]
+
+
 def test_the_package_has_sources():
     assert {p.name for p in SOURCES} >= {"__init__.py", "linalg.py", "liealg.py", "cli.py"}
 
@@ -52,9 +60,17 @@ def test_no_float_literal_or_float_name(path):
     assert float_uses(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unicode_digit_class(path):
+    assert unicode_digit_classes(ast.parse(path.read_text())) == []
+
+
 def test_the_guards_flag_what_they_look_for():
     tree = ast.parse("import numpy.linalg\nfrom sympy import QQ\nfrom .x import y\n"
                      "import json, lmmt.cli\nx = 0.5 + float('1') + 2j\n")
     assert outside_imports(tree) == ["line 1: numpy.linalg", "line 2: sympy"]
     assert sorted(float_uses(tree)) == ["line 5: literal 0.5", "line 5: literal 2j",
                                         "line 5: name float"]
+    tree = ast.parse('A = r"[0-9]+"\nB = re.compile(r"(\\d+)/[0-9]")\n'
+                     'C = f"{A}\\\\d"\nD = "digit"\n')
+    assert unicode_digit_classes(tree) == ["line 2: '(\\\\d+)/[0-9]'", "line 3: '\\\\d'"]

@@ -241,3 +241,13 @@ def test_from_vector_skips_zeros_and_coerces():
         assert all(type(c) in (Fraction, Scalar) for c in x.terms.values())
         _assert_checked(x)
         assert kind.from_vector(5, 2, masks, [0] * len(masks)).is_zero()
+
+
+def test_str_brackets_indices_past_nine():
+    """Up to n = 9 the indices of a term run together; past it they are
+    bracketed, as e1211 could be e^{1,2,11} or e^{12,1,1}."""
+    assert str(KForm.from_terms(9, [((1, 2, 9), 1), ((3, 4, 5), -2)])) == "(-2)*e345 + (1)*e129"
+    assert str(KForm.from_terms(11, [((1, 2, 11), 1), ((9, 10, 11), "1/2")])) == \
+        "(1)*e[1,2,11] + (1/2)*e[9,10,11]"
+    assert str(KVector(11, 0, {0: 3})) == "(3)*1"
+    assert str(KForm.zero(12, 2)) == "0"

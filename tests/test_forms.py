@@ -7,7 +7,9 @@ from lmmt.forms import (analyze, builtin_form, construct_nondegenerate,
                         holonomy_identities, pullback, stability_admissible,
                         stabilizer_algebra, two_form_normal_form,
                         weak_nondegenerate)
+from lmmt.liealg import builtin
 from lmmt.linalg import Matrix
+from lmmt.multimoment import triple_form
 from lmmt.scalars import FieldError, Scalar
 
 
@@ -22,6 +24,12 @@ def test_psu3_needs_sqrt3():
     builtin_form("psu3", sqrt=3)
     with pytest.raises(FieldError):
         builtin_form("psu3", sqrt=2)
+
+
+def test_psu3_is_the_triple_form_of_su3():
+    """psu3 and su3 are read from one f_abc table: phi(X, Y, Z) = <[X, Y], Z>
+    for the inner product that makes the Gell-Mann basis orthonormal."""
+    assert builtin_form("psu3") == triple_form(builtin("su3"), Matrix.identity(8).to_rows())
 
 
 def test_symplectic_builtin():

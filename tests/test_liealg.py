@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmmt import liealg
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cli import main
 from lmmt.liealg import (Derivation, JacobiError, LeibnizError, LieAlgebra,
@@ -222,6 +223,20 @@ def test_structural_report_oracles():
     assert not su2.solvable and su2.codim_derived == 0
     aff = structural_report(parse_salamon("0,12"))
     assert aff.solvable and not aff.nilpotent and not aff.unimodular
+
+
+@pytest.mark.parametrize("text,steps", [("builtin:su2", 1), ("0,0,12", 3), ("0,12", 3)])
+def test_structural_report_eliminates_g_prime_once(monkeypatch, text, steps):
+    """g' = [g, g] is eliminated once and begins both series: su2 is perfect,
+    so that is its only step; the Heisenberg algebra and aff(1) add one step
+    per series, which reaches 0 or repeats g'."""
+    calls = []
+    span = liealg._span_brackets
+    monkeypatch.setattr(liealg, "_span_brackets", lambda *a: calls.append(a) or span(*a))
+    g = builtin(text[8:]) if text.startswith("builtin:") else parse_salamon(text)
+    rep = structural_report(g)
+    assert len(calls) == steps
+    assert rep.derived_basis.cols == g.n - rep.codim_derived
 
 
 STRUCTURE_ALGEBRAS = ([parse_salamon(s) for s in CATALOG + NILPOTENT]

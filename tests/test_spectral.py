@@ -69,9 +69,20 @@ def test_from_indices_equals_the_explicit_basis():
             rest = [i for i in range(1, g.n + 1) if i not in ideal]
             explicit = IdealSplit(g, Matrix.from_columns([e[i - 1] for i in ideal + rest]),
                                   len(ideal))
-            assert split.adapted().brackets == explicit.adapted().brackets
+            assert split.adapted.brackets == explicit.adapted.brackets
             assert (split.m, split.codim) == (explicit.m, explicit.codim)
             assert split.ideal_algebra().brackets == explicit.ideal_algebra().brackets
+
+
+def test_adapted_is_computed_once_and_not_passed_in():
+    """The adapted algebra is a cached property, not a constructor field a
+    caller could fill with some other algebra."""
+    g = parse_salamon("0,0,13+24,14")
+    with pytest.raises(TypeError):
+        IdealSplit(g, Matrix.identity(4), 3, g)
+    split = IdealSplit.from_indices(g, [2, 3, 4])
+    assert split.adapted is split.adapted
+    assert "adapted" not in repr(split)
 
 
 def test_ideal_algebra_and_codim():
@@ -106,7 +117,7 @@ def test_invariant_basis_is_invariant():
             split = IdealSplit.from_indices(g, list(range(2, g.n + 1)))
         except SplitError:
             continue
-        m, gt, k = split.m, split.adapted(), split.ideal_algebra()
+        m, gt, k = split.m, split.adapted, split.ideal_algebra()
         for q in range(min(m, 4) + 1):
             inv = invariant_cohomology(split, q)
             forms = inv.invariant_basis
@@ -229,7 +240,7 @@ def _operators_by_vector(split, q):
     """The quotient operators on H^q(k), one Matrix.solve per acted vector
     in a basis of the coboundaries followed by the representatives."""
     m, n = split.m, split.g.n
-    gt, k = split.adapted(), split.ideal_algebra()
+    gt, k = split.adapted, split.ideal_algebra()
     masks = basis_masks(m, q)
     reps = cohomology_basis(k, q)
     span = coboundary_matrix(k, q).column_space_basis() + [
@@ -255,7 +266,7 @@ def test_batched_solves_match_one_solve_per_vector(g):
         assert any(sum(1 for i, j in s.basis.entries if j == t) > 1
                    for s in splits for t in range(s.m))
     for split in splits:
-        assert split.adapted().brackets == _adapted_by_pairs(split)
+        assert split.adapted.brackets == _adapted_by_pairs(split)
         for q in range(min(split.m, 4) + 1):
             assert invariant_cohomology(split, q).operators == _operators_by_vector(split, q)
 
