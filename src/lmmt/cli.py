@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,10 +35,11 @@ from .forms import (
     two_form_normal_form,
     weak_nondegenerate,
 )
-from .liealg import JacobiError, LeibnizError, LieAlgebra, builtin, parse_salamon, structural_report
+from .liealg import (PARAM_NAME, JacobiError, LeibnizError, LieAlgebra, builtin, parse_salamon,
+                     structural_report)
 from .multimoment import (Cocycle, PDualElement, orbit_stab_condition, solutions_to_json,
                           solve_multimoments)
-from .scalars import FieldError
+from .scalars import RATIONAL, FieldError
 from .spectral import IdealSplit, hs_page, invariant_cohomology, search_34_extensions, verify_34_structure
 
 
@@ -89,9 +91,11 @@ def _algebra(args, src: Optional[str] = None) -> LieAlgebra:
     params: Dict[str, Fraction] = {}
     for pair in args.param or []:
         name, eq, value = pair.partition("=")
-        if not eq:
-            raise CliError(f"bad --param {pair!r}, expected name=value", 2)
+        if not eq or not re.fullmatch(PARAM_NAME, name):
+            raise CliError(f"bad --param {pair!r}, expected name=value, name {PARAM_NAME}", 2)
         try:
+            if not re.fullmatch(rf"[+-]?{RATIONAL}", value):
+                raise ValueError(value)
             params[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"bad rational in --param {pair!r}", 2)

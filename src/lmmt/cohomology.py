@@ -144,12 +144,12 @@ def _weight_zero_masks(n: int, torus: Dict[int, Dict[int, Elem]]) -> List[List[i
     return zero
 
 
-def _masks_by_weight(n: int, torus: Dict[int, Dict[int, Elem]]) -> Iterator[Dict[int, array]]:
+def _masks_by_weight(n: int, codes: Sequence[int]) -> Iterator[Dict[int, array]]:
     """For k = 0, 1, ..., n + 1 in turn: {weight code: the degree-k masks of
-    that joint torus weight, increasing}, a mask's code looked up in two
-    halves as in ``_weight_zero_masks``.  The masks are kept as 64-bit words
-    in arrays, not as int objects: 8 bytes a mask."""
-    codes = _weight_codes(n, torus)
+    that joint torus weight, increasing}, from the ``_weight_codes`` of the
+    torus, a mask's code looked up in two halves as in ``_weight_zero_masks``.
+    The masks are kept as 64-bit words in arrays, not as int objects: 8 bytes
+    a mask."""
     h = n // 2
     low, high = _subset_codes(codes[:h]), _subset_codes(codes[h:])
     cut = (1 << h) - 1
@@ -217,7 +217,16 @@ def betti(g: LieAlgebra) -> CohomologyReport:
       unimodular algebra (tr ad x = 0 for every x) has Poincare duality
       b_k = b_{n-k} (Koszul, Bull. SMF 78, 1950; Hazewinkel, Math. USSR Sb.
       12, 1970), and induction on k from r_{-1} = r_n turns it into
-      r_k = r_{n-1-k}: only the degrees k <= (n-1)/2 are ranked."""
+      r_k = r_{n-1-k}: only the degrees k <= (n-1)/2 are ranked.  The
+      duality holds block by block.  d is zero on (n-1)-forms, so for a
+      k-form a and an (n-1-k)-form b, 0 = d(a ^ b) = da ^ b + (-1)^k a ^ db:
+      under the wedge pairing into the n-forms, d on (n-1-k)-forms is the
+      adjoint of d on k-forms, up to sign.  The pairing matches e^I with
+      e^(complement of I), weight w with W - w (W the weight of all n
+      indices), so block c of d on k-forms and block W - c of d on
+      (n-1-k)-forms are transposes up to signs and have one rank.  At odd n
+      the middle degree k = (n-1)/2 is its own dual: of each pair of blocks
+      c != W - c only the lower code is ranked, and its rank counts twice."""
     n = g.n
     parts = g.components()
     if len(parts) > 1:
@@ -245,13 +254,18 @@ def betti(g: LieAlgebra) -> CohomologyReport:
         if rest:
             raise AssertionError(f"the complex off weight zero is not acyclic in degree {n}")
         return _report(n, ranks)
-    by_weight = _masks_by_weight(n, g.diagonal_derivations())
+    codes = _weight_codes(n, g.diagonal_derivations())
+    top = sum(codes)  # the code of the full mask
+    by_weight = _masks_by_weight(n, codes)
     unimodular = g.is_unimodular()
     ranks, cols = [], next(by_weight)
     for k in range((n + 1) // 2 if unimodular else n + 1):
         rows = next(by_weight)
+        # the middle degree: block top - c has block c's rank, so the lower code counts twice
+        middle = unimodular and 2 * k == n - 1
         ranks.append(sum(rank_and_release(ce_differential(g, k, (masks, rows[c])))
-                         for c, masks in cols.items() if c in rows))
+                         * (2 if middle and c < top - c else 1)
+                         for c, masks in cols.items() if c in rows and not (middle and c > top - c)))
         cols = rows
     if unimodular:
         ranks = [ranks[min(k, n - 1 - k)] for k in range(n)] + [0]

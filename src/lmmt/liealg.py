@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import KVector, accumulate, basis_masks, json_as, json_field, parse_int
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Elem, Scalar, radicand, sc, shared
+from .scalars import ONE, RATIONAL, ZERO, Elem, Scalar, radicand, sc, shared
 
 Brackets = Dict[Tuple[int, int], Dict[int, Elem]]
 
@@ -344,13 +344,14 @@ class LieAlgebra:
 # whitespace allowed between any two parts.  The first term (at \A) takes
 # only "-" signs, a later one "+" or "-" and then any further "-"; the
 # coefficient is a rational or a parameter name, the pair ij or [i,j].
+PARAM_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TERM = re.compile(
     r"(?P<sign>(?:\A|(?!\A)\s*[+-])(?:\s*-)*)\s*"
-    r"(?:(?:(?P<rat>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_]\w*))\s*\.\s*)?"
+    rf"(?:(?:(?P<rat>{RATIONAL})|(?P<name>{PARAM_NAME}))\s*\.\s*)?"
     r"(?P<pair>(?P<i>[0-9])(?P<j>[0-9])|\[\s*(?P<bi>[0-9]+)\s*,\s*(?P<bj>[0-9]+)\s*\])\s*"
 )
 # a parameter name, or a character that no term holds
-_STRAY = re.compile(r"(?P<name>[A-Za-z_]\w*)|[^0-9\sA-Za-z_+\-./,\[\]]")
+_STRAY = re.compile(rf"(?P<name>{PARAM_NAME})|[^0-9\sA-Za-z_+\-./,\[\]]")
 
 
 def parse_salamon(text: str, params: Optional[Dict[str, Fraction]] = None) -> LieAlgebra:

@@ -21,10 +21,12 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
+# an unsigned rational in ASCII digits: every text input reads its rationals so
+RATIONAL = r"[0-9]+(?:/[0-9]+)?"
 # a, or [b*]sqrt(d) with an optional sign, or a then a signed [b*]sqrt(d)
 _SCALAR = re.compile(
-    r"\s*(?P<a>[+-]?[0-9]+(?:/[0-9]+)?)?\s*"
-    r"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?sqrt\((?P<d>[0-9]+)\)\s*)?"
+    rf"\s*(?P<a>[+-]?{RATIONAL})?\s*"
+    rf"(?:(?P<sign>(?(a)[+-]|[+-]?))\s*(?:(?P<b>{RATIONAL})\s*\*\s*)?sqrt\((?P<d>[0-9]+)\)\s*)?"
 )
 
 ZERO, ONE = Fraction(0), Fraction(1)

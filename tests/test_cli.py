@@ -149,6 +149,11 @@ BAD_INPUT = [
     (["invariant-cohomology", "0,0,12", "--ideal", "\u0662,\u0663", "--degree", "1"], 2),
     (["stabilizer", "--form", "psu3", "--field", "sqrt=\u0663"], 2),
     (["search34", "--m", "1", "--eig-range", "1_0..2"], 2),
+    (["parse", "0,12,t.13", "--param", "t=\u0663"], 2),
+    (["parse", "0,12,t.13", "--param", "t=1e1"], 2),
+    (["parse", "0,12,t.13", "--param", "t=1_0"], 2),
+    (["parse", "0,12,t.13", "--param", "t=0.5"], 2),
+    (["parse", "0,12,t\u00e9.13", "--param", "t\u00e9=3"], 2),
 ]
 
 
@@ -201,6 +206,13 @@ def test_bad_input_message_names_the_input(capsys):
     assert "zero denominator in '1/0' (at position 2)" in capsys.readouterr().err
     main(["parse", "0,12,a.13", "--param", "a=1/0"])
     assert "bad rational in --param 'a=1/0'" in capsys.readouterr().err
+    main(["parse", "0,12,t.13", "--param", "t=1e1"])
+    assert capsys.readouterr().err == "error: bad rational in --param 't=1e1'\n"
+    main(["parse", "0,12,t\u00e9.13", "--param", "t\u00e9=3"])
+    assert capsys.readouterr().err == ("error: bad --param 't\u00e9=3', expected name=value, "
+                                       "name [A-Za-z_][A-Za-z0-9_]*\n")
+    main(["parse", "0,12,t\u00e9.13", "--param", "t=3"])
+    assert capsys.readouterr().err == "error: cannot read algebra: unexpected character '\u00e9' (at position 6)\n"
     for command in ("nondeg", "normal-form", "stable"):
         main([command, "--form", MIXED_FORM])
         assert capsys.readouterr().err == "error: form coefficients mix Q(sqrt 2) and Q(sqrt 3)\n"

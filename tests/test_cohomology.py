@@ -1,7 +1,7 @@
 """Chevalley-Eilenberg cohomology, Lie kernels, Cartan-type identities."""
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, lcm
 
 import pytest
@@ -14,7 +14,7 @@ from lmmt.cohomology import (CohomologyReport, _masks_by_weight, _weight_codes, 
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
 from lmmt.exterior import (DimensionMismatch, KForm, KVector, basis_masks, coordinate_matrix,
-                           indices_of)
+                           indices_of, wedge_sign)
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
 from lmmt.linalg import Matrix, _rref
@@ -490,7 +490,7 @@ def test_weight_blocks_partition_d(g):
     differential, once, and their ranks add up to its rank."""
     torus = g.diagonal_derivations()
     assert torus and not g.inner_torus()
-    by_weight = _masks_by_weight(g.n, torus)
+    by_weight = _masks_by_weight(g.n, _weight_codes(g.n, torus))
     cols = next(by_weight)
     for k in range(g.n + 1):
         rows = next(by_weight)
@@ -500,6 +500,81 @@ def test_weight_blocks_partition_d(g):
         assert sum(len(b.entries) for b in blocks) == len(d.entries)
         assert sum(b.rank() for b in blocks) == d.rank()
         cols = rows
+
+
+def _check_dual_blocks(g):
+    """Block c of d on k-forms against block W - c of d on (n-1-k)-forms, W
+    the weight code of all n indices, in every degree: they come in pairs,
+    have one rank, and under e^I -> e^(complement of I) the second is the
+    transpose of the first up to the signs of the wedge pairing,
+    D'[I', J'] s(I) = -(-1)^k D[J, I] s(J), with s(I) the sign of
+    e^I ^ e^I' and I' the complement of I.  Each block is built once."""
+    n, full = g.n, (1 << g.n) - 1
+    codes = _weight_codes(n, g.diagonal_derivations())
+    top = sum(codes)
+    by_degree = list(_masks_by_weight(n, codes))
+    blocks = {(k, c): (masks, by_degree[k + 1][c]) for k in range(n + 1)
+              for c, masks in by_degree[k].items() if c in by_degree[k + 1]}
+    assert {(n - 1 - k, top - c) for k, c in blocks} == set(blocks)
+    for (k, c), (src, dst) in blocks.items():
+        if (k, c) > (n - 1 - k, top - c):
+            continue  # checked from its twin
+        dual_src, dual_dst = blocks[(n - 1 - k, top - c)]
+        d = ce_differential(g, k, (src, dst))
+        dual = ce_differential(g, n - 1 - k, (dual_src, dual_dst))
+        assert d.rank() == dual.rank()
+        at_src = {m: i for i, m in enumerate(dual_src)}
+        at_dst = {m: i for i, m in enumerate(dual_dst)}
+        assert len(dual.entries) == len(d.entries)
+        for (j, i), x in d.entries.items():
+            mi, mj = src[i], dst[j]
+            sign = wedge_sign(mi, full ^ mi) * wedge_sign(mj, full ^ mj) * (-1) ** (k + 1)
+            assert dual.entries.get((at_dst[full ^ mi], at_src[full ^ mj])) == sign * x
+
+
+@pytest.mark.parametrize("g", [_filiform(11), _filiform(13), builtin("nplus:6"), builtin("heisenberg")],
+                         ids=["L11", "L13", "nplus6", "heisenberg"])
+def test_dual_weight_blocks_have_one_rank(g):
+    assert g.is_unimodular() and not g.inner_torus()
+    _check_dual_blocks(g)
+
+
+def _gaussian_binomial(m, j):
+    """Coefficients of [m choose j]_q, row by row from
+    [r choose t] = [r-1 choose t-1] + q^t [r-1 choose t]."""
+    if not 0 <= j <= m:
+        return []
+    row = [[1]]  # [r choose t] for t = 0..r, from r = 0
+    for r in range(1, m + 1):
+        row = [[1]] + [[x + y for x, y in zip_longest(row[t - 1], [0] * t + row[t], fillvalue=0)]
+                       for t in range(1, r)] + [[1]]
+    return row[j]
+
+
+def _filiform_betti(n):
+    """b_k(L_n) = N(n-1, k) + N(n-1, k-1), N(m, j) the coefficient of
+    q^floor(j(m-j)/2) in [m choose j]_q: the number of irreducible summands
+    of Lambda^j V_m, V_m the m-dimensional sl_2 module
+    (Armstrong-Cairns-Jessup, Proc. AMS 125, 1997).  Plain integers."""
+    m = n - 1
+
+    def summands(j):
+        poly = _gaussian_binomial(m, j)
+        return poly[j * (m - j) // 2] if poly else 0
+
+    return [summands(k) + summands(k - 1) for k in range(n + 1)]
+
+
+def test_gaussian_binomial_oracle():
+    assert _gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
+    assert _gaussian_binomial(5, 0) == [1] and _gaussian_binomial(5, 6) == []
+    assert all(sum(_gaussian_binomial(m, j)) == comb(m, j) for m in range(9) for j in range(m + 1))
+    assert _filiform_betti(3) == [1, 2, 2, 1]  # the Heisenberg algebra
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_filiform_betti_closed_form(n):
+    assert betti(_filiform(n)).betti == _filiform_betti(n)
 
 
 @st.composite
@@ -528,6 +603,15 @@ def test_two_step_betti_equal_direct_ranks(case):
     m, g = case
     assert len(g.components()) == 1 and not g.inner_torus()
     assert len(g.diagonal_derivations()) == m
+    assert betti(g) == direct_betti(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_step_algebras().filter(lambda case: case[1].n % 2))
+def test_two_step_dual_weight_blocks(case):
+    """Odd n, where betti ranks one block of each dual pair in the middle degree."""
+    g = case[1]
+    _check_dual_blocks(g)
     assert betti(g) == direct_betti(g)
 
 

@@ -38,12 +38,13 @@ def float_uses(tree):
     return found
 
 
-def unicode_digit_classes(tree):
-    r"""String literals holding \d, which in a str regex matches any Unicode
-    digit (Arabic-Indic, fullwidth, ...); the grammars spell [0-9]."""
+def unicode_classes(tree, escape):
+    r"""String literals holding escape, \d or \w, which in a str regex
+    matches any Unicode digit (Arabic-Indic, fullwidth, ...) or word
+    character; the grammars spell [0-9] and [A-Za-z0-9_]."""
     return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and "\\d" in node.value]
+            and escape in node.value]
 
 
 def test_the_package_has_sources():
@@ -62,7 +63,12 @@ def test_no_float_literal_or_float_name(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unicode_digit_class(path):
-    assert unicode_digit_classes(ast.parse(path.read_text())) == []
+    assert unicode_classes(ast.parse(path.read_text()), "\\d") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unicode_word_class(path):
+    assert unicode_classes(ast.parse(path.read_text()), "\\w") == []
 
 
 def test_the_guards_flag_what_they_look_for():
@@ -73,4 +79,6 @@ def test_the_guards_flag_what_they_look_for():
                                         "line 5: name float"]
     tree = ast.parse('A = r"[0-9]+"\nB = re.compile(r"(\\d+)/[0-9]")\n'
                      'C = f"{A}\\\\d"\nD = "digit"\n')
-    assert unicode_digit_classes(tree) == ["line 2: '(\\\\d+)/[0-9]'", "line 3: '\\\\d'"]
+    assert unicode_classes(tree, "\\d") == ["line 2: '(\\\\d+)/[0-9]'", "line 3: '\\\\d'"]
+    assert unicode_classes(ast.parse('E = r"[A-Za-z_]\\w*"\nF = "wide"\n'), "\\w") == [
+        "line 1: '[A-Za-z_]\\\\w*'"]
