@@ -81,7 +81,7 @@ def _read(src: str, what: str, from_json: Callable, from_name: Callable, keep: t
         return from_name(src)
     except keep:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot read {what}: {exc}", 2)
 
 

@@ -12,7 +12,7 @@ from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulat
                        contract, contract_sign, coordinate_matrix, dim_lambda, indices_of, iter_masks,
                        wedge_sign)
 from .liealg import LieAlgebra
-from .linalg import Matrix, rank_and_release
+from .linalg import Matrix, extend_basis, in_span, rank_and_release
 from .scalars import ONE, ZERO, Elem, Scalar, shared
 
 
@@ -289,28 +289,21 @@ def coboundary_matrix(g: LieAlgebra, k: int) -> Matrix:
 
 def is_exact(g: LieAlgebra, a: KForm) -> bool:
     rhs = coordinate_matrix([a], basis_masks(g.n, a.degree))
-    return coboundary_matrix(g, a.degree).solve_columns(rhs)[0] is not None
+    return in_span(coboundary_matrix(g, a.degree), rhs)
 
 
 def cohomology_basis(g: LieAlgebra, k: int) -> List[KForm]:
     """Representatives of a basis of H^k: the cocycle-basis vectors outside
     the span of the coboundaries and of the cocycle-basis vectors before them."""
-    return coboundaries_and_cohomology(g, k)[1]
+    return coboundaries_and_cohomology(g, k, ce_differential(g, k))[1]
 
 
-def coboundaries_and_cohomology(g: LieAlgebra, k: int) -> Tuple[Matrix, List[KForm]]:
+def coboundaries_and_cohomology(g: LieAlgebra, k: int, d: Matrix) -> Tuple[Matrix, List[KForm]]:
     """``coboundary_matrix(g, k)``, whose columns span B^k, and
-    ``cohomology_basis(g, k)``, from one build of that matrix: the cocycle
-    basis vectors that are pivot columns of [B | Z] past B."""
-    return _coboundaries_and_cohomology(g, k, ce_differential(g, k))
-
-
-def _coboundaries_and_cohomology(g: LieAlgebra, k: int, d: Matrix) -> Tuple[Matrix, List[KForm]]:
-    """``coboundaries_and_cohomology(g, k)`` with d = ``ce_differential(g, k)``
-    already built by the caller."""
-    bmat, kernel = coboundary_matrix(g, k), d.kernel()
-    cocycles = KForm.from_matrix(g.n, k, basis_masks(g.n, k), kernel)
-    return bmat, [cocycles[j - bmat.cols] for j in bmat.hstack(kernel).pivots() if j >= bmat.cols]
+    ``cohomology_basis(g, k)``, with d = ``ce_differential(g, k)`` built by
+    the caller: the cocycle-basis vectors that extend the span of B."""
+    bmat = coboundary_matrix(g, k)
+    return bmat, KForm.from_matrix(g.n, k, basis_masks(g.n, k), extend_basis(bmat, d.kernel()))
 
 
 def is_trivial(

@@ -86,8 +86,10 @@ def weak_nondegenerate(alpha: KForm) -> bool:
 def construct_nondegenerate(r: int, n: int) -> Optional[KForm]:
     """A weakly non-degenerate r-form on R^n, or None when impossible.
 
-    Possible exactly for n >= r and n != r + 1; built by recursion on
-    (r, n) splitting off the last coordinate.
+    Possible exactly for n >= r and n != r + 1.  For r > 3 it is the
+    3-form on the first n - r + 3 coordinates wedged with e^{n-r+4}, ...,
+    e^n in turn: each step splits off the last coordinate, (r, n) from
+    (r - 1, n - 1).
     """
     if r < 3:
         raise ValueError("degree must be at least 3")
@@ -104,8 +106,11 @@ def construct_nondegenerate(r: int, n: int) -> Optional[KForm]:
         inner = construct_nondegenerate(3, n - 3)
         shifted = KForm(n, 3, {mask << 3: c for mask, c in inner.terms.items()})
         return KForm.basis(n, [1, 2, 3]) + shifted
-    inner = construct_nondegenerate(r - 1, n - 1)
-    return KForm(n, r - 1, dict(inner.terms)).wedge(KForm.basis(n, [n]))
+    m = n - r + 3
+    form = construct_nondegenerate(3, m)
+    for k in range(m + 1, n + 1):
+        form = KForm(k, form.degree, dict(form.terms)).wedge(KForm.basis(k, [k]))
+    return form
 
 
 # -- two-form normal form --------------------------------------------------

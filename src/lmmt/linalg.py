@@ -3,11 +3,12 @@
 Matrices and vectors hold field elements (``scalars.Elem``): a ``Fraction``
 for every rational entry and a ``Scalar`` only for a + b*sqrt(d) with
 b != 0.  Every rank, kernel, solve and span runs one elimination routine,
-``_rref``: one fraction-free forward pass, over Z on a rational matrix and
-over Z[sqrt d] on (a, b) int pairs otherwise, so a rational matrix never
-touches Q(sqrt(d)) arithmetic, followed by optional back-substitution over
-the field.  The forward pass keeps each waiting row in a bucket keyed by its
-leading column, so a pivot step touches only the rows that hold its column.
+``_rref``: a fraction-free forward pass and, optionally, back-substitution
+with the same integer step, over Z on a rational matrix and over Z[sqrt d]
+on (a, b) int pairs otherwise, so no elimination step does field
+arithmetic; the pivot rows become field elements once, at the end.  The
+forward pass keeps each waiting row in a bucket keyed by its leading
+column, so a pivot step touches only the rows that hold its column.
 ``Matrix.pivots`` skips the back-substitution, and ``rank``,
 ``column_space_basis`` and the span queries (``in_span``, ``extend_basis``)
 read its answer: a column of [base | candidates] is a pivot column exactly
@@ -135,9 +136,7 @@ class Matrix:
         return _rref(self._sparse_rows(), self.cols, reduce=False)[1]
 
     def rank(self) -> int:
-        if min(self.rows, self.cols) <= 1:  # one row or column: no elimination needed
-            return 1 if self.entries else 0
-        return len(self.pivots())
+        return rank_and_release(self)
 
     def kernel(self) -> "Matrix":
         """Exact basis of the null space, as the columns of a cols x
@@ -191,11 +190,11 @@ class Matrix:
 
 
 def rank_and_release(m: Matrix) -> int:
-    """``m.rank()`` for a matrix passed by a caller that keeps no other
-    reference to it: its entries are dropped once the elimination has them
-    as rows, so the peak holds them once, not twice."""
-    if min(m.rows, m.cols) <= 1:
-        return m.rank()
+    """The rank of m, which ``Matrix.rank`` returns.  A caller that keeps
+    no other reference to m passes it here: its entries are dropped once the
+    elimination has them as rows, so the peak holds them once, not twice."""
+    if min(m.rows, m.cols) <= 1:  # one row or column: no elimination needed
+        return 1 if m.entries else 0
     rows, ncols = m._sparse_rows(), m.cols
     del m
     return len(_rref(rows, ncols, reduce=False)[1])
@@ -224,10 +223,13 @@ def _rref(
     b != 0, the norm a^2 - d*b^2 (nonzero, as sqrt(d) is irrational), which
     ``_norm_pivot`` makes it by multiplying the row by the conjugate
     a - b*sqrt(d) (Cohen, GTM 138, 1993).  ``_clear_col`` then combines rows
-    with integers only.  Each pivot row is normalised to field elements with
-    a leading 1, equal entries as one object; with ``reduce``,
-    back-substitution runs over the field on those rows.  The RREF is unique and pivot columns do not depend on the
-    pivot rows, so neither depends on the pivot choice."""
+    with integers only.  With ``reduce``, back-substitution clears each pivot
+    column from the rows above it, last pivot first, with the same
+    ``_clear_col`` step: it only scales a row and subtracts later pivot rows,
+    which are 0 at its pivot, so that pivot stays an integer N, or (N, 0)
+    over Z[sqrt d].  Then each pivot row is divided by its pivot, once, into
+    field elements with a leading 1, equal entries as one object.  The RREF is unique and pivot columns do not
+    depend on the pivot rows, so neither depends on the pivot choice."""
     d = radicand((v for r in rows for v in r.values()), "matrix rows")
     buckets: Dict[int, List[Dict[int, object]]] = {}
     for r in rows:
@@ -237,10 +239,7 @@ def _rref(
     size = abs if d is None else (
         lambda v: abs(v[0] * v[0] - d * v[1] * v[1]) if v[1] else abs(v[0]))
     pivots: List[int] = []
-    done: List[Dict[int, Elem]] = []
-    # entry / pivot, computed once per distinct pair in this call
-    quotients: Dict[int, Dict[object, Elem]] = {}
-    seen: Dict[tuple, Elem] = {}
+    done: List[Dict[int, object]] = []
     for col in range(ncols):
         bucket = buckets.pop(col, None)
         if bucket is None:
@@ -255,14 +254,6 @@ def _rref(
             _clear_col(r, col, tail, piv_val, d)
             if r:
                 buckets.setdefault(min(r), []).append(r)
-        # the integer tail cleared the bucket; the row is returned over the field
-        over = quotients.setdefault(piv_val, {})
-        for j, v in tail:
-            x = over.get(v)
-            if x is None:
-                x = over[v] = shared(seen, _quotient(v, piv_val, d))
-            piv_row[j] = x
-        piv_row[col] = ONE
         done.append(piv_row)
         pivots.append(col)
     if reduce:
@@ -270,10 +261,24 @@ def _rref(
         # clearing column k from the rows above it restores none of those
         for k in range(len(done) - 1, 0, -1):
             col = pivots[k]
+            piv_val = _norm_pivot(done[k], col, d)
             tail = [(j, v) for j, v in done[k].items() if j != col]
             for r in done[:k]:
                 if col in r:
-                    _clear_col(r, col, tail)
+                    _clear_col(r, col, tail, piv_val, d)
+    # entry / pivot, computed once per distinct pair in this call
+    quotients: Dict[int, Dict[object, Elem]] = {}
+    seen: Dict[tuple, Elem] = {}
+    for col, r in zip(pivots, done):
+        piv_val = _norm_pivot(r, col, d)
+        over = quotients.setdefault(piv_val, {})
+        for j, v in r.items():
+            if j != col:
+                x = over.get(v)
+                if x is None:
+                    x = over[v] = shared(seen, _quotient(v, piv_val, d))
+                r[j] = x
+        r[col] = ONE
     return done, pivots
 
 
@@ -307,7 +312,8 @@ def _norm_pivot(r: Dict[int, object], col: int, d: Optional[int]) -> int:
     """The integer pivot of a forward-pass row: r[col] itself over Z; over
     Z[sqrt d], r is first multiplied in place by the conjugate a - b*sqrt(d)
     of r[col] = (a, b) when b != 0, which turns r[col] into the norm
-    (a^2 - d*b^2, 0), and made primitive again."""
+    (a^2 - d*b^2, 0), and made primitive again.  On a pivot row, whose
+    pivot is already (N, 0), it only reads N."""
     if d is None:
         return r[col]
     a, b = r[col]
@@ -319,24 +325,20 @@ def _norm_pivot(r: Dict[int, object], col: int, d: Optional[int]) -> int:
 
 
 def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
-               piv_val: Optional[int] = None, d: Optional[int] = None) -> None:
-    """Clear ``col`` from r with the pivot row, given as its entries other
-    than the one at ``col``.  Over a field (no ``piv_val``) that entry is 1
-    and r -= r[col] * pivot row.  In the forward pass it is the int
-    ``piv_val`` N, and the entries are ints (d None) or (a, b) pairs of
-    Z[sqrt d]: with x = r[col] and g = gcd(N, x) (of N and both parts of a
-    pair) signed like N, r becomes (N/g) * r - (x/g) * pivot row, and its
-    content is divided out when N/g != 1.  Either way the difference at
-    ``col`` is exactly 0."""
+               piv_val: int, d: Optional[int] = None) -> None:
+    """Clear ``col`` from r with a pivot row whose entry at ``col`` is the
+    int ``piv_val`` N and whose other entries are ``tail``; the entries are
+    ints (d None) or (a, b) pairs of Z[sqrt d].  With x = r[col] and
+    g = gcd(N, x) (of N and both parts of a pair) signed like N, r becomes
+    (N/g) * r - (x/g) * pivot row, exactly 0 at ``col``, and its content is
+    divided out when N/g != 1."""
     x = r.pop(col)
-    if piv_val is None or d is None:
-        scale = 1
-        if piv_val is not None:
-            g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
-            scale, x = piv_val // g, x // g
-            if scale != 1:
-                for j in r:
-                    r[j] *= scale
+    if d is None:
+        g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
+        scale, x = piv_val // g, x // g
+        if scale != 1:
+            for j in r:
+                r[j] *= scale
         for j, v in tail:
             nv = r.get(j, 0) - x * v
             if nv:

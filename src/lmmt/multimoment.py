@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import (_coboundaries_and_cohomology, ce_differential, coboundary_matrix, d_form,
+from .cohomology import (ce_differential, coboundaries_and_cohomology, coboundary_matrix, d_form,
                          is_exact)
 from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract, coordinate_matrix
 from .liealg import LieAlgebra
@@ -36,6 +36,10 @@ class PDualElement:
 class Cocycle:
     degree: int
     form: KForm
+
+    def __post_init__(self):
+        if self.form.degree != self.degree:
+            raise ValueError("cocycle degree mismatch")
 
     @classmethod
     def checked(cls, g: LieAlgebra, form: KForm) -> "Cocycle":
@@ -105,7 +109,7 @@ def solve_multimoments(g: LieAlgebra, psis: Sequence[Cocycle]) -> List[Multimome
             out.append(MultimomentSolution("no-existence", obstruction=psi.form))
             continue
         if kernel is None:
-            kernel = [PDualElement(r - 1, z) for z in _coboundaries_and_cohomology(g, r - 1, d)[1]]
+            kernel = [PDualElement(r - 1, z) for z in coboundaries_and_cohomology(g, r - 1, d)[1]]
         nu = PDualElement(r - 1, KForm._of(g.n, r - 1, {masks[j]: v for j, v in x.items()}))
         status = "unique" if not kernel else "non-unique"
         out.append(MultimomentSolution(status, nu=nu, kernel=list(kernel)))

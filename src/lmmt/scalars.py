@@ -31,6 +31,10 @@ _SCALAR = re.compile(
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
+# the largest radicand d read: square-splitting d by trial division takes
+# about sqrt(d) steps
+MAX_RADICAND = 10 ** 12
+
 
 class FieldError(ValueError):
     """Raised when scalars from incompatible quadratic fields are mixed."""
@@ -61,11 +65,14 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 def _canonical(a: Fraction, b: Fraction, d: int) -> Tuple[Fraction, Fraction, int]:
     """(a', b', d') naming the same value a + b*sqrt(d): b' != 0 with d' > 1
-    square-free, or b' == 0 with d' == 1."""
+    square-free, or b' == 0 with d' == 1; FieldError for d < 0 or, with
+    b != 0, d > ``MAX_RADICAND``."""
     if d < 0:
         raise FieldError("field tag d must be non-negative")
     if not b or d == 0:  # sqrt(0) = 0
         return a, ZERO, 1
+    if d > MAX_RADICAND:
+        raise FieldError(f"radicand {d} is above 10^12")
     f, d = _square_split(d)
     if d == 1:
         return a + b * f, ZERO, 1

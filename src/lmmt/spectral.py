@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .cohomology import betti, coboundaries_and_cohomology, d_form
+from .cohomology import betti, ce_differential, coboundaries_and_cohomology, d_form
 from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
 from .linalg import Matrix, extend_basis, in_span
@@ -19,15 +19,13 @@ class SplitError(ValueError):
     pass
 
 
-def _reduce_onto(span: Matrix, vectors: Matrix) -> List[Dict[int, Elem]]:
-    """The reduced rows of [span | vectors], from one elimination; SplitError
-    if a column of ``vectors`` is outside the column span of ``span``.  Row r
-    belongs to the r-th pivot column of ``span`` and holds, at column
-    span.cols + t, the coordinate of column t of ``vectors`` on that column."""
-    rows, pivots = span.hstack(vectors).rref()
-    if pivots and pivots[-1] >= span.cols:
+def _coordinates(span: Matrix, vectors: Matrix) -> List[Dict[int, Elem]]:
+    """``span.solve_columns(vectors)``: each column's coordinates on the
+    pivot columns of ``span``; SplitError if one is outside that span."""
+    xs = span.solve_columns(vectors)
+    if any(x is None for x in xs):
         raise SplitError("vector escapes the chosen basis")
-    return rows
+    return xs
 
 
 @dataclass
@@ -83,11 +81,9 @@ class IdealSplit:
         come from one elimination."""
         g, n = self.g, self.g.n
         pairs = list(itertools.combinations(range(n), 2))
-        rows = _reduce_onto(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
+        xs = _coordinates(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
         brackets: Brackets = {
-            (i + 1, j + 1): {r + 1: x for r, row in enumerate(rows) if (x := row.get(n + t))}
-            for t, (i, j) in enumerate(pairs)
-        }
+            (i + 1, j + 1): {r + 1: x for r, x in xs[t].items()} for t, (i, j) in enumerate(pairs)}
         return LieAlgebra(n, brackets, validate=False)
 
     def ideal_algebra(self) -> LieAlgebra:
@@ -126,28 +122,24 @@ class InvariantCohomology:
 def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     """H^q(k), the quotient action on it per A.[a] = [A . da], joint kernel.
 
-    One elimination of [coboundaries | representatives | every A . da] gives
-    the coordinates of each A . da on the representatives, for every
-    quotient direction A and representative a at once."""
+    One solve of every A . da against [coboundaries | representatives]
+    gives its coordinates on the representatives, for every quotient
+    direction A and representative a at once."""
     m, n = split.m, split.g.n
     gt, k = split.adapted, split.ideal_algebra()
     masks_q = basis_masks(m, q)
-    bmat, h_reps = coboundaries_and_cohomology(k, q)
+    bmat, h_reps = coboundaries_and_cohomology(k, q, ce_differential(k, q))
     dim_h = len(h_reps)
     reps = coordinate_matrix(h_reps, masks_q)
     d_reps = [d_form(gt, _lift(rep, n)) for rep in h_reps]
     acted = coordinate_matrix([_restrict(contract(KVector.basis(n, [a]), d_rep), m)
                                for a in range(m + 1, n + 1) for d_rep in d_reps], masks_q)
-    span = bmat.hstack(reps)
     # the representatives are independent modulo the coboundaries, so they
-    # are the last dim_h pivot columns of span and own the last dim_h rows
-    rows = _reduce_onto(span, acted)
-    h_rows = rows[len(rows) - dim_h:]
-    ops = [
-        Matrix(dim_h, dim_h, {(r, j - lo): x for r, row in enumerate(h_rows)
-                              for j, x in row.items() if lo <= j < lo + dim_h})
-        for lo in (span.cols + s * dim_h for s in range(split.codim))
-    ]
+    # are pivot columns of [B | reps]: representative r's at bmat.cols + r
+    xs = _coordinates(bmat.hstack(reps), acted)
+    ops = [Matrix(dim_h, dim_h, {(r, c): x for r in range(dim_h) for c in range(dim_h)
+                                 if (x := xs[s * dim_h + c].get(bmat.cols + r))})
+           for s in range(split.codim)]
     kernel = functools.reduce(Matrix.vstack, ops, Matrix.zero(0, dim_h)).kernel()
     inv_forms = KForm.from_matrix(m, q, masks_q, reps @ kernel)
     return InvariantCohomology(q, dim_h, kernel.cols, ops, inv_forms)

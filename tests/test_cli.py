@@ -154,6 +154,8 @@ BAD_INPUT = [
     (["parse", "0,12,t.13", "--param", "t=1_0"], 2),
     (["parse", "0,12,t.13", "--param", "t=0.5"], 2),
     (["parse", "0,12,t\u00e9.13", "--param", "t\u00e9=3"], 2),
+    (["betti", '{"dim":' + "[" * 100_000], 2),
+    (["betti", '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"sqrt(%d)"}}]}' % (10**30 + 57)], 2),
 ]
 
 
@@ -271,6 +273,28 @@ def test_bad_input_message_names_the_input(capsys):
     for argv, message in rejected:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,what", [(["betti"], "algebra"), (["stable", "--form"], "form")])
+def test_deeply_nested_json_file_is_one_error_line(capsys, tmp_path, argv, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(argv + [f"@{deep}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what}: maximum recursion depth") and err.count("\n") == 1
+
+
+def test_radicand_bound():
+    """A radicand above 10^12 is refused before any trial division; one
+    below it, even a prime, is read."""
+    over = '{"dim":2,"brackets":[{"i":1,"j":2,"c":{"2":"sqrt(%d)"}}]}'
+    proc = subprocess.run([sys.executable, "-m", "lmmt", "betti", over % (10**30 + 57)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot read algebra: radicand {10**30 + 57} is above 10^12\n"
+    assert main(["betti", over % (10**12 + 39)]) == 2
+    assert main(["betti", over % 999_999_999_989]) == 0  # the largest prime below 10^12
 
 
 def test_a_quadratic_form_on_a_rational_algebra_runs(capsys):

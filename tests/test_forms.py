@@ -146,6 +146,31 @@ def test_construct_nondegenerate_grid():
                 assert weak_nondegenerate(got)
 
 
+def _recursive_nondegenerate(r, n):
+    """construct_nondegenerate's r > 3 case as a recursion on (r, n) that
+    splits off the last coordinate: the loop must build the same form."""
+    if r == 3 or n < r or n == r + 1 or r == n:
+        return construct_nondegenerate(r, n)
+    inner = _recursive_nondegenerate(r - 1, n - 1)
+    return KForm(n, r - 1, dict(inner.terms)).wedge(KForm.basis(n, [n]))
+
+
+def test_construct_nondegenerate_loop_equals_the_recursion():
+    for n in range(13):
+        for r in range(4, 13):
+            got, want = construct_nondegenerate(r, n), _recursive_nondegenerate(r, n)
+            assert got == want and (got is None or list(got.terms) == list(want.terms))
+
+
+def test_construct_nondegenerate_large_degree():
+    """A degree far past the interpreter's recursion limit is built, one
+    wedge per degree above 3."""
+    got = construct_nondegenerate(1500, 1502)
+    assert (got.degree, got.n) == (1500, 1502)
+    assert got == KForm(1502, 1497, dict(construct_nondegenerate(1497, 1499).terms)).wedge(
+        KForm.basis(1502, range(1500, 1503)))
+
+
 def test_construct_nondegenerate_known_values():
     assert construct_nondegenerate(3, 4) is None
     got = construct_nondegenerate(3, 6)

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from lmmt.cohomology import ce_differential
+from lmmt.liealg import builtin
 from lmmt.linalg import (
     Matrix, _clear_col, _norm_pivot, _rref, extend_basis, in_span, rank_and_release,
     row_space_basis)
@@ -383,6 +385,23 @@ def test_float_free_guard(rows):
     assert x is not None and all(is_field_element(y) for y in x)
     for reduce in (False, True):
         check_rref_rows(a._sparse_rows(), a.cols, reduce)
+
+
+def test_rref_does_no_field_arithmetic(monkeypatch):
+    """Both passes of the RREF of d_3 of su(3), over Q(sqrt 3), run on
+    integer rows: no Scalar operation runs, only the division of each pivot
+    row by its pivot, which builds Scalars directly."""
+    d = ce_differential(builtin("su3"), 3)
+    expected = d.rref()
+    assert any(isinstance(x, Scalar) for r in expected[0] for x in r.values())
+
+    def forbidden(*args):
+        raise AssertionError("Scalar arithmetic in the elimination")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "inverse"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+    assert d.rref() == expected
 
 
 def test_integer_pass_keeps_big_entries_exact():

@@ -18,6 +18,13 @@ def test_cocycle_rejects_non_closed():
     assert Cocycle.checked(g, KForm.basis(3, (1, 2))).degree == 2
 
 
+def test_cocycle_rejects_a_form_of_another_degree():
+    """A 4-form given as a 3-cocycle is an error, not a solve that reads none
+    of its terms."""
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Cocycle(3, KForm.basis(5, (1, 2, 3, 4)))
+
+
 def test_pdual_class_representatives():
     g = parse_salamon("0,0,12")
     a = PDualElement(2, KForm.basis(3, (1, 3)))

@@ -11,7 +11,7 @@ from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix
 from lmmt.liealg import LieAlgebra, builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
 from lmmt.spectral import (IdealSplit, SplitError, _complement_for, _lift,
-                           _quotient_functional_ideals, _reduce_onto, _restrict,
+                           _coordinates, _quotient_functional_ideals, _restrict,
                            abelian_eigen_criterion, diagonal_extension, hs_page,
                            invariant_cohomology, search_34_extensions,
                            verify_34_structure)
@@ -271,11 +271,11 @@ def test_batched_solves_match_one_solve_per_vector(g):
             assert invariant_cohomology(split, q).operators == _operators_by_vector(split, q)
 
 
-def test_reduce_onto_coordinates_and_escape():
+def test_coordinates_and_escape():
     one, zero = Fraction(1), Fraction(0)
-    rows = _reduce_onto(Matrix.from_columns([[one, one, zero], [zero, one, zero]]),
-                        Matrix.from_columns([[2 * one, 3 * one, zero]]))
-    assert [row.get(2, zero) for row in rows] == [2, 1]  # (2, 3, 0) = 2 (1, 1, 0) + (0, 1, 0)
+    xs = _coordinates(Matrix.from_columns([[one, one, zero], [zero, one, zero]]),
+                      Matrix.from_columns([[2 * one, 3 * one, zero], [zero, zero, zero]]))
+    assert xs == [{0: 2, 1: 1}, {}]  # (2, 3, 0) = 2 (1, 1, 0) + (0, 1, 0)
     with pytest.raises(SplitError, match="escapes"):
-        _reduce_onto(Matrix.from_columns([[one, zero, zero]]),
-                     Matrix.from_columns([[zero, zero, one]]))
+        _coordinates(Matrix.from_columns([[one, zero, zero]]),
+                     Matrix.from_columns([[one, zero, zero], [zero, zero, one]]))
