@@ -9,8 +9,7 @@ from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exterior import (DegreeError, DimensionMismatch, KForm, KVector, accumulate, basis_masks,
-                       contract, contract_sign, coordinate_matrix, dim_lambda, indices_of, iter_masks,
-                       wedge_sign)
+                       contract, coordinate_matrix, derivation, dim_lambda, indices_of, iter_masks)
 from .liealg import LieAlgebra
 from .linalg import Matrix, extend_basis, in_span, rank_and_release
 from .scalars import ONE, ZERO, Elem, Scalar, shared
@@ -41,29 +40,12 @@ def ce_differential(g: LieAlgebra, k: int,
 def d_form(g: LieAlgebra, a: KForm) -> KForm:
     """d a, applied on the support of a straight from the structure constants.
 
-    d is the derivation d(e^I) = sum_{i in I} (-1)^pos(i) de^i ^ e^{I - i},
-    with de^i = -sum_{j<l} c^i_{jl} e^{jl}; the cost grows with the number
-    of terms of a, not with the C(n, k+1) rows of ce_differential(g, k),
-    whose product with a it equals."""
+    d is the derivation of degree 1 with d e^i = ``g.de()[i]``; the cost
+    grows with the number of terms of a, not with the C(n, k+1) rows of
+    ce_differential(g, k), whose product with a it equals."""
     if a.n != g.n:
         raise DimensionMismatch(f"ambient dimensions differ: {a.n} vs {g.n}")
-    de: Dict[int, List[Tuple[int, Elem]]] = {}  # i -> (mask of jl, c^i_jl)
-    for (j, l), comp in g.brackets.items():
-        pair = (1 << (j - 1)) | (1 << (l - 1))
-        for i, c in comp.items():
-            de.setdefault(i, []).append((pair, c))
-    acc: Dict[int, Elem] = {}
-    for mask, coeff in a.terms.items():
-        for i in indices_of(mask):
-            rest = mask ^ (1 << (i - 1))
-            # -(-1)^pos(i) coeff: the sign of de^i folded in
-            lead = coeff if contract_sign(i, mask) < 0 else -coeff
-            for pair, c in de.get(i, ()):
-                if pair & rest:
-                    continue
-                v = lead * c
-                accumulate(acc, pair | rest, v if wedge_sign(pair, rest) > 0 else -v)
-    return KForm._of(g.n, a.degree + 1, acc)
+    return derivation(a, g.de(), 1)
 
 
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:
@@ -351,10 +333,19 @@ def random_cartan_pair(g: LieAlgebra, rng: random.Random) -> Tuple[KVector, KFor
 
 
 def lie_derivative(g: LieAlgebra, x: KVector, a: KForm) -> KForm:
-    """L_X a = X . da + d(X . a) for a single vector X."""
+    """L_X a for a single vector X: the derivation of degree 0 with
+    (L_X e^k)(Y) = -e^k([X, Y]), read from the brackets and not from d, so
+    the Cartan formula L_X = X . d + d X . stays a check on it."""
     if x.degree != 1:
         raise ValueError("lie_derivative wants a vector")
-    return contract(x, d_form(g, a)) + d_form(g, contract(x, a))
+    if x.n != g.n or a.n != g.n:
+        raise DimensionMismatch(f"ambient dimensions differ: {x.n}, {a.n} vs {g.n}")
+    images: Dict[int, Dict[int, Elem]] = {}  # k -> L_X e^k = -sum_j e^k([X, e_j]) e^j
+    for mask, xi in x.terms.items():
+        for j in range(1, g.n + 1):
+            for k, c in g.bracket_basis(mask.bit_length(), j).items():
+                accumulate(images.setdefault(k, {}), 1 << (j - 1), -xi * c)
+    return derivation(a, images, 0)
 
 
 def _hook_L(g: LieAlgebra, p: KVector, a: KForm) -> KForm:
@@ -372,7 +363,8 @@ def _hook_L(g: LieAlgebra, p: KVector, a: KForm) -> KForm:
 
 
 def cartan_identity_check(g: LieAlgebra, p: KVector, a: KForm) -> bool:
-    """p . da - (-1)^s d(p . a) == (.L)_p a - L(p) . a, sides built separately."""
+    """p . da - (-1)^s d(p . a) == (.L)_p a - L(p) . a, sides built separately:
+    the left from d_form, the right from lie_derivative and lie_L."""
     s = p.degree
     lhs = contract(p, d_form(g, a))
     da = d_form(g, contract(p, a))

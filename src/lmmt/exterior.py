@@ -78,21 +78,14 @@ def indices_of(mask: int) -> List[int]:
 def wedge_sign(a: int, b: int) -> int:
     """Sign of merging e_a (ascending) followed by e_b into ascending order.
 
-    Counts, for each index in b, the indices of a above it."""
+    Counts, for each index in a, the indices of b below it: one popcount per
+    bit of a, so a short a is cheap whatever the length of b."""
     sign = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        sign += (a >> low.bit_length()).bit_count() + (1 if a & low else 0)
-        # a & low nonzero never happens for disjoint masks; kept for safety
-        bb ^= low
+    while a:
+        low = a & -a
+        sign += (b & (low - 1)).bit_count()
+        a ^= low
     return -1 if sign % 2 else 1
-
-
-def contract_sign(i: int, mask: int) -> int:
-    """Sign (-1)^pos of e_i in the ascending tuple of mask (i in mask)."""
-    pos = (mask & ((1 << (i - 1)) - 1)).bit_count()
-    return -1 if pos % 2 else 1
 
 
 def basis_masks(n: int, k: int) -> List[int]:
@@ -139,7 +132,7 @@ class AltElement:
     of the wrong degree, and it is the only public way in (``from_json``,
     ``basis``, ``from_terms``, ``from_vector`` and user code go through it).
     The products of checked elements (``wedge``, ``+``, ``-``, ``scale``,
-    ``contract``, ``hodge_star``, ``d_form``, ``lie_L``) drop the sums that
+    ``contract``, ``derivation``, ``hodge_star``, ``lie_L``) drop the sums that
     cancel as they go and return through ``_of``, which checks nothing."""
 
     __slots__ = ("n", "degree", "terms")
@@ -224,11 +217,11 @@ class AltElement:
         return type(self)._of(self.n, self.degree, terms)
 
     def wedge(self: _E, other: _E) -> _E:
-        """Graded-commutative product; zero when degrees overflow n."""
+        """Graded-commutative product, of degree self.degree + other.degree;
+        past n every pair of masks overlaps, and the product is the zero
+        element of that degree."""
         self._check_compat(other)
         deg = self.degree + other.degree
-        if deg > self.n:
-            return type(self).zero(self.n, 0)
         acc: Dict[int, Elem] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -346,15 +339,31 @@ def contract(p: KVector, a: KForm) -> KForm:
         for ma, ca in a.terms.items():
             if mp & ma != mp:
                 continue
-            # evaluate the s vectors front to back
-            sign = 1
-            rest = ma
-            for i in indices_of(mp):
-                sign *= contract_sign(i, rest)
-                rest ^= 1 << (i - 1)
+            # e^ma = +-e^mp ^ e^rest, and e^mp takes the s vectors front to back
+            rest = ma ^ mp
             c = cp * ca
-            accumulate(acc, rest, c if sign > 0 else -c)
+            accumulate(acc, rest, c if wedge_sign(mp, rest) > 0 else -c)
     return KForm._of(a.n, a.degree - p.degree, acc)
+
+
+def derivation(a: KForm, images: Dict[int, Dict[int, Elem]], shift: int) -> KForm:
+    """D a for the derivation D of degree shift whose D e^i has the terms
+    images[i], masks of degree shift + 1 (0 where i is missing).
+
+    D(a ^ b) = Da ^ b + (-1)^(shift deg a) a ^ Db gives, for every shift,
+    D e^I = sum_{i in I} (-1)^pos(i) D(e^i) ^ e^{I - i}, pos(i) the number
+    of indices of I below i: the cost grows with the terms, not with n."""
+    acc: Dict[int, Elem] = {}
+    for mask, coeff in a.terms.items():
+        for i in indices_of(mask):
+            rest = mask ^ (1 << (i - 1))
+            lead = coeff if wedge_sign(1 << (i - 1), rest) > 0 else -coeff
+            for m, c in images.get(i, {}).items():
+                if m & rest:
+                    continue
+                v = lead * c
+                accumulate(acc, m | rest, v if wedge_sign(m, rest) > 0 else -v)
+    return KForm._of(a.n, a.degree + shift, acc)
 
 
 def hodge_star(a: KForm) -> KForm:

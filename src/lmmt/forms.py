@@ -9,7 +9,6 @@ from typing import Dict, List, Optional
 from .exterior import (
     KForm,
     KVector,
-    accumulate,
     basis_masks,
     contract,
     coordinate_matrix,
@@ -179,47 +178,24 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
     return NormalFormResult(len(paired) // 2, change)
 
 
-def pullback(alpha: KForm, change: Matrix) -> KForm:
-    """alpha composed with the column basis of change."""
-    n = alpha.n
-    cols = KVector.from_matrix(n, 1, basis_masks(n, 1), change)
-    return KForm(n, alpha.degree, {
-        mask: _evaluate(alpha, [cols[i - 1] for i in indices_of(mask)])
-        for mask in basis_masks(n, alpha.degree)})
-
-
-def _evaluate(alpha: KForm, vecs: List[KVector]) -> Elem:
-    """alpha(v_1, ..., v_r) by iterated contraction."""
-    acc = alpha
-    for v in vecs:
-        acc = contract(v, acc)
-    # after contracting all slots we hold a 0-form
-    return acc.terms.get(0, ZERO)
-
-
 # -- stabilizers and stability --------------------------------------------
 
 
 def _act_elementary(alpha: KForm, a: int, b: int) -> KForm:
-    """Derivation action of the elementary matrix E_ab on the form.
+    """The action of the elementary matrix E_ab, which sends the covector
+    e^a to e^b, extended as a derivation of degree 0:
+    E_ab . alpha = e^b ^ (e_a .| alpha).
 
-    E_ab sends the covector e^a to e^b; extend as a derivation of the
-    exterior algebra."""
-    acc: Dict[int, Elem] = {}
-    abit = 1 << (a - 1)
+    A term e^I with a in I and b not in I - a goes to the mask I - a + b,
+    with the sign of e_a .| e^I times that of e^b ^ e^{I - a}; distinct
+    terms land on distinct masks, so no two terms meet."""
+    abit, bbit = 1 << (a - 1), 1 << (b - 1)
+    terms: Dict[int, Elem] = {}
     for mask, c in alpha.terms.items():
-        if not (mask & abit):
-            continue
-        if a == b:
-            accumulate(acc, mask, c)
-            continue
         rest = mask ^ abit
-        if rest & (1 << (b - 1)):
-            continue
-        pos = bin(mask & (abit - 1)).count("1")  # slot of a in the term
-        sign = (-1) ** pos * wedge_sign(1 << (b - 1), rest)
-        accumulate(acc, rest | (1 << (b - 1)), c if sign > 0 else -c)
-    return KForm._of(alpha.n, alpha.degree, acc)
+        if mask & abit and not (rest & bbit):
+            terms[rest | bbit] = c if wedge_sign(abit, rest) == wedge_sign(bbit, rest) else -c
+    return KForm._of(alpha.n, alpha.degree, terms)
 
 
 def stabilizer_algebra(alpha: KForm) -> List[Matrix]:

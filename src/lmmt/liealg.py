@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import KVector, accumulate, basis_masks, json_as, json_field, parse_int
+from .exterior import (KForm, KVector, accumulate, basis_masks, derivation, indices_of, json_as,
+                       json_field, parse_int)
 from .linalg import Matrix
 from .scalars import ONE, RATIONAL, ZERO, Elem, Scalar, radicand, sc, shared
 
@@ -212,33 +213,27 @@ class LieAlgebra:
                 brackets[(pos[i], pos[j])] = {pos[k]: c for k, c in comp.items()}
         return LieAlgebra(len(pos), brackets, validate=False)
 
+    def de(self) -> Dict[int, Dict[int, Elem]]:
+        """i -> the terms of de^i = -sum_{j<l} c^i_{jl} e^{jl}, keyed by the
+        mask of jl: the images that ``exterior.derivation`` extends to d."""
+        de: Dict[int, Dict[int, Elem]] = {}
+        for (j, l), comp in self.brackets.items():
+            pair = (1 << (j - 1)) | (1 << (l - 1))
+            for i, c in comp.items():
+                de.setdefault(i, {})[pair] = -c
+        return de
+
     def jacobi_check(self) -> Optional[Tuple[int, int, int]]:
         """None if Jacobi holds; else the least failing basis triple i < j < k.
 
-        The Jacobiator of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
-        - [[e_i, e_k], e_j], and a term can be non-zero only when its inner
-        pair is a stored bracket.  So one pass over the stored brackets (a, b)
-        and the stored brackets [e_m, e_c] of each component m adds every
-        non-zero term, with sign - when c lies between a and b (and again
-        when [e_m, e_c] is stored as -[e_c, e_m]); every other triple has
-        Jacobiator 0.  The least triple left non-zero is the one a loop over
-        all i < j < k would meet first."""
-        # m -> (c, stored bracket of m and c, whether [e_m, e_c] is its negative)
-        ad: Dict[int, List[Tuple[int, Dict[int, Elem], bool]]] = {}
-        for (i, j), comp in self.brackets.items():
-            ad.setdefault(i, []).append((j, comp, False))
-            ad.setdefault(j, []).append((i, comp, True))
-        jacobiator: Dict[Tuple[int, int, int], Dict[int, Elem]] = {}
-        for (a, b), comp in self.brackets.items():
-            for m, cm in comp.items():
-                for c, outer, flip in ad.get(m, ()):
-                    if c == a or c == b:
-                        continue
-                    acc = jacobiator.setdefault(tuple(sorted((a, b, c))), {})
-                    s = -cm if (a < c < b) != flip else cm
-                    for p, cp in outer.items():
-                        accumulate(acc, p, s * cp)
-        return min((t for t, acc in jacobiator.items() if acc), default=None)
+        Jacobi is d^2 = 0 on the generators: (d de^p)(e_i, e_j, e_k) is, up
+        to sign, the e_p-component of the Jacobiator of e_i, e_j, e_k.  So
+        the failing triples are the masks of the terms of d(de^p) over all p,
+        and the least of them is the one a loop over all i < j < k would
+        meet first."""
+        de = self.de()
+        return min((tuple(indices_of(m)) for image in de.values()
+                    for m in derivation(KForm._of(self.n, 2, image), de, 1).terms), default=None)
 
     # -- the bracket-extension map L --------------------------------------
 
@@ -452,18 +447,21 @@ class Derivation:
 
     def _leibniz_violation(self) -> Optional[Tuple[int, int]]:
         """The least basis pair i < j with T[e_i, e_j] != [Te_i, e_j] +
-        [e_i, Te_j], or None: column t of each side is the t-th pair of
-        ``combinations``, so the least failing column is the pair an i < j
-        loop meets first."""
-        g, mat = self.parent, self.matrix
-        e = Matrix.identity(g.n)
-        pairs = list(itertools.combinations(range(g.n), 2))
-        diff = dict((mat @ g.bracket_columns(e, e, pairs)).entries)
-        for side in (g.bracket_columns(mat, e, pairs), g.bracket_columns(e, mat, pairs)):
-            for key, x in side.entries.items():
-                accumulate(diff, key, -x)
-        first = min((col for _, col in diff), default=None)
-        return None if first is None else (pairs[first][0] + 1, pairs[first][1] + 1)
+        [e_i, Te_j], or None.
+
+        T is a derivation exactly when its dual T* e^p = sum_j T[p, j] e^j,
+        a derivation of degree 0, commutes with d on the 1-forms: the
+        e^{ij}-coefficient of (d T* - T* d) e^p is, up to sign, the
+        e_p-component of T[e_i, e_j] - [Te_i, e_j] - [e_i, Te_j]."""
+        g = self.parent
+        de = g.de()
+        dual: Dict[int, Dict[int, Elem]] = {}
+        for (p, j), x in self.matrix.entries.items():
+            dual.setdefault(p + 1, {})[1 << j] = x
+        return min((tuple(indices_of(m)) for p in range(1, g.n + 1)
+                    for m in (derivation(KForm._of(g.n, 1, dual.get(p, {})), de, 1)
+                              - derivation(KForm._of(g.n, 2, de.get(p, {})), dual, 0)).terms),
+                   default=None)
 
     def commutes_with(self, other: "Derivation") -> bool:
         return self.matrix @ other.matrix == other.matrix @ self.matrix

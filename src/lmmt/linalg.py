@@ -325,7 +325,7 @@ def _norm_pivot(r: Dict[int, object], col: int, d: Optional[int]) -> int:
 
 
 def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
-               piv_val: int, d: Optional[int] = None) -> None:
+               piv_val: int, d: Optional[int]) -> None:
     """Clear ``col`` from r with a pivot row whose entry at ``col`` is the
     int ``piv_val`` N and whose other entries are ``tail``; the entries are
     ints (d None) or (a, b) pairs of Z[sqrt d].  With x = r[col] and
@@ -364,7 +364,7 @@ def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
         _divide_content(r, d)
 
 
-def _divide_content(r: Dict[int, object], d: Optional[int] = None) -> None:
+def _divide_content(r: Dict[int, object], d: Optional[int]) -> None:
     """Divide an int row (d None) or a row of Z[sqrt d] pairs by the gcd of
     all its integers."""
     if d is None:

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import (ce_differential, coboundaries_and_cohomology, coboundary_matrix, d_form,
-                         is_exact)
+from .cohomology import ce_differential, coboundaries_and_cohomology, coboundary_matrix, d_form
 from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract, coordinate_matrix
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector
@@ -23,10 +22,6 @@ class PDualElement:
     def __post_init__(self):
         if self.representative.degree != self.degree:
             raise ValueError("representative degree mismatch")
-
-    def same_class(self, g: LieAlgebra, other: "PDualElement") -> bool:
-        diff = self.representative - other.representative
-        return is_exact(g, diff)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "representative": self.representative.to_json()}

@@ -102,6 +102,18 @@ def test_d_form_rejects_a_form_of_another_dimension():
             d_form(su2, KForm.basis(n, (1,)))
 
 
+def test_lie_derivative_of_a_constant_and_of_another_dimension():
+    """L_X of a 0-form is 0; a vector or a form on another n than g's is a
+    DimensionMismatch."""
+    su2, e1 = builtin("su2"), KVector.basis(3, (1,))
+    got = lie_derivative(su2, e1, KForm(3, 0, {0: 1}))
+    assert got.is_zero() and got.degree == 0
+    for x, a in ((KVector.basis(4, (1,)), KForm.basis(3, (1,))), (e1, KForm.basis(2, (1,))),
+                 (e1, KForm(4, 0, {0: 1}))):
+        with pytest.raises(DimensionMismatch):
+            lie_derivative(su2, x, a)
+
+
 def test_dd_zero_exhaustive():
     for text in CATALOG:
         g = parse_salamon(text)

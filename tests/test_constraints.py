@@ -47,6 +47,17 @@ def unicode_classes(tree, escape):
             and escape in node.value]
 
 
+def unused_imports(tree):
+    """The names a module imports and never reads; a name used only inside
+    a quoted annotation counts as unread, and __future__ imports are left out."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {node.lineno}: {name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in read]
+
+
 def test_the_package_has_sources():
     assert {p.name for p in SOURCES} >= {"__init__.py", "linalg.py", "liealg.py", "cli.py"}
 
@@ -54,6 +65,13 @@ def test_the_package_has_sources():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_are_lmmt_or_stdlib(path):
     assert outside_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """__init__.py imports to re-export; every other module reads what it imports."""
+    assert unused_imports(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -82,3 +100,7 @@ def test_the_guards_flag_what_they_look_for():
     assert unicode_classes(tree, "\\d") == ["line 2: '(\\\\d+)/[0-9]'", "line 3: '\\\\d'"]
     assert unicode_classes(ast.parse('E = r"[A-Za-z_]\\w*"\nF = "wide"\n'), "\\w") == [
         "line 1: '[A-Za-z_]\\\\w*'"]
+    tree = ast.parse("from __future__ import annotations\nimport os.path, re as regex\n"
+                     "from .exterior import KForm, wedge_sign\nfrom x import y as z\n"
+                     "def f(a: KForm) -> 'z':\n    return os.sep\n")
+    assert unused_imports(tree) == ["line 2: regex", "line 3: wedge_sign", "line 4: z"]

@@ -1,16 +1,31 @@
 """Distinguished forms, stabilizers, stability, normal forms, constructions."""
 import pytest
 
-from lmmt.exterior import KForm, dim_lambda
+from lmmt.exterior import KForm, KVector, basis_masks, contract, dim_lambda, indices_of
 from lmmt.forms import (analyze, builtin_form, construct_nondegenerate,
                         contraction_kernel, fully_nondeg_admissible,
-                        holonomy_identities, pullback, stability_admissible,
+                        holonomy_identities, stability_admissible,
                         stabilizer_algebra, two_form_normal_form,
                         weak_nondegenerate)
 from lmmt.liealg import builtin
 from lmmt.linalg import Matrix
 from lmmt.multimoment import triple_form
-from lmmt.scalars import FieldError, Scalar
+from lmmt.scalars import ZERO, FieldError, Scalar
+
+
+def pullback(alpha, change):
+    """alpha composed with the column basis of change: its e^I coefficient
+    is alpha evaluated on the columns I, by iterated contraction."""
+    n = alpha.n
+    cols = KVector.from_matrix(n, 1, basis_masks(n, 1), change)
+
+    def evaluate(mask):
+        acc = alpha
+        for i in indices_of(mask):
+            acc = contract(cols[i - 1], acc)
+        return acc.terms.get(0, ZERO)
+
+    return KForm(n, alpha.degree, {mask: evaluate(mask) for mask in basis_masks(n, alpha.degree)})
 
 
 def test_builtin_term_counts():

@@ -424,7 +424,7 @@ def test_integer_clear_col_step(r, tail, piv_val, x):
     out exactly when piv_val/g != 1, so an unscaled row keeps its content."""
     col = 6
     row = {**r, col: x}
-    _clear_col(row, col, list(tail.items()), piv_val)
+    _clear_col(row, col, list(tail.items()), piv_val, None)
     g = math.gcd(piv_val, x) * (1 if piv_val > 0 else -1)
     scale, mult = piv_val // g, x // g
     combo = {j: scale * r.get(j, 0) - mult * tail.get(j, 0) for j in set(r) | set(tail)}
@@ -436,15 +436,15 @@ def test_integer_clear_col_step(r, tail, piv_val, x):
 def test_integer_clear_col_examples():
     # the pivot value divides x: r - 2 * pivot row, content 2 kept
     row = {0: 4, 1: 4}
-    _clear_col(row, 0, [(1, 1)], 2)
+    _clear_col(row, 0, [(1, 1)], 2, None)
     assert row == {1: 2}
     # 3 does not divide 2: 3 r - 2 * pivot row = {1: 6, 2: -2}, divided by its content 2
     row = {0: 2, 1: 2}
-    _clear_col(row, 0, [(2, 1)], 3)
+    _clear_col(row, 0, [(2, 1)], 3, None)
     assert row == {1: 3, 2: -1}
     # a negative pivot value: r + x * pivot row, no scaling
     row = {0: 5, 1: 1}
-    _clear_col(row, 0, [(1, 1)], -1)
+    _clear_col(row, 0, [(1, 1)], -1, None)
     assert row == {1: 6}
 
 
