@@ -40,12 +40,12 @@ def ce_differential(g: LieAlgebra, k: int,
 def d_form(g: LieAlgebra, a: KForm) -> KForm:
     """d a, applied on the support of a straight from the structure constants.
 
-    d is the derivation of degree 1 with d e^i = ``g.de()[i]``; the cost
+    d is the derivation of degree 1 with d e^i = ``g.de[i]``; the cost
     grows with the number of terms of a, not with the C(n, k+1) rows of
     ce_differential(g, k), whose product with a it equals."""
     if a.n != g.n:
         raise DimensionMismatch(f"ambient dimensions differ: {a.n} vs {g.n}")
-    return derivation(a, g.de(), 1)
+    return derivation(a, g.de, 1)
 
 
 def lie_kernel(g: LieAlgebra, k: int) -> List[KVector]:
@@ -163,6 +163,22 @@ def _report(n: int, ranks: Sequence[int]) -> CohomologyReport:
     return CohomologyReport(n, b, cocycles, cobound)
 
 
+def _euler_ranks(n: int, kept: Sequence[int], what: str) -> List[int]:
+    """r_k = C(n, k) - kept_k - r_{k-1} from r_{-1} = 0, for k = 0..n: the
+    ranks of d on the k-forms when kept_k dimensions of each degree are
+    left out and the rest is exact.  r_k >= 0 and r_n = 0 are checked as a
+    certificate (AssertionError naming what)."""
+    ranks, r = [], 0
+    for k in range(n + 1):
+        r = dim_lambda(n, k) - kept[k] - r
+        if r < 0:
+            raise AssertionError(f"negative rank {r} from {what} in degree {k}")
+        ranks.append(r)
+    if r:
+        raise AssertionError(f"{what} leaves rank {r} in degree {n}")
+    return ranks
+
+
 def betti(g: LieAlgebra) -> CohomologyReport:
     """All Betti numbers b_0..b_n, with cocycle/coboundary dimensions.
 
@@ -215,27 +231,13 @@ def betti(g: LieAlgebra) -> CohomologyReport:
         table = [1]
         for part in parts:
             table = _convolve(table, [1, 1] if len(part) == 1 else betti(g.restrict(part)).betti)
-        ranks, r = [], 0
-        for k in range(n + 1):
-            r = dim_lambda(n, k) - table[k] - r
-            if r < 0:
-                raise AssertionError(f"negative rank {r} from the Kunneth table in degree {k}")
-            ranks.append(r)
-        if r:
-            raise AssertionError(f"the Kunneth table leaves rank {r} in degree {n}")
-        return _report(n, ranks)
+        return _report(n, _euler_ranks(n, table, "the Kunneth table"))
     torus = g.inner_torus()
     if torus:
         zero = _weight_zero_masks(n, torus)
-        ranks, rest = [], 0
-        for k in range(n + 1):
-            rest = dim_lambda(n, k) - len(zero[k]) - rest
-            if rest < 0:
-                raise AssertionError(f"negative rank {rest} off the weight-zero block")
-            ranks.append(ce_differential(g, k, (zero[k], zero[k + 1])).rank() + rest)
-        if rest:
-            raise AssertionError(f"the complex off weight zero is not acyclic in degree {n}")
-        return _report(n, ranks)
+        rest = _euler_ranks(n, [len(masks) for masks in zero], "the complex off weight zero")
+        return _report(n, [ce_differential(g, k, (zero[k], zero[k + 1])).rank() + r
+                           for k, r in enumerate(rest)])
     codes = _weight_codes(n, g.diagonal_derivations())
     top = sum(codes)  # the code of the full mask
     by_weight = _masks_by_weight(n, codes)

@@ -8,6 +8,7 @@ opposite convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -213,9 +214,11 @@ class LieAlgebra:
                 brackets[(pos[i], pos[j])] = {pos[k]: c for k, c in comp.items()}
         return LieAlgebra(len(pos), brackets, validate=False)
 
+    @functools.cached_property
     def de(self) -> Dict[int, Dict[int, Elem]]:
         """i -> the terms of de^i = -sum_{j<l} c^i_{jl} e^{jl}, keyed by the
-        mask of jl: the images that ``exterior.derivation`` extends to d."""
+        mask of jl: the images that ``exterior.derivation`` extends to d.
+        Built once per algebra, as its brackets never change; read only."""
         de: Dict[int, Dict[int, Elem]] = {}
         for (j, l), comp in self.brackets.items():
             pair = (1 << (j - 1)) | (1 << (l - 1))
@@ -231,7 +234,7 @@ class LieAlgebra:
         the failing triples are the masks of the terms of d(de^p) over all p,
         and the least of them is the one a loop over all i < j < k would
         meet first."""
-        de = self.de()
+        de = self.de
         return min((tuple(indices_of(m)) for image in de.values()
                     for m in derivation(KForm._of(self.n, 2, image), de, 1).terms), default=None)
 
@@ -454,7 +457,7 @@ class Derivation:
         e^{ij}-coefficient of (d T* - T* d) e^p is, up to sign, the
         e_p-component of T[e_i, e_j] - [Te_i, e_j] - [e_i, Te_j]."""
         g = self.parent
-        de = g.de()
+        de = g.de
         dual: Dict[int, Dict[int, Elem]] = {}
         for (p, j), x in self.matrix.entries.items():
             dual.setdefault(p + 1, {})[1 << j] = x

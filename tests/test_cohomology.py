@@ -7,14 +7,15 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmmt import cohomology, liealg
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
-from lmmt.cohomology import (CohomologyReport, _masks_by_weight, _weight_codes, _weight_zero_masks,
-                             betti, cartan_identity_check, cocycle_basis,
+from lmmt.cohomology import (CohomologyReport, _euler_ranks, _masks_by_weight, _weight_codes,
+                             _weight_zero_masks, betti, cartan_identity_check, cocycle_basis,
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
 from lmmt.exterior import (DimensionMismatch, KForm, KVector, basis_masks, coordinate_matrix,
-                           indices_of, wedge_sign)
+                           derivation, indices_of, wedge_sign)
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
 from lmmt.linalg import Matrix, _rref
@@ -51,6 +52,31 @@ def test_d_form_equals_every_ce_differential_column():
             for col, mask in enumerate(basis_masks(g.n, k)):
                 expect = KForm.from_vector(g.n, k + 1, dst, mat.column(col))
                 assert d_form(g, KForm.basis(g.n, indices_of(mask))) == expect
+
+
+def test_jacobi_check_and_d_form_read_one_de_table(monkeypatch):
+    g = builtin("su3")
+    tables = []
+
+    def recording(a, images, shift):
+        tables.append(images)
+        return derivation(a, images, shift)
+
+    monkeypatch.setattr(liealg, "derivation", recording)
+    monkeypatch.setattr(cohomology, "derivation", recording)
+    assert g.jacobi_check() is None
+    calls = len(tables)
+    d_form(g, KForm.basis(g.n, (1, 2, 3)))
+    assert 0 < calls < len(tables) and all(t is g.de for t in tables)
+
+
+def test_euler_ranks_certify_the_table():
+    # the Heisenberg table: d has rank 1 on 1-forms (de3 = -e12) and no other
+    assert _euler_ranks(3, [1, 2, 2, 1], "the table") == [0, 1, 0, 0]
+    with pytest.raises(AssertionError, match="negative rank -1 from the table in degree 0"):
+        _euler_ranks(3, [2, 1, 1, 2], "the table")
+    with pytest.raises(AssertionError, match="the table leaves rank 1 in degree 3"):
+        _euler_ranks(3, [1, 3, 3, 0], "the table")
 
 
 def test_equal_entries_are_one_object():

@@ -12,10 +12,11 @@ rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
 
 def test_rational_construction():
-    assert not Scalar(3).b and isinstance(sc(Scalar(3)), Fraction)
-    assert Scalar(Fraction(3, 2)).a == Fraction(3, 2)
+    assert type(Scalar(3)) is Fraction and Scalar(3) == 3
+    assert Scalar(Fraction(3, 2)) == Fraction(3, 2)
     assert sc(Fraction(3, 2)) == Scalar(Fraction(3, 2))
-    assert not Scalar(0, 0, 5)
+    assert Scalar(0, 0, 5) == 0 and not Scalar(0, 0, 5)
+    assert Scalar(1, 1, 4) == 3
 
 
 def test_sc_coercion():
@@ -32,9 +33,9 @@ def test_known_products():
 
 
 def test_inverse_known():
-    assert Scalar(2).inverse() == Scalar(Fraction(1, 2))
+    assert 1 / Scalar(2) == Scalar(Fraction(1, 2))
     x = Scalar(1, 1, 2)
-    assert x * x.inverse() == Scalar(1)
+    assert x * (1 / x) == Scalar(1)
 
 
 def test_mixed_radicands_rejected():
@@ -71,19 +72,24 @@ def test_quadratic_field_axioms(a, b, c, d):
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
     if x:
-        assert x * x.inverse() == Scalar(1)
+        assert x * (1 / x) == Scalar(1)
 
 
 @given(rationals, rationals, rationals, rationals)
 def test_results_are_fractions_exactly_when_rational(a, b, c, d):
     # x = a + b sqrt 2, y = c + d sqrt 2; the sqrt 2 part of each result,
     # from plain Fractions: x / y = x (c - d sqrt 2) / (c^2 - 2 d^2)
-    x, y = sc(Scalar(a, b, 2)), sc(Scalar(c, d, 2))
+    x, y = Scalar(a, b, 2), Scalar(c, d, 2)
     results = {"+": (x + y, b + d), "-": (x - y, b - d), "*": (x * y, a * d + b * c)}
     if y:
         results["/"] = (x / y, b * c - a * d)
     for value, sqrt2_part in results.values():
         assert isinstance(value, Fraction) == (sqrt2_part == 0)
+        assert isinstance(value, Fraction) or value.b != 0
+    # the constructor itself: a + b sqrt(d) is rational when b = 0 or d is a square
+    for radicand in (0, 2, 4, 8, 12):
+        value = Scalar(a, b, radicand)
+        assert isinstance(value, Fraction) == (b == 0 or radicand in (0, 4))
         assert isinstance(value, Fraction) or value.b != 0
 
 
@@ -104,7 +110,7 @@ def test_rational_betti_creates_no_scalar(monkeypatch):
 def test_radicand_square_factors_pulled_out():
     assert Scalar(2, -1, 4) == 0  # 2 - sqrt(4)
     assert not Scalar(2, -1, 4)
-    assert Scalar(1, 1, 4).inverse() == Scalar(Fraction(1, 3))
+    assert 1 / Scalar(1, 1, 4) == Scalar(Fraction(1, 3))
     assert Scalar.parse("sqrt(4)") == 2
     assert Scalar(0, 1, 8) == Scalar(0, 2, 2)
     assert Scalar(0, 1, 8) + Scalar(0, 1, 2) == Scalar(0, 3, 2)
