@@ -342,11 +342,14 @@ def lie_derivative(g: LieAlgebra, x: KVector, a: KForm) -> KForm:
         raise ValueError("lie_derivative wants a vector")
     if x.n != g.n or a.n != g.n:
         raise DimensionMismatch(f"ambient dimensions differ: {x.n}, {a.n} vs {g.n}")
+    xs = {mask.bit_length(): xi for mask, xi in x.terms.items()}
     images: Dict[int, Dict[int, Elem]] = {}  # k -> L_X e^k = -sum_j e^k([X, e_j]) e^j
-    for mask, xi in x.terms.items():
-        for j in range(1, g.n + 1):
-            for k, c in g.bracket_basis(mask.bit_length(), j).items():
-                accumulate(images.setdefault(k, {}), 1 << (j - 1), -xi * c)
+    for (i, j), comp in g.brackets.items():
+        # -e^k([X, e_j]) holds -x_i c^k_ij, and -e^k([X, e_i]) holds x_j c^k_ij
+        for at, lead in ((j, -xs[i] if i in xs else None), (i, xs.get(j))):
+            if lead is not None:
+                for k, c in comp.items():
+                    accumulate(images.setdefault(k, {}), 1 << (at - 1), lead * c)
     return derivation(a, images, 0)
 
 

@@ -223,12 +223,19 @@ class AltElement:
         self._check_compat(other)
         deg = self.degree + other.degree
         acc: Dict[int, Elem] = {}
+        # with one term on either side the products land on distinct masks, and
+        # a product of non-zero field elements is non-zero: nothing to add up
+        single = len(self.terms) == 1 or len(other.terms) == 1
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma & mb:
                     continue
                 c = ca * cb
-                accumulate(acc, ma | mb, c if wedge_sign(ma, mb) > 0 else -c)
+                c = c if wedge_sign(ma, mb) > 0 else -c
+                if single:
+                    acc[ma | mb] = c
+                else:
+                    accumulate(acc, ma | mb, c)
         return type(self)._of(self.n, deg, acc)
 
     def __eq__(self, other):
@@ -241,9 +248,6 @@ class AltElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, indices: Sequence[int]) -> Elem:
-        return self.terms.get(mask_of(indices), ZERO)
 
     # -- coordinates -------------------------------------------------------
 

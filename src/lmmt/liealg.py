@@ -48,6 +48,13 @@ class LieAlgebra:
     [e_i, e_j]; antisymmetry is implicit in the storage.  Component indices
     lie in 1..n, and the constants lie in one field, Q or one Q(sqrt d)
     (else FieldError); ``radicand`` is that d, None for Q.
+
+    ``bracket_images`` holds one (pair, support, image) per stored bracket
+    (i, j), in the order of ``brackets``: the mask of e_i and e_j, the mask
+    of the components of [e_i, e_j], and [e_i, e_j] as a vector; read only.
+    The loop that cleans the brackets fills it: a second walk would cost
+    more than ``lie_L`` saves on small algebras that it maps only a few
+    rows of.
     """
 
     def __init__(self, n: int, brackets: Brackets, validate: bool = True):
@@ -55,21 +62,26 @@ class LieAlgebra:
             raise ValueError(f"dimension {n} is negative")
         self.n = n
         clean: Brackets = {}
+        images: List[Tuple[int, int, KVector]] = []
         seen: Dict[tuple, Elem] = {}
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad bracket key ({i},{j})")
-            kept = {}
+            kept, vec, support = {}, {}, 0
             for k, c in comp.items():
                 if not 1 <= k <= n:
                     raise ValueError(f"bad component index {k} in bracket ({i},{j}), "
                                      f"expected 1..{n}")
                 x = sc(c)
                 if x:
-                    kept[k] = shared(seen, x)
+                    bit = 1 << (k - 1)
+                    kept[k] = vec[bit] = shared(seen, x)
+                    support |= bit
             if kept:
                 clean[(i, j)] = kept
+                images.append(((1 << (i - 1)) | (1 << (j - 1)), support, KVector._of(n, 1, vec)))
         self.brackets = clean
+        self.bracket_images = tuple(images)
         self.radicand = radicand((c for comp in clean.values() for c in comp.values()),
                                  "structure constants")
         if validate:
@@ -78,13 +90,6 @@ class LieAlgebra:
                 raise JacobiError(bad)
 
     # -- bracket evaluation ------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> Dict[int, Elem]:
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
     def bracket_columns(self, us: Matrix, vs: Matrix, pairs: Sequence[Tuple[int, int]]) -> Matrix:
         """Column t holds the coordinates of [u_i, v_j] for the t-th pair
@@ -96,8 +101,11 @@ class LieAlgebra:
         for t, (i, j) in enumerate(pairs):
             for mi, ci in xs[i].terms.items():
                 for mj, cj in ys[j].terms.items():
-                    for k, c in self.bracket_basis(mi.bit_length(), mj.bit_length()).items():
-                        entries[(k - 1, t)] = entries.get((k - 1, t), ZERO) + ci * cj * c
+                    a, b = mi.bit_length(), mj.bit_length()
+                    # [e_a, e_b] = -[e_b, e_a]: the sign rides on the product
+                    x = ci * cj if a < b else -(ci * cj)
+                    for k, c in self.brackets.get((min(a, b), max(a, b)), {}).items():
+                        entries[(k - 1, t)] = entries.get((k - 1, t), ZERO) + x * c
         return Matrix(self.n, len(pairs), entries)
 
     def is_unimodular(self) -> bool:
@@ -243,26 +251,32 @@ class LieAlgebra:
     def lie_L(self, p: KVector) -> KVector:
         """L(Q) = sum_{i<j} [X_i, X_j] wedge Q_{^ij}, extended linearly.
 
-        Walks the stored brackets, not every pair of indices in a mask: a
+        Walks ``bracket_images``, not every pair of indices in a mask: a
         bracket (i, j) acts on a mask that holds both bits, with the sign
-        (-1)^{pos(i)+pos(j)} of their positions, read off two popcounts."""
+        (-1)^{pos(i)+pos(j)} of their positions.  pos(j) = pos(i) + 1 + the
+        number of mask bits between i and j, so the sign is -1 exactly when
+        that number is even: one popcount."""
         if p.n != self.n:
             raise ValueError("multivector dimension mismatch")
         n, deg = self.n, p.degree - 2
         acc: Dict[int, Elem] = {}
         for mask, coeff in p.terms.items():
-            for (i, j), br in self.brackets.items():
-                bi, bj = 1 << (i - 1), 1 << (j - 1)
-                if not (mask & bi and mask & bj):
+            neg = None  # -coeff, made at its first use
+            for pair, support, image in self.bracket_images:
+                if mask & pair != pair:
                     continue
-                rest = mask ^ bi ^ bj
-                # components already in rest wedge to zero
-                vec = {b: c for k, c in br.items() if not rest & (b := 1 << (k - 1))}
-                if not vec:
+                rest = mask ^ pair
+                # components in rest wedge to zero; one at i or j does not
+                if not support & ~rest:
                     continue
-                odd = ((mask & (bi - 1)).bit_count() + (mask & (bj - 1)).bit_count()) & 1
-                rest_v = KVector._of(n, deg, {rest: -coeff if odd else coeff})
-                for m, c in KVector._of(n, 1, vec).wedge(rest_v).terms.items():
+                # pair - 2 * (bit of i) has the bits from i up to below j
+                between = (rest & (pair - 2 * (pair & -pair))).bit_count()
+                if between & 1:
+                    lead = coeff
+                else:
+                    neg = lead = neg or -coeff  # a field element is never 0
+                rest_v = KVector._of(n, deg, {rest: lead})
+                for m, c in image.wedge(rest_v).terms.items():
                     accumulate(acc, m, c)
         return KVector._of(n, max(p.degree - 1, 0), acc)
 

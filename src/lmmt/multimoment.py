@@ -178,19 +178,21 @@ def triple_form(g: LieAlgebra, inner: Sequence[Sequence]) -> KForm:
             if m[i][j] != m[j][i]:
                 raise ValueError("inner product not symmetric")
 
-    def pair(br: Dict[int, Elem], k: int) -> Elem:
-        # <sum_q c_q e_q, e_k> for the components {q: c_q} of a bracket
-        return sum((c * m[q - 1][k - 1] for q, c in br.items()), ZERO)
-
+    # (i, j) -> [<[e_i, e_j], e_k> for k = 1..n] from the stored bracket (min(i, j), max(i, j))
+    pairing: Dict[Tuple[int, int], List[Elem]] = {}
+    for (i, j), br in g.brackets.items():
+        row = [sum((c * m[q - 1][k] for q, c in br.items()), ZERO) for k in range(n)]
+        pairing[(i, j)], pairing[(j, i)] = row, [-x for x in row]
+    zero = [ZERO] * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                if pair(g.bracket_basis(i, j), k) + pair(g.bracket_basis(i, k), j):
+                if pairing.get((i, j), zero)[k - 1] + pairing.get((i, k), zero)[j - 1]:
                     raise ValueError("inner product is not ad-invariant")
     terms = []
-    for (i, j), br in sorted(g.brackets.items()):
+    for (i, j) in sorted(g.brackets):
         for k in range(j + 1, n + 1):
-            c = pair(br, k)
+            c = pairing[(i, j)][k - 1]
             if c:
                 terms.append(((i, j, k), c))
     return KForm.from_terms(n, terms) if terms else KForm.zero(n, 3)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmmt.exterior import (DegreeError, KForm, KVector, basis_masks, contract,
-                           coordinate_matrix, derivation, dim_lambda, hodge_star,
+from lmmt.exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks,
+                           contract, coordinate_matrix, derivation, dim_lambda, hodge_star,
                            indices_of, mask_of, volume_form, wedge_sign)
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import _hook_L, d_form, lie_derivative
@@ -194,6 +194,39 @@ def elements(draw, kind, n, degree=None):
     masks = draw(st.lists(st.sampled_from(basis_masks(n, k)), max_size=6, unique=True))
     coeffs = draw(st.lists(cancelling, min_size=len(masks), max_size=len(masks)))
     return kind(n, k, dict(zip(masks, coeffs)))
+
+
+def _double_loop_wedge(a, b):
+    """a ^ b as a double loop over both factors' terms that adds up every
+    product, built through the checked constructor."""
+    acc = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if not ma & mb:
+                acc[ma | mb] = acc.get(ma | mb, 0) + wedge_sign(ma, mb) * ca * cb
+    return type(a)(a.n, a.degree + b.degree, acc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_term_wedge_equals_the_double_loop(data):
+    """wedge with one term on either side writes each product once, with no
+    sum: it must equal the double loop, also past degree n, and still check
+    the ambient dimension and the kind of its factors first."""
+    kind = data.draw(st.sampled_from([KForm, KVector]))
+    n = data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, n))
+    one = kind(n, k, {data.draw(st.sampled_from(basis_masks(n, k))): data.draw(cancelling)})
+    other = data.draw(elements(kind, n))
+    a, b = (one, other) if data.draw(st.booleans()) else (other, one)
+    product = a.wedge(b)
+    assert product == _double_loop_wedge(a, b)
+    assert product.degree == a.degree + b.degree
+    assert product == kind(n, product.degree, dict(product.terms))
+    with pytest.raises(DimensionMismatch):
+        a.wedge(kind.basis(n + 1, [n + 1]))
+    with pytest.raises(TypeError):
+        b.wedge((KVector if kind is KForm else KForm)(n, 0, {0: 1}))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Multi-moment solving, orbit-stabilizer condition, inner-product three-forms."""
 import pytest
 
+from conftest import bracket_basis
 from lmmt import cohomology, multimoment
 from lmmt.cohomology import betti, ce_differential, cocycle_basis, d_form, is_exact
 from lmmt.exterior import KForm
@@ -203,7 +204,7 @@ def _dense_triple_form(g, inner):
         out = [Scalar(0)] * n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                for k, c in g.bracket_basis(i, j).items():
+                for k, c in bracket_basis(g, i, j).items():
                     out[k - 1] = out[k - 1] + u[i - 1] * v[j - 1] * c
         return out
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import bracket_basis
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import betti, coboundary_matrix, cohomology_basis, d_form, is_exact
 from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix
@@ -220,7 +221,7 @@ def _dense_bracket(g, u, v):
     out = [Fraction(0)] * g.n
     for i, ui in enumerate(u, start=1):
         for j, vj in enumerate(v, start=1):
-            for k, c in g.bracket_basis(i, j).items():
+            for k, c in bracket_basis(g, i, j).items():
                 out[k - 1] += ui * vj * c
     return out
 
