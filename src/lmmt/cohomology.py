@@ -62,6 +62,14 @@ class CohomologyReport:
     cocycle_dims: List[int]
     coboundary_dims: List[int]
 
+    def nonvanishing(self, degrees: Sequence[int] = (3, 4)) -> Optional[int]:
+        """The first listed degree k with b_k != 0, or None: the paper's
+        (3,4)-triviality test at the default.  A degree above n names a zero
+        group; a negative degree is a DegreeError."""
+        if min(degrees, default=0) < 0:
+            raise DegreeError(f"degree {min(degrees)} is negative")
+        return next((k for k in degrees if k <= self.n and self.betti[k]), None)
+
     def to_json(self) -> dict:
         return {
             "dim": self.n,
@@ -293,18 +301,15 @@ def coboundaries_and_cohomology(g: LieAlgebra, k: int, d: Matrix) -> Tuple[Matri
 def is_trivial(
     g: LieAlgebra, degrees: Sequence[int] = (3, 4)
 ) -> Tuple[bool, Optional[KForm]]:
-    """True when b_k = 0 for every listed degree.
+    """True when b_k = 0 for every listed degree (``nonvanishing`` of the
+    Betti table).
 
     On failure, also returns a witness: the first cocycle-basis vector that
     is not exact, in the first offending degree.  Degrees above n name zero
     groups."""
-    if min(degrees, default=0) < 0:
-        raise DegreeError(f"degree {min(degrees)} is negative")
-    rep = betti(g)  # rank-only eliminations: cheaper than a basis per degree
-    for k in degrees:
-        if k <= g.n and rep.betti[k]:
-            return False, cohomology_basis(g, k)[0]
-    return True, None
+    # rank-only eliminations: cheaper than a basis per degree
+    k = betti(g).nonvanishing(degrees)
+    return (True, None) if k is None else (False, cohomology_basis(g, k)[0])
 
 
 def kunneth_check(g: LieAlgebra, h: LieAlgebra) -> bool:

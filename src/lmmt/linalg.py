@@ -90,9 +90,6 @@ class Matrix:
                 out[(i, t)] = out.get((i, t), ZERO) + x * y
         return Matrix(self.rows, other.cols, out)
 
-    def scale(self, c: Elem) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
@@ -223,13 +220,15 @@ def _rref(
     b != 0, the norm a^2 - d*b^2 (nonzero, as sqrt(d) is irrational), which
     ``_norm_pivot`` makes it by multiplying the row by the conjugate
     a - b*sqrt(d) (Cohen, GTM 138, 1993).  ``_clear_col`` then combines rows
-    with integers only.  With ``reduce``, back-substitution clears each pivot
-    column from the rows above it, last pivot first, with the same
-    ``_clear_col`` step: it only scales a row and subtracts later pivot rows,
-    which are 0 at its pivot, so that pivot stays an integer N, or (N, 0)
-    over Z[sqrt d].  Then each pivot row is divided by its pivot, once, into
-    field elements with a leading 1, equal entries as one object.  The RREF is unique and pivot columns do not
-    depend on the pivot rows, so neither depends on the pivot choice."""
+    with integers only.  With ``reduce``, back-substitution walks the pivot
+    rows last first; each clears the later pivot columns it holds with the
+    same step and those columns' rows, already reduced, so a clear adds only
+    non-pivot columns and one look at the row's keys finds every column to
+    clear; the row's pivot stays an integer N, or (N, 0) over Z[sqrt d].  Then
+    each pivot row is divided by its pivot, once, into field elements with a
+    leading 1, equal entries as one object.  The RREF is unique and pivot
+    columns do not depend on the pivot rows, so neither depends on the pivot
+    choice."""
     d = radicand((v for r in rows for v in r.values()), "matrix rows")
     buckets: Dict[int, List[Dict[int, object]]] = {}
     for r in rows:
@@ -249,23 +248,18 @@ def _rref(
         # take out another object than the chosen one
         piv_row = bucket.pop(best)
         piv_val = _norm_pivot(piv_row, col, d)
-        tail = [(j, v) for j, v in piv_row.items() if j != col]
         for r in bucket:
-            _clear_col(r, col, tail, piv_val, d)
+            _clear_col(r, col, piv_row, piv_val, d)
             if r:
                 buckets.setdefault(min(r), []).append(r)
         done.append(piv_row)
         pivots.append(col)
     if reduce:
-        # last pivot first: pivot row k then holds no later pivot column, so
-        # clearing column k from the rows above it restores none of those
-        for k in range(len(done) - 1, 0, -1):
-            col = pivots[k]
-            piv_val = _norm_pivot(done[k], col, d)
-            tail = [(j, v) for j, v in done[k].items() if j != col]
-            for r in done[:k]:
-                if col in r:
-                    _clear_col(r, col, tail, piv_val, d)
+        reduced: Dict[int, Dict[int, object]] = {}  # pivot column -> reduced row
+        for col, r in zip(reversed(pivots), reversed(done)):
+            for j in [j for j in r if j in reduced]:
+                _clear_col(r, j, reduced[j], _norm_pivot(reduced[j], j, d), d)
+            reduced[col] = r
     # entry / pivot, computed once per distinct pair in this call
     quotients: Dict[int, Dict[object, Elem]] = {}
     seen: Dict[tuple, Elem] = {}
@@ -324,22 +318,22 @@ def _norm_pivot(r: Dict[int, object], col: int, d: Optional[int]) -> int:
     return r[col][0]
 
 
-def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
+def _clear_col(r: Dict[int, object], col: int, piv_row: Dict[int, object],
                piv_val: int, d: Optional[int]) -> None:
     """Clear ``col`` from r with a pivot row whose entry at ``col`` is the
-    int ``piv_val`` N and whose other entries are ``tail``; the entries are
-    ints (d None) or (a, b) pairs of Z[sqrt d].  With x = r[col] and
-    g = gcd(N, x) (of N and both parts of a pair) signed like N, r becomes
-    (N/g) * r - (x/g) * pivot row, exactly 0 at ``col``, and its content is
-    divided out when N/g != 1."""
-    x = r.pop(col)
+    int ``piv_val`` N, or (N, 0); the entries are ints (d None) or (a, b)
+    pairs of Z[sqrt d].  With x = r[col] and g = gcd(N, x) (of N and both
+    parts of a pair) signed like N, r becomes (N/g) * r - (x/g) * pivot row,
+    exactly 0 at ``col``, which drops out like any other 0, and its content
+    is divided out when N/g != 1."""
+    x = r[col]
     if d is None:
         g = gcd(piv_val, x) if piv_val > 0 else -gcd(piv_val, x)
         scale, x = piv_val // g, x // g
         if scale != 1:
             for j in r:
                 r[j] *= scale
-        for j, v in tail:
+        for j, v in piv_row.items():
             nv = r.get(j, 0) - x * v
             if nv:
                 r[j] = nv
@@ -353,7 +347,7 @@ def _clear_col(r: Dict[int, object], col: int, tail: List[Tuple[int, object]],
                 r[j] = (a * scale, b * scale)
         # (a + b sqrt d) - (x1 + x2 sqrt d)(v1 + v2 sqrt d)
         dx2 = d * x2
-        for j, (v1, v2) in tail:
+        for j, (v1, v2) in piv_row.items():
             a, b = r.get(j, (0, 0))
             a, b = a - x1 * v1 - dx2 * v2, b - x1 * v2 - x2 * v1
             if a or b:

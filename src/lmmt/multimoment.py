@@ -159,9 +159,9 @@ def orbit_stab_condition(g: LieAlgebra, beta: PDualElement) -> OrbitStabReport:
     hooks = [contract(KVector.basis(n, [i]), dbeta) for i in range(1, n + 1)]
     hook = coordinate_matrix(hooks, basis_masks(n, k))
     ker = hook.kernel_basis()
-    # stab: solve X . d(rep) = d(gamma) jointly in (X, gamma); its basis is
-    # the RREF of the X parts (the first n rows) of the joint kernel
-    joint = hook.hstack(coboundary_matrix(g, k).scale(-1)).kernel()
+    # stab: the kernel of [hook | d] is {(X, -gamma) : X . d(rep) = d(gamma)},
+    # and its basis is the RREF of the X parts (the first n rows)
+    joint = hook.hstack(coboundary_matrix(g, k)).kernel()
     xs = Matrix(joint.cols, n, {(j, i): x for (i, j), x in joint.entries.items() if i < n})
     stab = [[row.get(j, ZERO) for j in range(n)] for row in xs.rref()[0]]
     return OrbitStabReport(stab, ker, len(stab) == len(ker))

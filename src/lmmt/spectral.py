@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 from .cohomology import betti, ce_differential, coboundaries_and_cohomology, d_form
 from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
-from .linalg import Matrix, extend_basis, in_span
+from .linalg import Matrix, extend_basis
 from .scalars import ONE, Elem
 
 
@@ -33,28 +33,27 @@ class IdealSplit:
     """An ideal k of g containing g' together with a lifted complement: the
     columns of ``basis`` are a basis of g, the first m of them one of k.
 
-    One span test checks both conditions: a k that holds every [e_i, e_j]
-    holds g', so [g, k] lies in g' and hence in k, and k is an ideal.  The
-    ideal test runs only when that fails, to name the condition that broke."""
+    Both conditions are read off ``adapted``, g in that basis, whose
+    brackets one elimination gives.  With b_i the i-th column, k is an
+    ideal when no bracket [b_i, b_j], i < j, with i <= m has a component
+    past m, and then k holds g' when no bracket has one.  The ideal test
+    comes first, to name the condition that broke."""
 
     g: LieAlgebra
     basis: Matrix
     m: int
 
     def __post_init__(self):
-        g, n = self.g, self.g.n
+        n = self.g.n
         if (self.basis.rows, self.basis.cols) != (n, n) or self.basis.rank() != n:
             raise SplitError("ideal and complement do not span")
         if not 0 <= self.m <= n:
             raise SplitError(f"ideal dimension {self.m} is outside 0..{n}")
-        ideal = Matrix(n, self.m, {(i, j): x for (i, j), x in self.basis.entries.items()
-                                   if j < self.m})
-        derived = Matrix(n, len(g.brackets), {
-            (k - 1, t): c for t, comp in enumerate(g.brackets.values()) for k, c in comp.items()})
-        if not in_span(ideal, derived):
-            pairs = list(itertools.product(range(n), range(ideal.cols)))
-            if not in_span(ideal, g.bracket_columns(Matrix.identity(n), ideal, pairs)):
-                raise SplitError("subspace is not an ideal")
+        # the first index i of each bracket [b_i, b_j] with a component past m
+        escaping = [i for (i, _), comp in self.adapted.brackets.items() if max(comp) > self.m]
+        if any(i <= self.m for i in escaping):
+            raise SplitError("subspace is not an ideal")
+        if escaping:
             raise SplitError("quotient is not abelian: ideal misses g'")
 
     @classmethod
@@ -178,13 +177,13 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
             table[(0, q)] = inv.dim_invariant
             table[(1, q)] = inv.dim_invariant
         else:
+            # Koszul: v -> (A1 v, A2 v) has the invariant part as kernel, and
+            # (u, w) -> A1 w - A2 u has the rank of [A1 | A2]
             a1, a2 = inv.operators
-            v = inv.dim_H
-            m1 = a1.vstack(a2)  # v -> (A1 v, A2 v)
-            top = a2.scale(-1).hstack(a1)  # (u, w) -> A1 w - A2 u
+            v, top = inv.dim_H, a1.hstack(a2).rank()
             table[(0, q)] = inv.dim_invariant
-            table[(1, q)] = (2 * v - top.rank()) - m1.rank()
-            table[(2, q)] = v - a1.hstack(a2).rank()
+            table[(1, q)] = (2 * v - top) - (v - inv.dim_invariant)
+            table[(2, q)] = v - top
     return SpectralPage(level, table)
 
 
@@ -243,8 +242,7 @@ def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     codimension two or more it must additionally satisfy the condition
     for i = 1.  Non-solvable algebras fail the structural side outright.
     """
-    rep = betti(g)
-    direct = all(rep.betti[k] == 0 for k in (3, 4) if k <= g.n)
+    direct = betti(g).nonvanishing() is None
     srep = structural_report(g)
     per_ideal: List[Dict[str, object]] = []
     if not srep.solvable:
@@ -303,15 +301,14 @@ def search_34_extensions(m: int, eig_range: Tuple[int, int]) -> List[Dict[str, o
         if not crit:
             continue
         g = diagonal_extension(lambdas)
-        b = betti(g).betti
-        trivial = all(b[k] == 0 for k in (3, 4) if k <= g.n)
+        rep = betti(g)
         out.append(
             {
                 "eigenvalues": [str(t) for t in tup],
                 "algebra": g.to_salamon(),
                 "criterion": crit,
-                "betti": b,
-                "agrees": crit == trivial,
+                "betti": rep.betti,
+                "agrees": crit == (rep.nonvanishing() is None),
             }
         )
     return out

@@ -7,7 +7,7 @@ from math import comb, factorial, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bracket_basis
+from conftest import bracket_basis, filiform
 from lmmt import cohomology, liealg
 from lmmt.claims import CATALOG, NILPOTENT, claim_kunneth
 from lmmt.cohomology import (CohomologyReport, _euler_ranks, _masks_by_weight, _weight_codes,
@@ -15,8 +15,8 @@ from lmmt.cohomology import (CohomologyReport, _euler_ranks, _masks_by_weight, _
                              coboundary_matrix, cohomology_basis, ce_differential,
                              d_form, direct_betti, is_exact, is_trivial, kunneth_check,
                              lie_derivative, lie_kernel)
-from lmmt.exterior import (DimensionMismatch, KForm, KVector, basis_masks, coordinate_matrix,
-                           derivation, indices_of, wedge_sign)
+from lmmt.exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks,
+                           coordinate_matrix, derivation, indices_of, wedge_sign)
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
 from lmmt.linalg import Matrix, _rref, in_span
@@ -369,10 +369,6 @@ def _pair_walk_lie_L(g, p):
     return KVector(g.n, max(p.degree - 1, 0), acc)
 
 
-def _filiform(n):
-    return parse_salamon(",".join(["0", "0"] + [f"[1,{i}]" for i in range(2, n)]))
-
-
 SQRT3_COEFFS = [Scalar(1, 1, 3), Scalar(0, -2, 3), Scalar(Fraction(1, 2), 1, 3)]
 
 
@@ -401,7 +397,7 @@ def test_lie_L_equals_the_pair_walk():
     rng = random.Random(12)
     for g in ([parse_salamon(s) for s in CATALOG + NILPOTENT + DIAGONAL_EXTENSIONS]
               + [builtin(name) for name in ("su2", "su3", "borel:3", "borel:4")]
-              + [_filiform(11)]):
+              + [filiform(11)]):
         _check_lie_L_against_pair_walk(g, rng, 4)
 
 
@@ -412,7 +408,7 @@ def test_lie_L_equals_the_pair_walk_random(g, seed):
     _check_lie_L_against_pair_walk(g, random.Random(seed), 2)
 
 
-@pytest.mark.parametrize("g", [builtin("su3"), _filiform(11)], ids=["su3", "L11"])
+@pytest.mark.parametrize("g", [builtin("su3"), filiform(11)], ids=["su3", "L11"])
 def test_ce_differential_equals_the_pair_walk_build(g):
     for k in range(-1, g.n + 1):
         src, dst = basis_masks(g.n, k), basis_masks(g.n, k + 1)
@@ -579,7 +575,7 @@ def test_upper_triangular_betti_equal_direct_ranks(name):
     assert betti(g) == direct_betti(g)
 
 
-@pytest.mark.parametrize("g", [_filiform(11), builtin("nplus:5")], ids=["L11", "nplus5"])
+@pytest.mark.parametrize("g", [filiform(11), builtin("nplus:5")], ids=["L11", "nplus5"])
 def test_weight_blocks_partition_d(g):
     """In every degree the weight blocks hold every entry of the whole
     differential, once, and their ranks add up to its rank."""
@@ -627,7 +623,7 @@ def _check_dual_blocks(g):
             assert dual.entries.get((at_dst[full ^ mi], at_src[full ^ mj])) == sign * x
 
 
-@pytest.mark.parametrize("g", [_filiform(11), _filiform(13), builtin("nplus:6"), builtin("heisenberg")],
+@pytest.mark.parametrize("g", [filiform(11), filiform(13), builtin("nplus:6"), builtin("heisenberg")],
                          ids=["L11", "L13", "nplus6", "heisenberg"])
 def test_dual_weight_blocks_have_one_rank(g):
     assert g.is_unimodular() and not g.inner_torus()
@@ -669,7 +665,7 @@ def test_gaussian_binomial_oracle():
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_filiform_betti_closed_form(n):
-    assert betti(_filiform(n)).betti == _filiform_betti(n)
+    assert betti(filiform(n)).betti == _filiform_betti(n)
 
 
 @st.composite
@@ -895,7 +891,7 @@ def _check_dense_bases(g):
 
 
 @pytest.mark.parametrize("g", [parse_salamon(s) for s in CATALOG + NILPOTENT]
-                         + [builtin("su2"), builtin("su3"), _filiform(11)],
+                         + [builtin("su2"), builtin("su3"), filiform(11)],
                          ids=CATALOG + NILPOTENT + ["su2", "su3", "L11"])
 def test_sparse_bases_equal_the_dense_ones(g):
     _check_dense_bases(g)
@@ -921,6 +917,47 @@ def test_is_trivial_catalog():
         assert ok and witness is None
     ok, witness = is_trivial(parse_salamon("0,0,12,13,14,15"))
     assert not ok and witness is not None
+
+
+def test_nonvanishing_edge_cases():
+    rep = betti(builtin("heisenberg"))
+    assert rep.betti == [1, 2, 2, 1]
+    assert rep.nonvanishing() == 3  # the paper's (3, 4) test; 4 > n names a zero group
+    assert rep.nonvanishing((3, 1)) == 3  # the first listed degree, not the least
+    assert rep.nonvanishing((4, 1, 2)) == 1
+    assert rep.nonvanishing((0,)) == 0
+    assert rep.nonvanishing((4, 5, 100)) is None
+    assert rep.nonvanishing(()) is None
+    with pytest.raises(DegreeError, match="^degree -1 is negative$"):
+        rep.nonvanishing((3, -1))
+    assert betti(parse_salamon(CATALOG[0])).nonvanishing() is None
+    point = betti(builtin("abelian:0"))
+    assert point.nonvanishing() is None and point.nonvanishing((0,)) == 0
+    with pytest.raises(DegreeError, match="^degree -2 is negative$"):
+        is_trivial(builtin("su2"), [3, -2])
+
+
+def test_kernel_is_the_union_of_the_weight_block_kernels():
+    """d on the 3-forms of n+(sl_4) is block-diagonal by weight, so the RREF
+    kernel basis of the whole matrix is, vector for vector, the union of
+    its blocks' kernel bases."""
+    g, k = builtin("nplus:4"), 3
+
+    def vectors(kernel, masks):
+        out = [{} for _ in range(kernel.cols)]
+        for (i, t), x in kernel.entries.items():
+            out[t][masks[i]] = x
+        return {frozenset(v.items()) for v in out}
+
+    d = ce_differential(g, k)
+    whole = vectors(d.kernel(), basis_masks(g.n, k))
+    by_weight = list(_masks_by_weight(g.n, _weight_codes(g.n, g.diagonal_derivations())))
+    rows = by_weight[k + 1]
+    blocks = [vectors(ce_differential(g, k, (masks, rows.get(c, ()))).kernel(), masks)
+              for c, masks in by_weight[k].items()]
+    assert len(whole) == d.cols - d.rank()
+    assert sum(1 for b in blocks if b) > 1
+    assert whole == set().union(*blocks)
 
 
 def test_cohomology_basis_is_a_basis_of_H():

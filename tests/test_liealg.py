@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bracket_basis
+from conftest import bracket_basis, filiform
 from lmmt import liealg
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cli import main
@@ -605,12 +605,8 @@ def test_diagonal_derivations_of_the_catalog():
         _check_diagonal_derivations(g)
 
 
-def _filiform(n):
-    return parse_salamon(",".join(["0", "0"] + [f"[1,{i}]" for i in range(2, n)]))
-
-
 @pytest.mark.parametrize("g,rank", [
-    (_filiform(11), 2), (_filiform(12), 2), (_filiform(13), 2),
+    (filiform(11), 2), (filiform(12), 2), (filiform(13), 2),
     (builtin("heisenberg"), 2), (builtin("su2"), 0), (builtin("su3"), 0),
     (builtin("abelian:3"), 3),
 ] + [(builtin(f"nplus:{k}"), k - 1) for k in range(2, 7)],

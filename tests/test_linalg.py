@@ -84,7 +84,6 @@ def test_transpose_hstack_scale():
     assert a.transpose().to_rows() == M([[1, 3], [2, 4]]).to_rows()
     b = a.hstack(Matrix.identity(2))
     assert b.to_rows()[0] == [Scalar(1), Scalar(2), Scalar(1), Scalar(0)]
-    assert a.scale(Scalar(2)).to_rows() == M([[2, 4], [6, 8]]).to_rows()
 
 
 def test_dense_builders_skip_zeros_and_coerce():
@@ -256,6 +255,61 @@ def test_against_sympy_over_q_sqrt3(system):
     check_against_sympy(QQ_SQRT3, rows, rhs)
 
 
+nonzero_q = st.builds(Fraction, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3))
+nonzero_q_sqrt3 = st.builds(lambda a, b: Scalar(a, b, 3), nonzero_q, small_rationals)
+
+
+@st.composite
+def filling_systems(draw, nonzero):
+    """(rows, rhs) of a staircase whose back-substitution mostly fills: rows
+    with distinct leading columns, each holding the next row's leading
+    column, the last one the last column (never a pivot), and random other
+    entries; shuffled."""
+    ncols = draw(st.integers(3, 6))
+    leads = sorted(draw(st.sets(st.integers(0, ncols - 2), min_size=2, max_size=ncols - 1)))
+    rows = []
+    for lead, nxt in zip(leads, leads[1:] + [ncols - 1]):
+        row = [Fraction(0)] * ncols
+        for j in range(lead, ncols):
+            if j in (lead, nxt) or draw(st.booleans()):
+                row[j] = draw(nonzero)
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    return rows, draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+
+
+def fills(rows):
+    """True when some RREF row holds a column that its row after the
+    forward pass alone did not: a non-pivot column back-substitution filled."""
+    forward, _ = _rref([{j: x for j, x in enumerate(map(sc, r)) if x} for r in rows],
+                       len(rows[0]), reduce=False)
+    reduced, _ = Matrix.from_rows(rows).rref()
+    return any(set(b) - set(a) for a, b in zip(forward, reduced))
+
+
+def test_back_substitution_fills_a_non_pivot_column():
+    rows = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+    assert fills(rows)
+    red, pivots = Matrix.from_rows(rows).rref()
+    assert pivots == [0, 1] and red == [{0: 1, 2: -1}, {1: 1, 2: 1}]
+    check_against_sympy(QQ, rows, [Fraction(1), Fraction(2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(filling_systems(nonzero_q))
+def test_filling_back_substitution_against_sympy_over_q(system):
+    assume(fills(system[0]))
+    check_against_sympy(QQ, *system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filling_systems(nonzero_q_sqrt3))
+def test_filling_back_substitution_against_sympy_over_q_sqrt3(system):
+    rows, rhs = system
+    assume(any(isinstance(x, Scalar) and x.b for r in rows for x in r) and fills(rows))
+    check_against_sympy(QQ_SQRT3, rows, rhs)
+
+
 def check_spans_against_sympy(domain, rows):
     """extend_basis picks, in order, the rows that raise the rank of the rows
     before them; in_span holds exactly when adding v keeps the rank."""
@@ -424,7 +478,7 @@ def test_integer_clear_col_step(r, tail, piv_val, x):
     out exactly when piv_val/g != 1, so an unscaled row keeps its content."""
     col = 6
     row = {**r, col: x}
-    _clear_col(row, col, list(tail.items()), piv_val, None)
+    _clear_col(row, col, {**tail, col: piv_val}, piv_val, None)
     g = math.gcd(piv_val, x) * (1 if piv_val > 0 else -1)
     scale, mult = piv_val // g, x // g
     combo = {j: scale * r.get(j, 0) - mult * tail.get(j, 0) for j in set(r) | set(tail)}
@@ -436,15 +490,15 @@ def test_integer_clear_col_step(r, tail, piv_val, x):
 def test_integer_clear_col_examples():
     # the pivot value divides x: r - 2 * pivot row, content 2 kept
     row = {0: 4, 1: 4}
-    _clear_col(row, 0, [(1, 1)], 2, None)
+    _clear_col(row, 0, {0: 2, 1: 1}, 2, None)
     assert row == {1: 2}
     # 3 does not divide 2: 3 r - 2 * pivot row = {1: 6, 2: -2}, divided by its content 2
     row = {0: 2, 1: 2}
-    _clear_col(row, 0, [(2, 1)], 3, None)
+    _clear_col(row, 0, {0: 3, 2: 1}, 3, None)
     assert row == {1: 3, 2: -1}
     # a negative pivot value: r + x * pivot row, no scaling
     row = {0: 5, 1: 1}
-    _clear_col(row, 0, [(1, 1)], -1, None)
+    _clear_col(row, 0, {0: -1, 1: 1}, -1, None)
     assert row == {1: 6}
 
 
@@ -463,7 +517,7 @@ def test_pair_clear_col_step(r, tail, piv_val, x, d):
     a + b sqrt d; the content is divided out exactly when piv_val/g != 1."""
     col = 6
     row = {**r, col: x}
-    _clear_col(row, col, list(tail.items()), piv_val, d)
+    _clear_col(row, col, {**tail, col: (piv_val, 0)}, piv_val, d)
     g = math.gcd(piv_val, *x) * (1 if piv_val > 0 else -1)
     scale, m1, m2 = piv_val // g, x[0] // g, x[1] // g
     combo = {}
@@ -485,11 +539,11 @@ def test_norm_pivot_and_pair_step_examples():
     assert _norm_pivot(row, 0, 3) == 4 and row == {0: (4, 0), 1: (2, 6)}
     # pivot -1, x = 2 + sqrt 2: r + (2 + sqrt 2) * pivot row, unscaled
     row = {0: (2, 1), 1: (0, 1)}
-    _clear_col(row, 0, [(1, (1, 1))], -1, 2)
+    _clear_col(row, 0, {0: (-1, 0), 1: (1, 1)}, -1, 2)
     assert row == {1: (4, 4)}
     # pivot 2, x = sqrt 5: 2 r - sqrt 5 (sqrt 5) = (4 - 5, 0), content 1
     row = {0: (0, 1), 1: (2, 0)}
-    _clear_col(row, 0, [(1, (0, 1))], 2, 5)
+    _clear_col(row, 0, {0: (2, 0), 1: (0, 1)}, 2, 5)
     assert row == {1: (-1, 0)}
 
 

@@ -280,3 +280,101 @@ def test_coordinates_and_escape():
     with pytest.raises(SplitError, match="escapes"):
         _coordinates(Matrix.from_columns([[one, zero, zero]]),
                      Matrix.from_columns([[one, zero, zero], [zero, zero, one]]))
+
+
+# -- split validity and the codimension-2 page, against oracles -------------
+
+ORACLE_ALGEBRAS = ([parse_salamon(t) for t in CATALOG + NILPOTENT]
+                   + [builtin("su2"), builtin("heisenberg"), builtin("borel:3")])
+NOT_IDEAL, MISSES = "subspace is not an ideal", "quotient is not abelian: ideal misses g'"
+
+
+def _verdict(g, basis, m):
+    """"ok", or the message of the SplitError that IdealSplit raises."""
+    try:
+        IdealSplit(g, basis, m)
+    except SplitError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _set_verdict(g, ideal):
+    """The verdict on span(e_i : i in ideal), read off the stored brackets
+    with plain sets."""
+    ideal = set(ideal)
+    escaping = [(i, j) for (i, j), comp in g.brackets.items() if not set(comp) <= ideal]
+    if any(i in ideal or j in ideal for i, j in escaping):
+        return NOT_IDEAL
+    return MISSES if escaping else "ok"
+
+
+def _span_verdict(g, basis, m):
+    """The verdict on the span k of the first m columns of basis, from rank
+    tests on brackets of dense vectors: [e_i, k] in k, then every [e_i, e_j]
+    in k."""
+    cols = [basis.column(j) for j in range(g.n)]
+    units = Matrix.identity(g.n).to_rows()
+
+    def inside(vectors):
+        k = Matrix.from_columns(cols[:m], nrows=g.n)
+        return Matrix.from_columns(cols[:m] + vectors, nrows=g.n).rank() == k.rank()
+
+    if not inside([_dense_bracket(g, e, c) for e in units for c in cols[:m]]):
+        return NOT_IDEAL
+    return "ok" if inside([_dense_bracket(g, e, f) for e in units for f in units]) else MISSES
+
+
+@pytest.mark.parametrize("g", ORACLE_ALGEBRAS, ids=lambda g: g.to_salamon())
+def test_split_verdict_on_every_index_subset(g):
+    for size in range(g.n + 1):
+        for ideal in combinations(range(1, g.n + 1), size):
+            rest = [i for i in range(1, g.n + 1) if i not in ideal]
+            basis = Matrix(g.n, g.n, {(i - 1, t): 1 for t, i in enumerate([*ideal, *rest])})
+            assert _verdict(g, basis, size) == _set_verdict(g, ideal)
+
+
+def test_split_verdict_on_non_unit_bases():
+    """Two bases of sums of unit vectors, b_j = e_j + e_(j+1) and
+    b_j = e_j + ... + e_n, every ideal dimension m: the verdict of the rank
+    tests, and all three verdicts occur."""
+    seen = set()
+    for g in ORACLE_ALGEBRAS:
+        n = g.n
+        bases = [Matrix(n, n, {**{(j, j): 1 for j in range(n)},
+                               **{(j + 1, j): 1 for j in range(n - 1)}}),
+                 Matrix(n, n, {(i, j): 1 for j in range(n) for i in range(j, n)})]
+        for basis in bases:
+            for m in range(n + 1):
+                verdict = _verdict(g, basis, m)
+                assert verdict == _span_verdict(g, basis, m)
+                seen.add(verdict)
+    assert seen == {"ok", NOT_IDEAL, MISSES}
+
+
+def _koszul_table(split, max_q):
+    """E2^{p,q} of a codimension-2 split from the Koszul complex of its two
+    operators, both maps built here with their signs:
+    x -> (A1 x, A2 x) and (u, w) -> A1 w - A2 u."""
+    table = {}
+    for q in range(max_q + 1):
+        a1, a2 = invariant_cohomology(split, q).operators
+        v = a1.cols
+        first = a1.vstack(a2)
+        second = Matrix(v, v, {ij: -x for ij, x in a2.entries.items()}).hstack(a1)
+        assert second @ first == Matrix.zero(v, v)  # the operators commute
+        r1, r2 = first.rank(), second.rank()
+        table.update({(0, q): v - r1, (1, q): (2 * v - r2) - r1, (2, q): v - r2})
+    return table
+
+
+def test_hs_page_codim_two_against_the_signed_koszul_maps():
+    checked = 0
+    for g in ORACLE_ALGEBRAS:
+        for ideal in combinations(range(1, g.n + 1), g.n - 2):
+            try:
+                split = IdealSplit.from_indices(g, list(ideal))
+            except SplitError:
+                continue
+            assert hs_page(split, 2, max_q=4).table == _koszul_table(split, 4)
+            checked += 1
+    assert checked >= 10
