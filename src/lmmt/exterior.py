@@ -350,6 +350,19 @@ def contract(p: KVector, a: KForm) -> KForm:
     return KForm._of(a.n, a.degree - p.degree, acc)
 
 
+def contraction_matrix(a: KForm) -> Matrix:
+    """The matrix of X -> X .| a: column i - 1 holds e_i .| a on ``basis_masks(n,
+    k - 1)``, k = deg a, so a 0-form gives 0 x n.  e^I = +-e^i ^ e^{I - i} for
+    each i in I: a term gives one entry per index, and no two entries meet."""
+    row = {m: t for t, m in enumerate(iter_masks(a.n, a.degree - 1))}
+    entries: Dict[Tuple[int, int], Elem] = {}
+    for mask, c in a.terms.items():
+        for i in indices_of(mask):
+            rest = mask ^ (1 << (i - 1))
+            entries[(row[rest], i - 1)] = c if wedge_sign(1 << (i - 1), rest) > 0 else -c
+    return Matrix._of(len(row), a.n, entries)
+
+
 def derivation(a: KForm, images: Dict[int, Dict[int, Elem]], shift: int) -> KForm:
     """D a for the derivation D of degree shift whose D e^i has the terms
     images[i], masks of degree shift + 1 (0 where i is missing).

@@ -11,7 +11,7 @@ from .exterior import (
     KVector,
     basis_masks,
     contract,
-    coordinate_matrix,
+    contraction_matrix,
     dim_lambda,
     hodge_star,
     indices_of,
@@ -71,15 +71,11 @@ def builtin_form(name: str, sqrt: Optional[int] = None) -> KForm:
 def contraction_kernel(alpha: KForm) -> Matrix:
     """Null space of v -> v . alpha, as the columns of a matrix; all of R^n
     for a 0-form, which has no slot to contract."""
-    n = alpha.n
-    if not alpha.degree:
-        return Matrix.identity(n)
-    hooks = [contract(KVector.basis(n, [i]), alpha) for i in range(1, n + 1)]
-    return coordinate_matrix(hooks, basis_masks(n, alpha.degree - 1)).kernel()
+    return contraction_matrix(alpha).kernel()
 
 
 def weak_nondegenerate(alpha: KForm) -> bool:
-    return not contraction_kernel(alpha).cols
+    return contraction_matrix(alpha).rank() == alpha.n
 
 
 def construct_nondegenerate(r: int, n: int) -> Optional[KForm]:
@@ -181,35 +177,24 @@ def two_form_normal_form(omega: KForm) -> NormalFormResult:
 # -- stabilizers and stability --------------------------------------------
 
 
-def _act_elementary(alpha: KForm, a: int, b: int) -> KForm:
-    """The action of the elementary matrix E_ab, which sends the covector
-    e^a to e^b, extended as a derivation of degree 0:
-    E_ab . alpha = e^b ^ (e_a .| alpha).
-
-    A term e^I with a in I and b not in I - a goes to the mask I - a + b,
-    with the sign of e_a .| e^I times that of e^b ^ e^{I - a}; distinct
-    terms land on distinct masks, so no two terms meet."""
-    abit, bbit = 1 << (a - 1), 1 << (b - 1)
-    terms: Dict[int, Elem] = {}
-    for mask, c in alpha.terms.items():
-        rest = mask ^ abit
-        if mask & abit and not (rest & bbit):
-            terms[rest | bbit] = c if wedge_sign(abit, rest) == wedge_sign(bbit, rest) else -c
-    return KForm._of(alpha.n, alpha.degree, terms)
-
-
 def stabilizer_algebra(alpha: KForm) -> List[Matrix]:
-    """Basis of the annihilating matrix algebra inside gl(n)."""
-    n = alpha.n
-    keys = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    system = coordinate_matrix([_act_elementary(alpha, a, b) for a, b in keys],
-                               basis_masks(n, alpha.degree))
-    kernel = system.kernel()
+    """Basis of the annihilating matrix algebra inside gl(n).  E_ab, sending
+    e^a to e^b, acts as the derivation E_ab . alpha = e^b ^ (e_a .| alpha):
+    column n(a - 1) + b - 1 spreads the contraction matrix's column a by e^b."""
+    n, k = alpha.n, alpha.degree
+    rests, row = basis_masks(n, k - 1), {m: t for t, m in enumerate(basis_masks(n, k))}
+    system: Dict = {}
+    for (r, a), x in contraction_matrix(alpha).entries.items():
+        rest = rests[r]
+        for b in range(n):
+            bit = 1 << b
+            if not rest & bit:
+                system[(row[rest | bit], a * n + b)] = x if wedge_sign(bit, rest) > 0 else -x
+    kernel = Matrix._of(len(row), n * n, system).kernel()
     entries: List[Dict] = [{} for _ in range(kernel.cols)]
     for (t, j), x in kernel.entries.items():
-        a, b = keys[t]
         # E_ab has matrix entry (b, a): it maps the vector e_a to e_b
-        entries[j][(b - 1, a - 1)] = x
+        entries[j][(t % n, t // n)] = x
     return [Matrix(n, n, e) for e in entries]
 
 
@@ -281,21 +266,10 @@ def holonomy_identities(which: str) -> Dict[str, object]:
     """Verdict and computed values for the model-form identities."""
     if which == "g2metric":
         phi = builtin_form("g2")
-        vol = volume_form(7)
-        matrix = []
-        ok = True
-        for i in range(1, 8):
-            row = []
-            for j in range(1, 8):
-                w = (
-                    contract(KVector.basis(7, [i]), phi)
-                    .wedge(contract(KVector.basis(7, [j]), phi))
-                    .wedge(phi)
-                )
-                c = w.terms.get((1 << 7) - 1, ZERO)
-                row.append(c)
-                ok = ok and c == (6 if i == j else 0)
-            matrix.append(row)
+        hooks = KForm.from_matrix(7, 2, basis_masks(7, 2), contraction_matrix(phi))
+        matrix = [[u.wedge(v).wedge(phi).terms.get((1 << 7) - 1, ZERO) for v in hooks]
+                  for u in hooks]
+        ok = all(c == (6 if i == j else 0) for i, r in enumerate(matrix) for j, c in enumerate(r))
         return {"ok": ok, "matrix": [[str(x) for x in r] for r in matrix]}
     if which == "spin7vol":
         big = builtin_form("spin7")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import ce_differential, coboundaries_and_cohomology, coboundary_matrix, d_form
-from .exterior import DimensionMismatch, KForm, KVector, basis_masks, contract, coordinate_matrix
+from .exterior import DimensionMismatch, KForm, basis_masks, contraction_matrix, coordinate_matrix
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector
 from .scalars import ZERO, Elem, FieldError, radicand, sc
@@ -156,8 +156,7 @@ def orbit_stab_condition(g: LieAlgebra, beta: PDualElement) -> OrbitStabReport:
         raise FieldError(f"the form is over Q(sqrt {form_field}), "
                          f"the algebra over Q(sqrt {g.radicand})")
     dbeta = d_P(g, beta)
-    hooks = [contract(KVector.basis(n, [i]), dbeta) for i in range(1, n + 1)]
-    hook = coordinate_matrix(hooks, basis_masks(n, k))
+    hook = contraction_matrix(dbeta)
     ker = hook.kernel_basis()
     # stab: the kernel of [hook | d] is {(X, -gamma) : X . d(rep) = d(gamma)},
     # and its basis is the RREF of the X parts (the first n rows)

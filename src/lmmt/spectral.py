@@ -33,9 +33,9 @@ class IdealSplit:
     """An ideal k of g containing g' together with a lifted complement: the
     columns of ``basis`` are a basis of g, the first m of them one of k.
 
-    Both conditions are read off ``adapted``, g in that basis, whose
-    brackets one elimination gives.  With b_i the i-th column, k is an
-    ideal when no bracket [b_i, b_j], i < j, with i <= m has a component
+    Both conditions, and that the columns span g, are read off ``adapted``,
+    g in that basis, from one elimination.  With b_i the i-th column, k is
+    an ideal when no bracket [b_i, b_j], i < j, with i <= m has a component
     past m, and then k holds g' when no bracket has one.  The ideal test
     comes first, to name the condition that broke."""
 
@@ -45,12 +45,13 @@ class IdealSplit:
 
     def __post_init__(self):
         n = self.g.n
-        if (self.basis.rows, self.basis.cols) != (n, n) or self.basis.rank() != n:
+        if (self.basis.rows, self.basis.cols) != (n, n):
             raise SplitError("ideal and complement do not span")
+        adapted = self.adapted
         if not 0 <= self.m <= n:
             raise SplitError(f"ideal dimension {self.m} is outside 0..{n}")
         # the first index i of each bracket [b_i, b_j] with a component past m
-        escaping = [i for (i, _), comp in self.adapted.brackets.items() if max(comp) > self.m]
+        escaping = [i for (i, _), comp in adapted.brackets.items() if max(comp) > self.m]
         if any(i <= self.m for i in escaping):
             raise SplitError("subspace is not an ideal")
         if escaping:
@@ -77,10 +78,14 @@ class IdealSplit:
     @functools.cached_property
     def adapted(self) -> LieAlgebra:
         """g in the basis ``basis``; the coordinates of all n(n-1)/2 brackets
-        come from one elimination."""
+        come from one elimination, which solves for the n unit vectors too:
+        SplitError when one escapes, as then the basis does not span g."""
         g, n = self.g, self.g.n
         pairs = list(itertools.combinations(range(n), 2))
-        xs = _coordinates(self.basis, g.bracket_columns(self.basis, self.basis, pairs))
+        xs = self.basis.solve_columns(
+            g.bracket_columns(self.basis, self.basis, pairs).hstack(Matrix.identity(n)))
+        if any(x is None for x in xs[len(pairs):]):
+            raise SplitError("ideal and complement do not span")
         brackets: Brackets = {
             (i + 1, j + 1): {r + 1: x for r, x in xs[t].items()} for t, (i, j) in enumerate(pairs)}
         return LieAlgebra(n, brackets, validate=False)
@@ -165,13 +170,14 @@ def hs_page(split: IdealSplit, level: int, max_q: int) -> SpectralPage:
         raise ValueError("level must be 1 or 2")
     if max_q < 0:
         raise ValueError(f"max_q must be non-negative, got {max_q}")
+    if level == 1:
+        # E1^{p,q} = Lambda^p (g/k)* (x) H^q(k), and H^q(k) = 0 past dim k
+        b = betti(split.ideal_algebra()).betti + [0] * max_q
+        return SpectralPage(1, {(p, q): dim_lambda(pa, p) * b[q]
+                                for q in range(max_q + 1) for p in range(pa + 1)})
     table: Dict[Tuple[int, int], int] = {}
     for q in range(max_q + 1):
         inv = invariant_cohomology(split, q)
-        if level == 1:
-            for p in range(pa + 1):
-                table[(p, q)] = dim_lambda(pa, p) * inv.dim_H
-            continue
         if pa == 1:
             # one operator: kernel and cokernel have equal dimension
             table[(0, q)] = inv.dim_invariant

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks,
-                           contract, coordinate_matrix, derivation, dim_lambda, hodge_star,
-                           indices_of, mask_of, volume_form, wedge_sign)
+                           contract, contraction_matrix, coordinate_matrix, derivation,
+                           dim_lambda, hodge_star, indices_of, mask_of, volume_form, wedge_sign)
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import _hook_L, d_form, lie_derivative
-from lmmt.forms import _act_elementary
+from lmmt.forms import stabilizer_algebra
 from lmmt.liealg import builtin, parse_salamon
 from lmmt.linalg import Matrix
 from lmmt.multimoment import Cocycle
@@ -252,8 +252,6 @@ def test_products_are_checked_elements(data):
     results = [a.wedge(b), p.wedge(q), a.wedge(a), a + a2, a - a2, a - a, -a, -p,
                a.scale(c), p.scale(c), hodge_star(a), d_form(g, a), g.lie_L(p), g.lie_L(p - p),
                derivation(a, data.draw(images(n, shift)), shift)]
-    i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-    results.append(_act_elementary(a, i, j))
     if p.degree <= a.degree:
         results.append(contract(p, a))
     if 1 <= p.degree <= a.degree:
@@ -267,6 +265,10 @@ def test_products_are_checked_elements(data):
         assert coordinate_matrix(results[-3:], masks) == mat
     for x in results:
         _assert_checked(x)
+    hook = contraction_matrix(a)
+    for x in hook.entries.values():
+        assert x and isinstance(x, (Fraction, Scalar)) and (not isinstance(x, Scalar) or x.b)
+    assert hook == Matrix(hook.rows, hook.cols, hook.entries)
     assert (a - a).is_zero() and a.scale(0).is_zero()
 
 
@@ -301,13 +303,39 @@ def test_lie_derivative_equals_the_cartan_formula(data):
         assert got.is_zero() and got.degree == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_contraction_matrix_columns_are_the_contractions(data):
+    """Column i - 1 of contraction_matrix(a) is e_i .| a on the masks of
+    degree k - 1; a 0-form has no slot to contract, and its matrix is 0 x n."""
+    n = data.draw(st.integers(0, 6))
+    alpha = data.draw(elements(KForm, n))
+    k = alpha.degree
+    hook = contraction_matrix(alpha)
+    assert (hook.rows, hook.cols) == (dim_lambda(n, k - 1) if k else 0, n)
+    if k:
+        hooks = [contract(KVector.basis(n, [i]), alpha) for i in range(1, n + 1)]
+        assert hook == coordinate_matrix(hooks, basis_masks(n, k - 1))
+    else:
+        assert not hook.entries
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_act_elementary_is_the_derivation_sending_e_a_to_e_b(data):
-    n = data.draw(st.integers(1, 7))
+def test_stabilizer_algebra_is_the_kernel_of_the_derivation_system(data):
+    """stabilizer_algebra against the kernel of the system whose column
+    (a, b) is the derivation sending e^a to e^b applied to alpha, over Q and
+    Q(sqrt 3), degrees 0..n: E_ab has matrix entry (b, a)."""
+    n = data.draw(st.integers(1, 6))
     alpha = data.draw(elements(KForm, n))
-    a, b = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-    assert _act_elementary(alpha, a, b) == derivation(alpha, {a: {1 << (b - 1): ONE}}, 0)
+    keys = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    system = coordinate_matrix([derivation(alpha, {a: {1 << (b - 1): ONE}}, 0) for a, b in keys],
+                               basis_masks(n, alpha.degree))
+    kernel = system.kernel()
+    expected = [Matrix(n, n, {(keys[t][1] - 1, keys[t][0] - 1): x
+                              for (t, j), x in kernel.entries.items() if j == col})
+                for col in range(kernel.cols)]
+    assert stabilizer_algebra(alpha) == expected
 
 
 def test_coordinate_matrix_and_from_matrix():

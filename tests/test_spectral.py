@@ -7,8 +7,10 @@ import pytest
 
 from conftest import bracket_basis
 from lmmt.claims import CATALOG, NILPOTENT
-from lmmt.cohomology import betti, coboundary_matrix, cohomology_basis, d_form, is_exact
-from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix
+from lmmt import linalg, spectral
+from lmmt.cohomology import (betti, coboundary_matrix, cohomology_basis, d_form, direct_betti,
+                              is_exact)
+from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix, dim_lambda
 from lmmt.liealg import LieAlgebra, builtin, parse_salamon, structural_report
 from lmmt.linalg import Matrix
 from lmmt.spectral import (IdealSplit, SplitError, _complement_for, _lift,
@@ -378,3 +380,51 @@ def test_hs_page_codim_two_against_the_signed_koszul_maps():
             assert hs_page(split, 2, max_q=4).table == _koszul_table(split, 4)
             checked += 1
     assert checked >= 10
+
+
+def _count_eliminations(monkeypatch):
+    """A list that grows by one at every call of linalg._rref."""
+    calls, rref = [], linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *a, **k: calls.append(1) or rref(*a, **k))
+    return calls
+
+
+def test_a_split_is_one_elimination(monkeypatch):
+    """The span check comes from the elimination that gives the adapted
+    brackets; every SplitError message keeps its order."""
+    g = parse_salamon("0,0,13+24,14")
+    calls = _count_eliminations(monkeypatch)
+    split = IdealSplit.from_indices(g, [2, 3, 4])
+    split.adapted
+    assert len(calls) == 1
+    singular = Matrix(4, 4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 2): 1})
+    for basis, m in ((singular, 3), (singular, 7)):
+        with pytest.raises(SplitError, match="^ideal and complement do not span$"):
+            IdealSplit(g, basis, m)
+    with pytest.raises(SplitError, match="outside 0..4"):
+        IdealSplit(g, Matrix.identity(4), 5)
+
+
+def test_level_one_pages_are_the_ideal_betti_numbers(monkeypatch):
+    """E1^{p,q} = C(codim, p) b_q(k), b_q = 0 past dim k, on every valid
+    split of codimension 1 or 2 by unit vectors, against direct_betti; no
+    invariant cohomology is computed at level 1."""
+
+    def forbidden(*args):
+        raise AssertionError("level 1 computed invariant cohomology")
+
+    monkeypatch.setattr(spectral, "invariant_cohomology", forbidden)
+    checked = 0
+    for g in ORACLE_ALGEBRAS[:-1]:  # all but borel:3
+        for codim in (1, 2):
+            for ideal in combinations(range(1, g.n + 1), g.n - codim):
+                try:
+                    split = IdealSplit.from_indices(g, list(ideal))
+                except SplitError:
+                    continue
+                b = direct_betti(split.ideal_algebra()).betti
+                expected = {(p, q): dim_lambda(codim, p) * (b[q] if q <= split.m else 0)
+                            for q in range(split.m + 2) for p in range(codim + 1)}
+                assert hs_page(split, 1, split.m + 1).table == expected
+                checked += 1
+    assert checked >= 40

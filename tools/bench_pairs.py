@@ -21,6 +21,8 @@ and every run's value; the jobs failed and attempted; and both sides'
 ``src_sha256`` as perfbench prints them.  The claim, ``wall_s`` on
 ``--claim``'s workload, is met when this tree wins at least 9 of 10 pairs
 and the medians differ by more than the parent's interquartile range.
+Without ``--claim`` the runs only check for regressions: the record has
+``"claim": null`` and is written to ``BENCH_pairs.json``.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
-    ap.add_argument("--claim", required=True, choices=names, help="the claimed workload")
+    ap.add_argument("--claim", choices=names, help="the claimed workload, if any")
     ap.add_argument("--target", default="", help="the claim's expected move, as text")
     ap.add_argument("--workloads", nargs="+", choices=names, default=names)
     ap.add_argument("--pairs", type=int, default=10)
@@ -118,10 +120,11 @@ def main(argv=None) -> int:
         workloads[w] = row
     first = {s: runs[args.workloads[0]][s][0]["env"] for s in ("parent", "change")}
     record = {
-        "claim": {"workload": args.claim, "metric": METRIC,
-                  "better": better[METRIC], "target": args.target, "rule": RULE,
-                  "met": (claim_met(workloads[args.claim][METRIC])
-                          if args.claim in workloads else None)},
+        "claim": {
+            "workload": args.claim, "metric": METRIC, "better": better[METRIC],
+            "target": args.target, "rule": RULE,
+            "met": claim_met(workloads[args.claim][METRIC]) if args.claim in workloads else None,
+        } if args.claim else None,
         "harness": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs": f"{args.pairs} per workload; parent first on even pairs, change first on odd "
@@ -134,14 +137,15 @@ def main(argv=None) -> int:
         "src_sha256_note": "perfbench's src_digest of the benched trees",
         "workloads": workloads,
     }
-    out = ROOT / f"BENCH_{args.claim}.json"
+    out = ROOT / f"BENCH_{args.claim or 'pairs'}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     for w, row in workloads.items():
         cells = "  ".join(f"{m} {row[m]['parent']['median']:.5g} -> "
                           f"{row[m]['change']['median']:.5g} "
                           f"({row[m]['change_wins']}/{row[m]['pairs']})" for m in better)
         print(f"{w:<16} {cells}")
-    print(f"claim met: {record['claim']['met']}; wrote {out}")
+    met = f"claim met: {record['claim']['met']}; " if args.claim else ""
+    print(f"{met}wrote {out}")
     return 0
 
 

@@ -11,7 +11,8 @@ the jobs of the three ``perfbench/expected`` files (read only) and
 ``mm-solve``, ``verify-34``, ``hs-page``, ``invariant-cohomology`` and
 ``orbit-check`` on each algebra of the claim registry's CATALOG and
 NILPOTENT lists and on the small builtins; ``search34`` for m = 1..3, the
-builtin forms, and split and degree errors.  Each call past the job lists
+builtin forms and four JSON forms at the corners of the contraction matrix,
+and split and degree errors.  Each call past the job lists
 runs once as it is and once with ``--json``.  Every case that differs is
 printed, and the exit code is 1 on any difference, 0 when there is none.
 """
@@ -34,6 +35,15 @@ from lmmt.liealg import builtin, parse_salamon  # noqa: E402
 
 BUILTINS = ["su2", "su3", "heisenberg", "borel:3", "nplus:3", "nplus:4", "abelian:3"]
 FORMS = ["g2", "spin7", "psu3", "cvol6", "symplectic(2,4)", "symplectic(3,6)"]
+# a 0-form, an n-form on R^5, a 3-form on R^7 whose contraction kernel is
+# span(e_6, e_7), and a 3-form over Q(sqrt 3)
+JSON_FORMS = [json.dumps(f) for f in (
+    {"n": 3, "degree": 0, "terms": {"": "2"}},
+    {"n": 5, "degree": 5, "terms": {"1,2,3,4,5": "-3"}},
+    {"n": 7, "degree": 3, "terms": {"1,2,3": "1", "1,4,5": "-2"}},
+    {"n": 6, "degree": 3, "terms": {"1,2,3": "1+sqrt(3)", "1,4,5": "sqrt(3)", "2,4,6": "1/2",
+                                    "3,5,6": "-1"}},
+)]
 
 # runs in each tree's subprocess: the cases on stdin, the records on stdout
 RUNNER = r"""
@@ -90,8 +100,11 @@ def cases() -> List[List[str]]:
     calls += [["search34", "--m", "2", "--eig-range", "-1..2"], ["search34", "--m", "-1"]]
     calls += [[cmd, "--form", form] for form in FORMS
               for cmd in ("stabilizer", "stable", "nondeg", "normal-form")]
+    calls += [[cmd, "--form", form] for form in JSON_FORMS
+              for cmd in ("stabilizer", "stable", "nondeg")]
     calls += [["stable", "--form", "psu3", "--field", "sqrt=3"],
-              ["stable", "--form", "psu3", "--field", "sqrt=2"]]
+              ["stable", "--form", "psu3", "--field", "sqrt=2"],
+              ["orbit-check", "builtin:su3", "--form", "psu3", "--field", "sqrt=3"]]
     calls += [["construct-nondeg", str(r), str(n)] for r, n in ((3, 7), (4, 8), (3, 4), (5, 9))]
     calls += [["identities", w] for w in ("g2metric", "spin7vol", "spin7bivector", "spin7split")]
     calls += [["kunneth", "builtin:su2", "0,0,12"], ["cartan-check", "0,0,12,13", "--samples", "5"]]
