@@ -21,19 +21,23 @@ def ce_differential(g: LieAlgebra, k: int,
 
     Dual to the bracket-extension map: the e^J-coefficient of d(e^I) is
     the e_I-coefficient of L(e_J).  block = (cols, rows) restricts the
-    matrix to those degree-k and degree-(k+1) masks, in that order.
+    matrix to those degree-k and degree-(k+1) masks, in that order.  Each
+    row e_J goes in with the coefficient int 1, so an entry built from
+    integral constants only is an ``int``, which the elimination takes as
+    it is; any other entry is a field element.
     """
     src, dst = block if block is not None else (basis_masks(g.n, k), basis_masks(g.n, k + 1))
     col_index = {m: i for i, m in enumerate(src)}
     entries: Dict[Tuple[int, int], Elem] = {}
-    # a differential holds a few distinct values many times over
+    # a differential holds a few distinct values many times over; an int
+    # needs no sharing, as the small ones already are one object each
     seen: Dict[tuple, Elem] = {}
     for row, mj in enumerate(dst):
-        image = g.lie_L(KVector._of(g.n, k + 1, {mj: ONE}))
+        image = g.lie_L(KVector._of(g.n, k + 1, {mj: 1}))
         for mask, c in image.terms.items():
             col = col_index.get(mask)
             if col is not None:
-                entries[(row, col)] = shared(seen, c)
+                entries[(row, col)] = c if type(c) is int else shared(seen, c)
     return Matrix._of(len(dst), len(src), entries)
 
 

@@ -155,7 +155,10 @@ class AltElement:
     @classmethod
     def _of(cls: Type[_E], n: int, degree: int, terms: Dict[int, Elem]) -> _E:
         """The element with these terms, unchecked: every coefficient must
-        already be a nonzero field element on a mask of popcount degree."""
+        already be a nonzero field element on a mask of popcount degree.  On
+        the Chevalley-Eilenberg build (``lie_L`` on a basis row) a
+        coefficient may also be a nonzero ``int``; products and sums of ints
+        stay ints, and one with a field element is a field element."""
         self = object.__new__(cls)
         self.n = n
         self.degree = degree

@@ -54,7 +54,10 @@ class LieAlgebra:
     of the components of [e_i, e_j], and [e_i, e_j] as a vector; read only.
     The loop that cleans the brackets fills it: a second walk would cost
     more than ``lie_L`` saves on small algebras that it maps only a few
-    rows of.
+    rows of.  An integral constant is stored in the image as its ``int``, so
+    ``lie_L`` on an ``int`` basis row (``ce_differential``) multiplies ints;
+    a non-integral one stays a ``Fraction`` and one in Q(sqrt d) a
+    ``Scalar``, and ``brackets`` keeps every constant as a field element.
     """
 
     def __init__(self, n: int, brackets: Brackets, validate: bool = True):
@@ -75,7 +78,8 @@ class LieAlgebra:
                 x = sc(c)
                 if x:
                     bit = 1 << (k - 1)
-                    kept[k] = vec[bit] = shared(seen, x)
+                    kept[k] = x = shared(seen, x)
+                    vec[bit] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
                     support |= bit
             if kept:
                 clean[(i, j)] = kept

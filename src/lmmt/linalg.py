@@ -2,20 +2,22 @@
 
 Matrices and vectors hold field elements (``scalars.Elem``): a ``Fraction``
 for every rational entry and a ``Scalar`` only for a + b*sqrt(d) with
-b != 0.  Every rank, kernel, solve and span runs one elimination routine,
-``_rref``: a fraction-free forward pass and, optionally, back-substitution
-with the same integer step, over Z on a rational matrix and over Z[sqrt d]
-on (a, b) int pairs otherwise, so no elimination step does field
-arithmetic; the pivot rows become field elements once, at the end.  The
-forward pass keeps each waiting row in a bucket keyed by its leading
-column, so a pivot step touches only the rows that hold its column.
-``Matrix.pivots`` skips the back-substitution, and ``rank``,
+b != 0.  A matrix built through ``Matrix._of`` may also hold an integer as
+an ``int``, as a Chevalley-Eilenberg differential does; RREF rows, kernels
+and solutions are field elements all the same.  Every rank, kernel, solve
+and span runs one elimination routine, ``_rref``: a fraction-free forward
+pass and, optionally, back-substitution with the same integer step, over Z
+on a rational matrix and over Z[sqrt d] on (a, b) int pairs otherwise, so no
+elimination step does field arithmetic; the pivot rows become field elements
+once, at the end.  The forward pass keeps each waiting row in a bucket keyed
+by its leading column, so a pivot step touches only the rows that hold its
+column.  ``Matrix.pivots`` skips the back-substitution, and ``rank``,
 ``column_space_basis`` and the span queries (``in_span``, ``extend_basis``)
 read its answer: a column of [base | candidates] is a pivot column exactly
 when it is not in the span of the columns before it.  ``Matrix.kernel``
 reads the null space off the RREF as the columns of a sparse matrix, and
-``Matrix.solve_columns`` reads one solution per right-hand side off a
-single RREF.
+``Matrix.solve_columns`` reads one solution per right-hand side off a single
+RREF.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class Matrix:
     @classmethod
     def _of(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], Elem]) -> "Matrix":
         """The matrix with these entries, unchecked: every entry must already
-        be a nonzero field element (``Fraction``, or ``Scalar`` with b != 0)."""
+        be a nonzero field element (``Fraction``, or ``Scalar`` with b != 0)
+        or a nonzero ``int``, never a bool or a float."""
         self = object.__new__(cls)
         self.rows = rows
         self.cols = cols
@@ -205,9 +208,9 @@ def _rref(
     leading 1.  With ``reduce`` the rows are the unique RREF; without it the
     back-substitution is skipped, which is all a rank or pivot query needs.
 
-    The elements are ``Fraction``s and ``Scalar``s (b != 0) of one field,
-    Q or Q(sqrt d) with d from ``radicand`` (``FieldError`` when two fields
-    mix).  The forward pass runs fraction-free (Bareiss, Math. Comp. 22,
+    The elements are ``Fraction``s, ``int``s and ``Scalar``s (b != 0) of
+    one field, Q or Q(sqrt d) with d from ``radicand`` (``FieldError`` when
+    two fields mix).  The forward pass runs fraction-free (Bareiss, Math. Comp. 22,
     1968) over Z, or over Z[sqrt d] on (a, b) int pairs meaning a + b*sqrt(d):
     each row is scaled in place by the lcm of its denominators (of both
     parts) to a primitive row.  It keeps every waiting row in a bucket keyed

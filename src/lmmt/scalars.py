@@ -2,12 +2,16 @@
 
 There is one element type, ``Elem = Fraction | Scalar``.  A rational value
 is always a plain ``Fraction``; a ``Scalar`` is a + b*sqrt(d) with b != 0
-and d > 1 square-free.  The constructor is the one normaliser:
-``Scalar(a, b, d)``, which ``Scalar.parse`` and every ``Scalar`` arithmetic
-result go through, returns the ``Fraction`` when the value is rational
-after square-splitting d.  Mixed arithmetic needs no field object:
-``Fraction`` returns ``NotImplemented`` for a ``Scalar`` operand, and the
-reflected ``Scalar`` method runs.
+and d > 1 square-free.  One path carries integers as ``int`` instead: the
+Chevalley-Eilenberg build (``LieAlgebra.bracket_images`` and the matrices
+``cohomology.ce_differential`` returns), whose rows the elimination turns
+into ints anyway; what the elimination returns is ``Elem`` again.  The
+constructor is the one normaliser: ``Scalar(a, b, d)``, which
+``Scalar.parse`` and every ``Scalar`` arithmetic result go through, returns
+the ``Fraction`` when the value is rational after square-splitting d.
+Mixed arithmetic needs no field object: ``Fraction`` returns
+``NotImplemented`` for a ``Scalar`` operand, and the reflected ``Scalar``
+method runs.
 """
 
 from __future__ import annotations

@@ -420,6 +420,51 @@ def test_ce_differential_equals_the_pair_walk_build(g):
         assert ce_differential(g, k) == Matrix(len(dst), len(src), entries)
 
 
+# integral constants 2 and -3, and 1/2 beside integers in a nilpotent algebra
+MIXED_CONSTANTS = [parse_salamon(s) for s in ("0,0,2.12,-3.13", "0,0,1/2.12,-3.13,2.14")]
+
+
+@st.composite
+def build_algebras(draw):
+    """Algebras of dimension <= 7 whose constants are integers, non-integral
+    rationals or in Q(sqrt 3): the torus algebras, diagonal extensions
+    mixing the eigenvalues 2, -3 and 1/2, and integral or mixed fixed ones."""
+    kind = draw(st.sampled_from(["torus", "diagonal", "fixed"]))
+    if kind == "torus":
+        return draw(torus_algebras().filter(lambda g: g.n <= 7))
+    if kind == "diagonal":
+        values = st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(1)])
+        return diagonal_extension(draw(st.lists(values, min_size=2, max_size=6)))
+    return draw(st.sampled_from([g for g in D_ALGEBRAS + MIXED_CONSTANTS if g.n <= 7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(build_algebras())
+def test_ce_differential_types_and_values(g):
+    """Every ce_differential entry equals, entry for entry, a build in
+    Fraction/Scalar arithmetic from g.brackets (the pair walk on a checked
+    basis row); it is an int, a Fraction or an irrational Scalar, never a
+    bool or a float, and every entry is an int when every constant is an
+    integer.  betti agrees with direct_betti."""
+    integral = all(isinstance(c, Fraction) and c.denominator == 1
+                   for comp in g.brackets.values() for c in comp.values())
+    for k in range(g.n):
+        src, dst = basis_masks(g.n, k), basis_masks(g.n, k + 1)
+        col_index = {m: i for i, m in enumerate(src)}
+        expect = {}
+        for row, mj in enumerate(dst):
+            for mask, c in _pair_walk_lie_L(g, KVector(g.n, k + 1, {mj: 1})).terms.items():
+                assert type(c) in (Fraction, Scalar)
+                expect[(row, col_index[mask])] = c
+        got = ce_differential(g, k).entries
+        assert got == expect
+        for x in got.values():
+            assert type(x) in (int, Fraction, Scalar)
+            assert not integral or type(x) is int
+            assert not isinstance(x, Scalar) or x.b
+    assert betti(g) == direct_betti(g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(torus_algebras())
 def test_weight_codes_equal_the_fraction_digits(g):

@@ -4,7 +4,7 @@ import pytest
 from lmmt.exterior import (KForm, KVector, basis_masks, contract, derivation, dim_lambda,
                            indices_of)
 from lmmt.forms import (analyze, builtin_form, construct_nondegenerate,
-                        contraction_kernel, fully_nondeg_admissible,
+                        fully_nondeg_admissible,
                         holonomy_identities, stability_admissible,
                         stabilizer_algebra, two_form_normal_form,
                         weak_nondegenerate)
@@ -96,7 +96,7 @@ def test_weak_nondegeneracy():
     degenerate = KForm.basis(5, (1, 2, 3))
     assert not weak_nondegenerate(degenerate)
     # the vectors e_4, e_5 contract e^123 to zero
-    assert contraction_kernel(degenerate) == Matrix(5, 2, {(3, 0): 1, (4, 1): 1})
+    assert analyze(degenerate).kernel == Matrix(5, 2, {(3, 0): 1, (4, 1): 1})
 
 
 def test_zero_form_has_no_slot_to_contract():
@@ -104,7 +104,7 @@ def test_zero_form_has_no_slot_to_contract():
     degenerate for n >= 1, and all of gl(n) fixes it."""
     for terms in ({}, {0: 1}):
         alpha = KForm(2, 0, terms)
-        assert contraction_kernel(alpha) == Matrix.identity(2)
+        assert analyze(alpha).kernel == Matrix.identity(2)
         assert not weak_nondegenerate(alpha)
         report = analyze(alpha)
         assert (report.stabilizer_dim, report.orbit_dim, report.stable) == (4, 0, False)

@@ -425,20 +425,32 @@ def test_against_sympy_over_q_sqrt_d(system):
     check_against_sympy(FIELDS[d], rows, rhs)
 
 
+def with_ints(a):
+    """a through ``Matrix._of``, each integral entry as its int: the mix of
+    ints, Fractions and Scalars a Chevalley-Eilenberg differential holds."""
+    return Matrix._of(a.rows, a.cols, {
+        k: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+        for k, x in a.entries.items()})
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(pivot_matrices().map(lambda m: m[0]), quadratic_systems().map(lambda s: s[1])))
 def test_float_free_guard(rows):
-    """Every element rref, kernel, solve and _rref return is a Fraction or
-    an irrational Scalar: the int rows and (a, b) pairs of the forward pass
-    never leak, and no 1 / int turns into a float."""
-    a = Matrix.from_rows(rows)
-    red, _ = a.rref()
-    assert all(is_field_element(x) for r in red for x in r.values())
-    assert all(is_field_element(x) for x in a.kernel().entries.values())
-    x = a.solve(a.column(a.cols - 1))
-    assert x is not None and all(is_field_element(y) for y in x)
-    for reduce in (False, True):
-        check_rref_rows(a._sparse_rows(), a.cols, reduce)
+    """Every element rref, kernel, solve_columns and _rref return is a
+    Fraction or an irrational Scalar, also when the integral entries come
+    in as ints: the int rows and (a, b) pairs of the forward pass never
+    leak, and no 1 / int turns into a float."""
+    field = Matrix.from_rows(rows)
+    for a in (field, with_ints(field)):
+        red, pivots = a.rref()
+        assert (red, pivots) == field.rref()
+        assert all(is_field_element(x) for r in red for x in r.values())
+        assert all(is_field_element(x) for x in a.kernel().entries.values())
+        x = a.solve_columns(Matrix._of(a.rows, 1, {
+            (i, 0): v for (i, j), v in a.entries.items() if j == a.cols - 1}))[0]
+        assert x is not None and all(is_field_element(y) for y in x.values())
+        for reduce in (False, True):
+            check_rref_rows(a._sparse_rows(), a.cols, reduce)
 
 
 def test_rref_does_no_field_arithmetic(monkeypatch):

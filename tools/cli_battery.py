@@ -10,11 +10,15 @@ the jobs of the three ``perfbench/expected`` files (read only) and
 ``verify-paper``; ``parse``, ``betti``, ``trivial``, ``lie-kernel``,
 ``mm-solve``, ``verify-34``, ``hs-page``, ``invariant-cohomology`` and
 ``orbit-check`` on each algebra of the claim registry's CATALOG and
-NILPOTENT lists and on the small builtins; ``search34`` for m = 1..3, the
-builtin forms and four JSON forms at the corners of the contraction matrix,
-and split and degree errors.  Each call past the job lists
-runs once as it is and once with ``--json``.  Every case that differs is
-printed, and the exit code is 1 on any difference, 0 when there is none.
+NILPOTENT lists and on the small builtins; ``betti``, ``trivial``,
+``lie-kernel`` and ``mm-solve`` on filiform L_8..L_11, n+(sl_5) and an
+algebra with constants 2 and -3; ``betti`` on the ``diag-ext`` inputs of
+seeds 1..3 (``perfbench/run.py``'s generator, imported read only);
+``search34`` for m = 1..3, the builtin forms and four JSON forms at the
+corners of the contraction matrix, and split and degree errors.  Each call
+past the job lists runs once as it is and once with ``--json``.  Every case
+that differs is printed, and the exit code is 1 on any difference, 0 when
+there is none.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from lmmt.claims import CATALOG, NILPOTENT  # noqa: E402
 from lmmt.liealg import builtin, parse_salamon  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import diag_eigenvalues, diag_salamon  # noqa: E402  (read only)
+
 BUILTINS = ["su2", "su3", "heisenberg", "borel:3", "nplus:3", "nplus:4", "abelian:3"]
+# the CE build's int path: filiform L_8..L_11, n+(sl_5), and the constants 2 and -3
+INT_BUILD = ([",".join(["0", "0"] + [f"[1,{i}]" for i in range(2, n)]) for n in range(8, 12)]
+             + ["builtin:nplus:5", "0,0,2.12,-3.13"])
 FORMS = ["g2", "spin7", "psu3", "cvol6", "symplectic(2,4)", "symplectic(3,6)"]
 # a 0-form, an n-form on R^5, a 3-form on R^7 whose contraction kernel is
 # span(e_6, e_7), and a 3-form over Q(sqrt 3)
@@ -96,6 +106,11 @@ def cases() -> List[List[str]]:
     calls = [["verify-paper"]]
     for name in CATALOG + NILPOTENT + [f"builtin:{b}" for b in BUILTINS]:
         calls += _per_algebra(name)
+    for name in INT_BUILD:
+        calls += [["betti", name], ["trivial", name]]
+        calls += [["lie-kernel", name, "--degree", str(k)] for k in (1, 2, 3)]
+        calls += [["mm-solve", name, "--degree", str(k)] for k in (3, 4)]
+    calls += [["betti", diag_salamon(lams)] for seed in (1, 2, 3) for lams in diag_eigenvalues(seed)]
     calls += [["search34", "--m", str(m)] for m in (1, 2, 3)]
     calls += [["search34", "--m", "2", "--eig-range", "-1..2"], ["search34", "--m", "-1"]]
     calls += [[cmd, "--form", form] for form in FORMS
