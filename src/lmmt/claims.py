@@ -18,6 +18,7 @@ from .cohomology import (
     is_exact,
     is_trivial,
     kunneth_check,
+    lie_derivative,
     lie_kernel,
     random_cartan_pair,
 )
@@ -31,7 +32,7 @@ from .forms import (
     stability_admissible,
     weak_nondegenerate,
 )
-from .liealg import LieAlgebra, builtin, parse_salamon
+from .liealg import builtin, parse_salamon
 from .linalg import Matrix
 from .multimoment import Cocycle, solve_multimoment, solve_multimoments, triple_form
 from .scalars import ONE
@@ -73,10 +74,6 @@ class Claim:
 
 def _result(ok: bool, computed, expected) -> Dict[str, object]:
     return {"ok": bool(ok), "computed": computed, "expected": expected}
-
-
-def _e1_complement_split(g: LieAlgebra) -> IdealSplit:
-    return IdealSplit.from_indices(g, list(range(2, g.n + 1)))
 
 
 # -- claim bodies ----------------------------------------------------------
@@ -190,7 +187,7 @@ def claim_spectral_reconstruction() -> Dict[str, object]:
     ok = True
     for s in CATALOG:
         g = parse_salamon(s)
-        split = _e1_complement_split(g)
+        split = IdealSplit.from_indices(g, list(range(2, g.n + 1)))
         inv = {q: invariant_cohomology(split, q).dim_invariant for q in (2, 3, 4)}
         b = betti(g).betti
         b3ok = b[3] == inv[3] + inv[2]
@@ -261,8 +258,6 @@ def claim_properties() -> Dict[str, object]:
     checks["cartan"] = cartan_ok
     # invariant closed forms: p . da - (-1)^s d(p . a) = -L(p) . a reduces to
     # d(p . a) = L(p) . a when da = 0 and s = 2
-    from .cohomology import lie_derivative
-
     inv_ok = True
     for g in algebras:
         for z in cocycle_basis(g, 3):

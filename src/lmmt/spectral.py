@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .cohomology import betti, ce_differential, coboundaries_and_cohomology, d_form
-from .exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
+from .exterior import KForm, basis_masks, contraction_matrix, coordinate_matrix, dim_lambda
 from .liealg import Brackets, LieAlgebra, structural_report
 from .linalg import Matrix, extend_basis
 from .scalars import ONE, Elem
@@ -94,18 +94,6 @@ class IdealSplit:
         return self.adapted.restrict(range(1, self.m + 1))
 
 
-def _restrict(form: KForm, m: int) -> KForm:
-    """Drop terms touching the complement directions; reindex to dim m."""
-    keep = {
-        mask: c for mask, c in form.terms.items() if mask < (1 << m)
-    }
-    return KForm(m, form.degree, keep)
-
-
-def _lift(form: KForm, n: int) -> KForm:
-    return KForm(n, form.degree, dict(form.terms))
-
-
 @dataclass
 class InvariantCohomology:
     q: int
@@ -126,21 +114,24 @@ class InvariantCohomology:
 def invariant_cohomology(split: IdealSplit, q: int) -> InvariantCohomology:
     """H^q(k), the quotient action on it per A.[a] = [A . da], joint kernel.
 
-    One solve of every A . da against [coboundaries | representatives]
-    gives its coordinates on the representatives, for every quotient
-    direction A and representative a at once."""
+    With a lifted to g on the same masks, A . da for every quotient
+    direction A is a column of the contraction matrix of da, and its first
+    C(m, q) rows, the masks below 2^m, are the restriction to k.  One solve of them all against [coboundaries |
+    representatives] gives their coordinates on the representatives."""
     m, n = split.m, split.g.n
     gt, k = split.adapted, split.ideal_algebra()
     masks_q = basis_masks(m, q)
     bmat, h_reps = coboundaries_and_cohomology(k, q, ce_differential(k, q))
-    dim_h = len(h_reps)
+    dim_h, rows = len(h_reps), len(masks_q)
     reps = coordinate_matrix(h_reps, masks_q)
-    d_reps = [d_form(gt, _lift(rep, n)) for rep in h_reps]
-    acted = coordinate_matrix([_restrict(contract(KVector.basis(n, [a]), d_rep), m)
-                               for a in range(m + 1, n + 1) for d_rep in d_reps], masks_q)
+    acted: Dict[Tuple[int, int], Elem] = {}
+    for c, rep in enumerate(h_reps):
+        for (r, a), x in contraction_matrix(d_form(gt, KForm._of(n, q, rep.terms))).entries.items():
+            if r < rows and a >= m:
+                acted[(r, (a - m) * dim_h + c)] = x
     # the representatives are independent modulo the coboundaries, so they
     # are pivot columns of [B | reps]: representative r's at bmat.cols + r
-    xs = _coordinates(bmat.hstack(reps), acted)
+    xs = _coordinates(bmat.hstack(reps), Matrix._of(rows, split.codim * dim_h, acted))
     ops = [Matrix(dim_h, dim_h, {(r, c): x for r in range(dim_h) for c in range(dim_h)
                                  if (x := xs[s * dim_h + c].get(bmat.cols + r))})
            for s in range(split.codim)]
@@ -205,7 +196,7 @@ def _quotient_functional_ideals(g: LieAlgebra, dprime: Matrix) -> List[Matrix]:
     impossible over the rationals, and these hyperplanes are the ones the
     structure arguments are sensitive to.
     """
-    lift = _complement_for(g, dprime)  # quotient coordinates -> g
+    lift = extend_basis(dprime, Matrix.identity(g.n))  # quotient coordinates -> g
     p = lift.cols
     funcs = [Matrix(1, p, {(0, i): 1}) for i in range(p)] + [
         Matrix(1, p, {(0, i): 1, (0, j): s})
@@ -235,11 +226,6 @@ class StructureVerdict:
         }
 
 
-def _complement_for(g: LieAlgebra, ideal: Matrix) -> Matrix:
-    """The unit columns e_i outside the span of ideal and of the e_i before them."""
-    return extend_basis(ideal, Matrix.identity(g.n))
-
-
 def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     """Direct Betti test against the invariant-cohomology conditions.
 
@@ -258,7 +244,7 @@ def verify_34_structure(g: LieAlgebra) -> StructureVerdict:
     if srep.codim_derived >= 2:
         ideals.append((srep.derived_basis, (1, 2, 3, 4)))
     for ideal, degrees in ideals:
-        split = IdealSplit(g, ideal.hstack(_complement_for(g, ideal)), ideal.cols)
+        split = IdealSplit(g, ideal.hstack(extend_basis(ideal, Matrix.identity(g.n))), ideal.cols)
         dims = {
             i: invariant_cohomology(split, i).dim_invariant
             for i in degrees

@@ -19,10 +19,10 @@ from lmmt.exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis
                            coordinate_matrix, derivation, indices_of, wedge_sign)
 from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations,
                           parse_salamon, structural_report)
-from lmmt.linalg import Matrix, _rref, in_span
+from lmmt.linalg import Matrix, _rref, extend_basis, in_span
 from lmmt.scalars import Scalar
-from lmmt.spectral import (IdealSplit, _complement_for, _quotient_functional_ideals,
-                           diagonal_extension, invariant_cohomology)
+from lmmt.spectral import (IdealSplit, _quotient_functional_ideals, diagonal_extension,
+                           invariant_cohomology)
 
 
 def test_su2_betti_oracle():
@@ -759,7 +759,7 @@ def _check_codim_one_invariants(g):
     all n + 1 full ranks; no invariant dimension is computed from it."""
     b = direct_betti(g).betti
     for ideal in _quotient_functional_ideals(g, structural_report(g).derived_basis):
-        split = IdealSplit(g, ideal.hstack(_complement_for(g, ideal)), ideal.cols)
+        split = IdealSplit(g, ideal.hstack(extend_basis(ideal, Matrix.identity(g.n))), ideal.cols)
         assert split.codim == 1
         for q in range(min(split.m, 4) + 1):
             alternating = sum((-1) ** j * b[q - j] for j in range(q + 1))

@@ -1,13 +1,15 @@
 """Exterior algebra over bitmask bases."""
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmt.exterior import (DegreeError, DimensionMismatch, KForm, KVector, basis_masks,
                            contract, contraction_matrix, coordinate_matrix, derivation,
-                           dim_lambda, hodge_star, indices_of, mask_of, volume_form, wedge_sign)
+                           dim_lambda, hodge_star, indices_of, iter_masks, mask_of, volume_form,
+                           wedge_sign)
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt.cohomology import _hook_L, d_form, lie_derivative
 from lmmt.forms import stabilizer_algebra
@@ -31,6 +33,17 @@ def test_basis_masks_are_the_filtered_masks():
     for n in range(13):
         for k in range(-1, n + 2):
             assert basis_masks(n, k) == [m for m in range(1 << n) if m.bit_count() == k]
+
+
+def test_masks_on_the_first_m_indices_come_first():
+    """basis_masks(n, k) starts with basis_masks(m, k): the masks ascend, so
+    all those below 2^m come first, and restricting degree-k coordinates to
+    the first m indices cuts after C(m, k) rows."""
+    for n in range(11):
+        for k in range(n + 2):
+            masks = basis_masks(n, k)
+            for m in range(n + 1):
+                assert masks[:comb(m, k)] == basis_masks(m, k)
 
 
 def test_wedge_sign_oracle():
@@ -318,6 +331,23 @@ def test_contraction_matrix_columns_are_the_contractions(data):
         assert hook == coordinate_matrix(hooks, basis_masks(n, k - 1))
     else:
         assert not hook.entries
+
+
+def test_contraction_matrix_rows_follow_iter_masks():
+    """On e^I, column i - 1 of contraction_matrix has one entry, e_i .| e^I,
+    on the row of I - i in iter_masks(n, k - 1), for every basis form on
+    n <= 6."""
+    for n in range(7):
+        for k in range(1, n + 1):
+            rows = list(iter_masks(n, k - 1))
+            for mask in iter_masks(n, k):
+                hook = contraction_matrix(KForm(n, k, {mask: 1}))
+                assert hook.rows == len(rows)
+                assert sorted(i for _, i in hook.entries) == [i - 1 for i in indices_of(mask)]
+                for (t, i), x in hook.entries.items():
+                    assert rows[t] == mask ^ 1 << i
+                    assert contract(KVector.basis(n, [i + 1]), KForm(n, k, {mask: 1})).terms == {
+                        rows[t]: x}
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,17 +4,19 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bracket_basis
 from lmmt.claims import CATALOG, NILPOTENT
 from lmmt import linalg, spectral
 from lmmt.cohomology import (betti, coboundary_matrix, cohomology_basis, d_form, direct_betti,
                               is_exact)
-from lmmt.exterior import KVector, basis_masks, contract, coordinate_matrix, dim_lambda
-from lmmt.liealg import LieAlgebra, builtin, parse_salamon, structural_report
-from lmmt.linalg import Matrix
-from lmmt.spectral import (IdealSplit, SplitError, _complement_for, _lift,
-                           _coordinates, _quotient_functional_ideals, _restrict,
+from lmmt.exterior import KForm, KVector, basis_masks, contract, coordinate_matrix, dim_lambda
+from lmmt.liealg import (Derivation, LieAlgebra, builtin, extend_by_derivations, parse_salamon,
+                         structural_report)
+from lmmt.linalg import Matrix, extend_basis
+from lmmt.scalars import Scalar
+from lmmt.spectral import (IdealSplit, SplitError, _coordinates, _quotient_functional_ideals,
                            abelian_eigen_criterion, diagonal_extension, hs_page,
                            invariant_cohomology, search_34_extensions,
                            verify_34_structure)
@@ -111,6 +113,22 @@ def test_invariant_cohomology_trivial_action():
     assert inv.dim_H == 2 and inv.dim_invariant == 2
 
 
+def _acted(split, form, a):
+    """e_a . d(form) in the adapted basis, form a q-form on k lifted to g,
+    then restricted to k: one contract per direction, and only the masks
+    below 2^m kept."""
+    m, n = split.m, split.g.n
+    da = d_form(split.adapted, KForm(n, form.degree, dict(form.terms)))
+    acted = contract(KVector.basis(n, [a]), da)
+    return KForm(m, acted.degree, {mask: c for mask, c in acted.terms.items() if mask < 1 << m})
+
+
+def _split_on(g, ideal):
+    """The split of g whose ideal has the columns of ideal, completed by the
+    unit vectors outside their span."""
+    return IdealSplit(g, ideal.hstack(extend_basis(ideal, Matrix.identity(g.n))), ideal.cols)
+
+
 def test_invariant_basis_is_invariant():
     # each form is closed in k, every quotient direction A has A . da exact
     # in k, and the forms are independent modulo the coboundaries
@@ -120,7 +138,7 @@ def test_invariant_basis_is_invariant():
             split = IdealSplit.from_indices(g, list(range(2, g.n + 1)))
         except SplitError:
             continue
-        m, gt, k = split.m, split.adapted, split.ideal_algebra()
+        m, k = split.m, split.ideal_algebra()
         for q in range(min(m, 4) + 1):
             inv = invariant_cohomology(split, q)
             forms = inv.invariant_basis
@@ -128,8 +146,7 @@ def test_invariant_basis_is_invariant():
             for f in forms:
                 assert d_form(k, f).is_zero()
                 for a in range(m + 1, g.n + 1):
-                    acted = contract(KVector.basis(g.n, [a]), d_form(gt, _lift(f, g.n)))
-                    assert is_exact(k, _restrict(acted, m))
+                    assert is_exact(k, _acted(split, f, a))
             masks = basis_masks(m, q)
             bmat = coboundary_matrix(k, q)
             joint = bmat.hstack(coordinate_matrix(forms, masks))
@@ -214,7 +231,7 @@ FIXED = ([parse_salamon(t) for t in CATALOG + NILPOTENT + ["0,12,-1.13"]]
 
 def _hyperplane_splits(g):
     ideals = _quotient_functional_ideals(g, structural_report(g).derived_basis)
-    return [IdealSplit(g, ideal.hstack(_complement_for(g, ideal)), ideal.cols) for ideal in ideals]
+    return [_split_on(g, ideal) for ideal in ideals]
 
 
 def _dense_bracket(g, u, v):
@@ -242,8 +259,7 @@ def _adapted_by_pairs(split):
 def _operators_by_vector(split, q):
     """The quotient operators on H^q(k), one Matrix.solve per acted vector
     in a basis of the coboundaries followed by the representatives."""
-    m, n = split.m, split.g.n
-    gt, k = split.adapted, split.ideal_algebra()
+    m, n, k = split.m, split.g.n, split.ideal_algebra()
     masks = basis_masks(m, q)
     reps = cohomology_basis(k, q)
     span = coboundary_matrix(k, q).column_space_basis() + [
@@ -253,8 +269,7 @@ def _operators_by_vector(split, q):
     for a in range(m + 1, n + 1):
         cols = []
         for rep in reps:
-            acted = _restrict(contract(KVector.basis(n, [a]), d_form(gt, _lift(rep, n))), m)
-            x = mat.solve(coordinate_matrix([acted], masks).column(0))
+            x = mat.solve(coordinate_matrix([_acted(split, rep, a)], masks).column(0))
             cols.append(x[len(span) - len(reps):])
         ops.append(Matrix.from_columns(cols, nrows=len(reps)))
     return ops
@@ -270,6 +285,68 @@ def test_batched_solves_match_one_solve_per_vector(g):
                    for s in splits for t in range(s.m))
     for split in splits:
         assert split.adapted.brackets == _adapted_by_pairs(split)
+        for q in range(min(split.m, 4) + 1):
+            assert invariant_cohomology(split, q).operators == _operators_by_vector(split, q)
+
+
+RATIONAL_VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+SQRT2_VALUES = RATIONAL_VALUES + [Scalar(0, 1, 2), Scalar(1, -1, 2), Scalar(Fraction(1, 2), 1, 2)]
+
+
+def _matmul(a, b):
+    return [[sum((x * b[t][c] for t, x in enumerate(row)), Fraction(0)) for c in range(len(b))]
+            for row in a]
+
+
+@st.composite
+def solvable_algebras(draw):
+    """Solvable algebras of dimension <= 7 over Q or Q(sqrt 2): abelian R^r
+    extended by an upper-triangular D1 and, for two generators, D2 = c0 + c1
+    D1 + c2 D1^2, which commutes with it; or a nilpotent algebra extended by
+    one or two combinations of its diagonal derivations.  An invertible D1
+    or nonzero weights make g' the whole of R^r or k, of codimension 1 or 2.
+    With two generators their bracket may be a multiple of e_n."""
+    values = st.sampled_from(draw(st.sampled_from([RATIONAL_VALUES, SQRT2_VALUES])))
+    p = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 5 if p == 1 else 4))
+        k = builtin(f"abelian:{r}")
+        d1 = [[draw(values) if row <= col else Fraction(0) for col in range(r)] for row in range(r)]
+        d1d1 = _matmul(d1, d1)
+        c0, c1, c2 = draw(values), draw(values), draw(values)
+        d2 = [[(c0 if row == col else 0) + c1 * d1[row][col] + c2 * d1d1[row][col]
+               for col in range(r)] for row in range(r)]
+        mats = [d1, d2][:p]
+    else:
+        k = parse_salamon(draw(st.sampled_from(["0,0,12", "0,0,12,13", "0,0,0,12", "0,0,12,13,14"])))
+        torus = list(k.diagonal_derivations().values())
+        mats = []
+        for _ in range(p):
+            coeffs = [draw(values) for _ in torus]
+            w = [sum((c * t.get(i, 0) for c, t in zip(coeffs, torus)), Fraction(0))
+                 for i in range(1, k.n + 1)]
+            mats.append([[w[row] if row == col else 0 for col in range(k.n)] for row in range(k.n)])
+    g = extend_by_derivations(k, [Derivation.from_rows(k, rows) for rows in mats])
+    c = draw(values)
+    if p == 2 and c:
+        # [x1, x2] = c z for z = e_n, central in k: then A1 . dA2 reaches the
+        # masks past those of k, which the restriction has to cut
+        g = LieAlgebra(g.n, {**g.brackets, (1, 2): {g.n: c}})
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(solvable_algebras())
+def test_operators_match_one_solve_per_vector_random(g):
+    """The quotient operators from the contraction matrices against one
+    contract and one solve per acted vector, on the hyperplane grid and, when
+    it has codimension 2 or more, on g' itself, as verify_34_structure
+    takes them."""
+    srep = structural_report(g)
+    splits = _hyperplane_splits(g)
+    if srep.codim_derived >= 2:
+        splits.append(_split_on(g, srep.derived_basis))
+    for split in splits:
         for q in range(min(split.m, 4) + 1):
             assert invariant_cohomology(split, q).operators == _operators_by_vector(split, q)
 

@@ -14,6 +14,8 @@ NILPOTENT lists and on the small builtins; ``betti``, ``trivial``,
 ``lie-kernel`` and ``mm-solve`` on filiform L_8..L_11, n+(sl_5) and an
 algebra with constants 2 and -3; ``betti`` on the ``diag-ext`` inputs of
 seeds 1..3 (``perfbench/run.py``'s generator, imported read only);
+``invariant-cohomology``, ``hs-page`` and ``verify-34`` on two solvable
+algebras over Q(sqrt 2), and codimension-2 E2 pages on L_8 and n+(sl_4);
 ``search34`` for m = 1..3, the builtin forms and four JSON forms at the
 corners of the contraction matrix, and split and degree errors.  Each call
 past the job lists runs once as it is and once with ``--json``.  Every case
@@ -54,6 +56,12 @@ JSON_FORMS = [json.dumps(f) for f in (
     {"n": 6, "degree": 3, "terms": {"1,2,3": "1+sqrt(3)", "1,4,5": "sqrt(3)", "2,4,6": "1/2",
                                     "3,5,6": "-1"}},
 )]
+# solvable algebras over Q(sqrt 2), each with an ideal containing g' (codimension 1, then 2)
+SQRT2_SPLITS = [
+    ('{"dim":3,"brackets":[{"i":1,"j":2,"c":{"2":"sqrt(2)"}},{"i":1,"j":3,"c":{"3":"1"}}]}', "2,3"),
+    ('{"dim":4,"brackets":[{"i":1,"j":3,"c":{"3":"sqrt(2)"}},{"i":1,"j":4,"c":{"4":"-sqrt(2)"}},'
+     '{"i":2,"j":3,"c":{"3":"1"}},{"i":2,"j":4,"c":{"4":"1"}}]}', "3,4"),
+]
 
 # runs in each tree's subprocess: the cases on stdin, the records on stdout
 RUNNER = r"""
@@ -111,6 +119,14 @@ def cases() -> List[List[str]]:
         calls += [["lie-kernel", name, "--degree", str(k)] for k in (1, 2, 3)]
         calls += [["mm-solve", name, "--degree", str(k)] for k in (3, 4)]
     calls += [["betti", diag_salamon(lams)] for seed in (1, 2, 3) for lams in diag_eigenvalues(seed)]
+    for name, ideal in SQRT2_SPLITS:
+        calls += [["invariant-cohomology", name, "--ideal", ideal, "--degree", str(q)]
+                  for q in (1, 2)]
+        calls += [["hs-page", name, "--ideal", ideal, "--level", str(level)] for level in (1, 2)]
+        calls.append(["verify-34", name])
+    # codimension-2 E2 pages up to q = 5 on L_8 and n+(sl_4)
+    calls += [["hs-page", name, "--ideal", ideal, "--level", "2", "--max-q", "5"]
+              for name, ideal in ((INT_BUILD[0], "3,4,5,6,7,8"), ("builtin:nplus:4", "2,3,4,5"))]
     calls += [["search34", "--m", str(m)] for m in (1, 2, 3)]
     calls += [["search34", "--m", "2", "--eig-range", "-1..2"], ["search34", "--m", "-1"]]
     calls += [[cmd, "--form", form] for form in FORMS
